@@ -8,7 +8,9 @@ table per argument position.  On top of that live:
 * ``satisfies``        truth of a ground formula in a set of atoms,
 * ``satisfies_direct`` truth of a sentence in an interpretation,
 * ``eval_star``        truth of the stability transformation F*(u),
-  where u is a second, smaller valuation of the intensional predicates,
+  where u is a second, smaller valuation of the intensional predicates;
+  one pass visits each node once per u and yields both the plain and the
+  starred reading of it,
 * ``eval_flp_transform``  truth of the rule-wise transformation
   B and B(u) implies H(u) used by the FLP semantics.
 
@@ -36,6 +38,7 @@ from .syntax import (
     Variable,
     check_element,
     element_key,
+    flatten_spine,
     impl,
 )
 from .quantifiers import Registry
@@ -290,6 +293,11 @@ def _check_shape(f: Apply, qdef) -> None:
             )
 
 
+def _one_binder(f: Apply) -> bool:
+    """The fixed shape of ``forall``/``exists``: one variable, one argument."""
+    return len(f.var_lists) == 1 and len(f.var_lists[0]) == 1
+
+
 def _eval(f: Formula, interp: Interpretation, registry: Registry, env: dict) -> bool:
     t = type(f)
     if t is Atom:
@@ -301,15 +309,19 @@ def _eval(f: Formula, interp: Interpretation, registry: Registry, env: dict) -> 
         return True
     if t is Bot:
         return False
-    if t is Apply:
-        qdef = registry.resolve(f.quantifier)
-        _check_shape(f, qdef)
-        name = f.quantifier
-        args = f.args
+    if t is not Apply:
+        raise GqError(f"not a formula: {f!r}")
+    # The five built-in connectives are dispatched by name, their shape
+    # checked structurally; the registry cannot shadow them.  A misshapen
+    # one falls through to _check_shape, which reports it.
+    name = f.quantifier
+    args = f.args
+    if f.var_lists == ((), ()):
         if name == "and":
-            return _eval(args[0], interp, registry, env) and _eval(
-                args[1], interp, registry, env
-            )
+            for part in flatten_spine(f, "and"):
+                if not _eval(part, interp, registry, env):
+                    return False
+            return True
         if name == "or":
             return _eval(args[0], interp, registry, env) or _eval(
                 args[1], interp, registry, env
@@ -318,49 +330,40 @@ def _eval(f: Formula, interp: Interpretation, registry: Registry, env: dict) -> 
             return not _eval(args[0], interp, registry, env) or _eval(
                 args[1], interp, registry, env
             )
-        if name == "forall" or name == "exists":
-            want = name == "exists"
-            x = f.var_lists[0][0]
-            old = env.get(x, _MISSING)
-            result = not want
-            for v in interp.universe_sorted:
-                env[x] = v
-                if _eval(args[0], interp, registry, env) == want:
-                    result = want
-                    break
-            if old is _MISSING:
-                del env[x]
-            else:
-                env[x] = old
-            return result
-        rels = _relations(f, interp, registry, env, _eval)
-        return bool(qdef.truth(interp.universe, rels))
-    raise GqError(f"not a formula: {f!r}")
-
-
-def _relations(f: Apply, interp, registry, env, evaluate, *extra) -> tuple:
-    """Build the relation tuple for a generic quantifier application."""
+    elif (name == "forall" or name == "exists") and _one_binder(f):
+        want = name == "exists"
+        x = f.var_lists[0][0]
+        old = env.get(x, _MISSING)
+        result = not want
+        for v in interp.universe_sorted:
+            env[x] = v
+            if _eval(args[0], interp, registry, env) == want:
+                result = want
+                break
+        _restore(env, x, old)
+        return result
+    qdef = registry.resolve(name)
+    _check_shape(f, qdef)
     rels = []
-    for xs, arg in zip(f.var_lists, f.args):
-        n = len(xs)
+    for xs, arg in zip(f.var_lists, args):
         rows = set()
-        if n == 0:
-            if evaluate(arg, interp, registry, env, *extra):
-                rows.add(())
-        else:
-            saved = [env.get(x, _MISSING) for x in xs]
-            for combo in itertools.product(interp.universe_sorted, repeat=n):
-                for x, v in zip(xs, combo):
-                    env[x] = v
-                if evaluate(arg, interp, registry, env, *extra):
-                    rows.add(combo)
-            for x, old in zip(xs, saved):
-                if old is _MISSING:
-                    del env[x]
-                else:
-                    env[x] = old
+        saved = [env.get(x, _MISSING) for x in xs]
+        for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
+            for x, v in zip(xs, combo):
+                env[x] = v
+            if _eval(arg, interp, registry, env):
+                rows.add(combo)
+        for x, old in zip(xs, saved):
+            _restore(env, x, old)
         rels.append(frozenset(rows))
-    return tuple(rels)
+    return bool(qdef.truth(interp.universe, tuple(rels)))
+
+
+def _restore(env: dict, x: str, old) -> None:
+    if old is _MISSING:
+        del env[x]
+    else:
+        env[x] = old
 
 
 def satisfies_direct(
@@ -433,10 +436,7 @@ def _ground(f, interp, registry, env) -> GroundFormula:
                     env[x] = v
                 entries.append((combo, _ground(arg, interp, registry, env)))
             for x, old in zip(xs, saved):
-                if old is _MISSING:
-                    del env[x]
-                else:
-                    env[x] = old
+                _restore(env, x, old)
             sets.append(PairSet(tuple(entries)))
         return GApply(f.quantifier, tuple(sets))
     raise GqError(f"not a formula: {f!r}")
@@ -547,6 +547,10 @@ def eval_star(
     still read from ``interp``.  A quantifier application is true only
     when it holds both under the recursive star reading and under the
     plain reading in ``interp``.
+
+    Both readings come out of one pass that visits each node once per
+    ``smaller``; a child is visited only where the two-pass definition
+    would visit it, so evaluation fails exactly where that one does.
     """
     preds = frozenset(intensional)
     smaller = frozenset(smaller)
@@ -562,69 +566,179 @@ def eval_star(
             if v not in interp.universe:
                 raise GqError(f"atom {a} mentions {v!r}, not a universe element")
     j_idx = frozenset((a.pred, a.args) for a in smaller)
-    return _eval_star(sentence, interp, j_idx, preds, registry, {})
+    return _force(_eval_both(sentence, interp, j_idx, preds, registry, {})[1])
 
 
-def _eval_star(f, interp, j_idx, intensional, registry, env) -> bool:
+# A star reading is True, False, or a thunk returning one of the two.  A
+# thunk stands for work the two-pass definition does only once the star
+# reading of an enclosing node is asked for: visiting a subformula that
+# the plain reading skipped.  Forcing thunks in the order that definition
+# reads the children visits what it visits, in its order, so a program
+# raises exactly where it did.  Truth functions are total (verify_profile
+# calls them on every relation tuple), so calling one on star relations
+# whose reading nobody asks for is harmless.
+
+_FALSE_BOTH = (False, False)
+_TRUE_BOTH = (True, True)
+
+
+def _force(star) -> bool:
+    return star if star is True or star is False else star()
+
+
+def _all_stars(stars: list):
+    """The conjunction of star readings, read left to right."""
+    for i, s in enumerate(stars):
+        if s is False:
+            return False
+        if s is not True:
+            rest = stars[i:]
+            return lambda: all(_force(r) for r in rest)
+    return True
+
+
+def _any_stars(stars: list):
+    """The disjunction of star readings, read left to right."""
+    for i, s in enumerate(stars):
+        if s is True:
+            return True
+        if s is not False:
+            rest = stars[i:]
+            return lambda: any(_force(r) for r in rest)
+    return False
+
+
+def _star_later(f, interp, j_idx, intensional, registry, env):
+    """A thunk for the star reading of ``f``, a node the plain pass did
+    not visit, in a copy of the current bindings."""
+    env = dict(env)
+    return lambda: _force(
+        _eval_both(f, interp, j_idx, intensional, registry, env)[1]
+    )
+
+
+def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
+    """``(truth of f in interp, star reading of f)`` in one visit per node.
+
+    At an ``Apply`` node the star reading is the plain reading and the
+    quantifier applied to the children's star readings, so it is False
+    whenever the plain reading is.  The plain reading short-circuits as
+    ``_eval`` does; the star reading visits what the plain pass skipped
+    only through thunks.
+    """
     t = type(f)
     if t is Atom:
-        vals = tuple(_term_value(a, interp, env) for a in f.args)
+        key = (f.pred, tuple(_term_value(a, interp, env) for a in f.args))
+        plain = key in interp.index
         if f.pred in intensional:
-            return (f.pred, vals) in j_idx
-        return (f.pred, vals) in interp.index
+            return plain, key in j_idx
+        return plain, plain
     if t is Equality:
-        return _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
+        v = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
+        return v, v
     if t is Top:
-        return True
+        return _TRUE_BOTH
     if t is Bot:
-        return False
-    if t is Apply:
-        qdef = registry.resolve(f.quantifier)
-        _check_shape(f, qdef)
-        # the plain conjunct, evaluated wholly in interp
-        if not _eval(f, interp, registry, env):
-            return False
-        name = f.quantifier
-        args = f.args
+        return _FALSE_BOTH
+    if t is not Apply:
+        raise GqError(f"not a formula: {f!r}")
+    name = f.quantifier
+    args = f.args
+    if f.var_lists == ((), ()):
         if name == "and":
-            return _eval_star(
-                args[0], interp, j_idx, intensional, registry, env
-            ) and _eval_star(args[1], interp, j_idx, intensional, registry, env)
+            stars = []
+            for part in flatten_spine(f, "and"):
+                p, s = _eval_both(part, interp, j_idx, intensional, registry, env)
+                if not p:
+                    return _FALSE_BOTH
+                stars.append(s)
+            return True, _all_stars(stars)
         if name == "or":
-            return _eval_star(
-                args[0], interp, j_idx, intensional, registry, env
-            ) or _eval_star(args[1], interp, j_idx, intensional, registry, env)
+            pa, sa = _eval_both(args[0], interp, j_idx, intensional, registry, env)
+            if pa:
+                if sa is True:
+                    return _TRUE_BOTH
+                later = _star_later(args[1], interp, j_idx, intensional, registry, env)
+                return True, _any_stars([sa, later])
+            pb, sb = _eval_both(args[1], interp, j_idx, intensional, registry, env)
+            if not pb:
+                return _FALSE_BOTH
+            return True, _any_stars([sa, sb])
         if name == "impl":
-            return not _eval_star(
-                args[0], interp, j_idx, intensional, registry, env
-            ) or _eval_star(args[1], interp, j_idx, intensional, registry, env)
-        if name == "forall" or name == "exists":
-            want = name == "exists"
-            x = f.var_lists[0][0]
-            old = env.get(x, _MISSING)
-            result = not want
-            for v in interp.universe_sorted:
-                env[x] = v
-                if (
-                    _eval_star(args[0], interp, j_idx, intensional, registry, env)
-                    == want
-                ):
-                    result = want
+            pa, sa = _eval_both(args[0], interp, j_idx, intensional, registry, env)
+            if not pa:
+                # sa is a bool here; it holds only when J is not below I
+                if not sa:
+                    return _TRUE_BOTH
+                return True, _star_later(
+                    args[1], interp, j_idx, intensional, registry, env
+                )
+            pb, sb = _eval_both(args[1], interp, j_idx, intensional, registry, env)
+            if not pb:
+                return _FALSE_BOTH
+            if sa is False:
+                return _TRUE_BOTH
+            if sa is True:
+                return True, sb
+            return True, lambda: not sa() or _force(sb)
+    elif (name == "forall" or name == "exists") and _one_binder(f):
+        every = name == "forall"
+        x = f.var_lists[0][0]
+        old = env.get(x, _MISSING)
+        plain = every
+        stars = []
+        for v in interp.universe_sorted:
+            env[x] = v
+            if plain and not every:
+                # exists holds in interp; its star reading reads on
+                stars.append(
+                    _star_later(args[0], interp, j_idx, intensional, registry, env)
+                )
+                continue
+            p, s = _eval_both(args[0], interp, j_idx, intensional, registry, env)
+            stars.append(s)
+            if p != every:
+                plain = p
+                if every:
                     break
-            if old is _MISSING:
-                del env[x]
-            else:
-                env[x] = old
-            return result
-        star_rels = _relations(
-            f, interp, registry, env, _eval_star_adapter, j_idx, intensional
+        _restore(env, x, old)
+        if not plain:
+            return _FALSE_BOTH
+        return True, (_all_stars(stars) if every else _any_stars(stars))
+    qdef = registry.resolve(name)
+    _check_shape(f, qdef)
+    plain_rels = []
+    star_rows = []  # per position: (tuple, star) for every star not False
+    deferred = False
+    for xs, arg in zip(f.var_lists, args):
+        rows = set()
+        marked = []
+        saved = [env.get(x, _MISSING) for x in xs]
+        for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
+            for x, v in zip(xs, combo):
+                env[x] = v
+            p, s = _eval_both(arg, interp, j_idx, intensional, registry, env)
+            if p:
+                rows.add(combo)
+            if s is not False:
+                marked.append((combo, s))
+                deferred = deferred or s is not True
+        for x, old in zip(xs, saved):
+            _restore(env, x, old)
+        plain_rels.append(frozenset(rows))
+        star_rows.append(marked)
+    universe = interp.universe
+    if not qdef.truth(universe, tuple(plain_rels)):
+        return _FALSE_BOTH
+
+    def star_truth():
+        rels = tuple(
+            frozenset(combo for combo, s in marked if _force(s))
+            for marked in star_rows
         )
-        return bool(qdef.truth(interp.universe, star_rels))
-    raise GqError(f"not a formula: {f!r}")
+        return bool(qdef.truth(universe, rels))
 
-
-def _eval_star_adapter(f, interp, registry, env, j_idx, intensional):
-    return _eval_star(f, interp, j_idx, intensional, registry, env)
+    return True, (star_truth if deferred else star_truth())
 
 
 # ---------------------------------------------------------------------------

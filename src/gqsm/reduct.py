@@ -40,6 +40,13 @@ class EnumerationCapError(GqError):
         self.cap = cap
 
 
+def check_cap(cap: int, source: str) -> int:
+    """``cap``, unless it is negative; ``source`` names where it came from."""
+    if cap < 0:
+        raise GqError(f"{source} must not be negative, got {cap}")
+    return cap
+
+
 @dataclass(frozen=True)
 class ReductResult:
     formula: GroundFormula
@@ -127,7 +134,7 @@ def minimal_models(
 
     u = frozenset(universe)
     pool = sorted(frozenset(base), key=GroundAtom.sort_key)
-    if len(pool) > cap:
+    if len(pool) > check_cap(cap, "cap"):
         raise EnumerationCapError(len(pool), cap)
     formulas = tuple(formulas)
     found: list = []

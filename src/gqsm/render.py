@@ -24,6 +24,7 @@ from .syntax import (
     Rule,
     Top,
     element_key,
+    flatten_spine,
     free_variables,
     term_variables,
 )
@@ -151,14 +152,6 @@ def _node(f: Formula) -> tuple[str, int]:
     raise GqError(f"cannot render {f!r}")
 
 
-def _flatten(f: Formula, name: str) -> list[Formula]:
-    """Flatten the left spine of ``name`` applications, undoing the
-    parser's left fold of ','/';' chains."""
-    if isinstance(f, Apply) and f.quantifier == name and _is_plain_pair(f):
-        return _flatten(f.args[0], name) + [f.args[1]]
-    return [f]
-
-
 # ---------------------------------------------------------------------------
 # Rules and programs
 
@@ -166,14 +159,14 @@ def _flatten(f: Formula, name: str) -> list[Formula]:
 def _render_rule(r: Rule) -> str:
     if isinstance(r.head, Bot):
         return f":- {_render_body(r.body)}."
-    head = "; ".join(_render(p, 1) for p in _flatten(r.head, "or"))
+    head = "; ".join(_render(p, 1) for p in flatten_spine(r.head, "or"))
     if isinstance(r.body, Top):
         return f"{head}."
     return f"{head} :- {_render_body(r.body)}."
 
 
 def _render_body(body: Formula) -> str:
-    return ", ".join(_render(p, 1) for p in _flatten(body, "and"))
+    return ", ".join(_render(p, 1) for p in flatten_spine(body, "and"))
 
 
 def _render_program(p: Program) -> str:

@@ -29,6 +29,7 @@ from .syntax import (
     GqError,
     Program,
     TOP,
+    flatten_spine,
     forall,
     impl,
     is_atomic,
@@ -47,7 +48,7 @@ from .ground import (
     herbrand_base,
     satisfies_program,
 )
-from .reduct import DEFAULT_ATOM_CAP, EnumerationCapError, reduct
+from .reduct import DEFAULT_ATOM_CAP, EnumerationCapError, check_cap, reduct
 
 CAP_ENV_VAR = "GQSM_ATOM_CAP"
 
@@ -82,15 +83,18 @@ class SolveResult:
 
 
 def resolve_cap(cap: Optional[int] = None) -> int:
+    """The atom cap: ``cap`` when given, else the environment, else the
+    default.  A negative cap is an error, wherever it comes from."""
     if cap is not None:
-        return cap
+        return check_cap(cap, "the atom cap (--cap or cap=)")
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ATOM_CAP
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise GqError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    return check_cap(value, CAP_ENV_VAR)
 
 
 def program_to_sentence(program: Program) -> Formula:
@@ -279,12 +283,6 @@ class ClassReport:
         }
 
 
-def _flatten_spine(f: Formula, name: str) -> list:
-    if isinstance(f, Apply) and f.quantifier == name and f.var_lists == ((), ()):
-        return _flatten_spine(f.args[0], name) + [f.args[1]]
-    return [f]
-
-
 def _negated(f: Formula):
     """The formula under an outermost negation, or None."""
     if (
@@ -308,12 +306,12 @@ def monotone_class_report(program: Program, registry: Registry) -> ClassReport:
         return all(is_atomic(a) for a in app.args)
 
     for i, rule in enumerate(program.rules):
-        for part in _flatten_spine(rule.head, "or"):
+        for part in flatten_spine(rule.head, "or"):
             if not is_atomic(part):
                 violations.append(
                     ClassViolation(i, str(part), "head disjunct is not atomic")
                 )
-        for part in _flatten_spine(rule.body, "and"):
+        for part in flatten_spine(rule.body, "and"):
             inner = _negated(part)
             if inner is not None:
                 if is_atomic(inner):

@@ -245,6 +245,23 @@ def is_bot(f: Formula) -> bool:
     return isinstance(f, Bot) or (isinstance(f, Apply) and f.quantifier == "bot")
 
 
+def flatten_spine(f: Formula, name: str) -> list[Formula]:
+    """The operands of the left spine of plain binary ``name``
+    applications, left to right; ``[f]`` when ``f`` is not one.
+
+    This undoes the left fold of ``conj``/``disj`` and of the parser's
+    ','/';' chains.  The walk is a loop, so a spine of any length is
+    fine.
+    """
+    rights = []
+    while isinstance(f, Apply) and f.quantifier == name and f.var_lists == ((), ()):
+        rights.append(f.args[1])
+        f = f.args[0]
+    rights.append(f)
+    rights.reverse()
+    return rights
+
+
 # ---------------------------------------------------------------------------
 # Formula walks
 

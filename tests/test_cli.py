@@ -251,6 +251,34 @@ def test_bad_cap_env_exits_1(run, sum_path, monkeypatch):
     assert "GQSM_ATOM_CAP must be an integer" in err
 
 
+def test_negative_cap_env_exits_1(run, sum_path, monkeypatch):
+    monkeypatch.setenv("GQSM_ATOM_CAP", "-1")
+    code, out, err = run("solve", sum_path)
+    assert (code, out) == (1, "")
+    assert err == "error: GQSM_ATOM_CAP must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_negative_cap_flag_exits_1(run, sum_path, command):
+    code, out, err = run(command, sum_path, "--cap", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: the atom cap (--cap or cap=) must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize("rules", [1_200, 10_000])
+def test_long_programs_solve_on_the_operator_route(run, tmp_path, rules):
+    p = tmp_path / "long.gq"
+    p.write_text("#universe {1}.\n" + "p :- not q.\n" * rules)
+    code, out, err = run("solve", str(p), "--route", "operator")
+    assert (code, out, err) == (0, "Answer 1: p\n", "")
+    code, out, err = run("compare", str(p))
+    assert (code, err) == (0, "")
+    assert out.startswith(
+        "== sm route=operator\nAnswer 1: p\n== flp route=operator\nAnswer 1: p\n"
+    )
+    assert out.endswith("difference: none\nagreement violated: no\n")
+
+
 def test_unknown_model_atom_exits_1(run, sum_path):
     code, _, err = run("reduct", sum_path, "--model", "zz(1)")
     assert code == 1

@@ -22,6 +22,7 @@ from gqsm.reduct import (
     reduct_program,
 )
 from gqsm.render import render_ground_rule, simplify_rule_sides
+from gqsm.syntax import GqError
 
 from conftest import SUM_THRESHOLD, COUNT_GUARD
 
@@ -159,3 +160,9 @@ def test_enumeration_cap(registry):
     assert exc.value.cap == 4
     assert "GQSM_ATOM_CAP" in str(exc.value)
     assert DEFAULT_ATOM_CAP == 20
+
+
+def test_negative_enumeration_cap_is_refused(registry):
+    with pytest.raises(GqError, match="cap must not be negative, got -1") as exc:
+        minimal_models((), (), frozenset({1}), registry, cap=-1)
+    assert not isinstance(exc.value, EnumerationCapError)

@@ -148,6 +148,18 @@ def test_cap_resolution(monkeypatch):
         resolve_cap()
 
 
+def test_negative_caps_are_refused(monkeypatch):
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    assert resolve_cap(0) == 0
+    with pytest.raises(GqError, match=r"--cap or cap=\) must not be negative, got -1"):
+        resolve_cap(-1)
+    monkeypatch.setenv(CAP_ENV_VAR, "-3")
+    with pytest.raises(GqError, match=f"{CAP_ENV_VAR} must not be negative, got -3"):
+        resolve_cap()
+    # an explicit cap still wins over the environment
+    assert resolve_cap(4) == 4
+
+
 def test_cap_stops_large_enumerations(registry):
     lines = ["#universe {1, 2, 3}."]
     for p in "abcdefghi":
