@@ -12,7 +12,10 @@ table per argument position.  On top of that live:
   one pass visits each node once per u and yields both the plain and the
   starred reading of it,
 * ``eval_flp_transform``  truth of the rule-wise transformation
-  B and B(u) implies H(u) used by the FLP semantics.
+  B and B(u) implies H(u) used by the FLP semantics.  B is read in the
+  interpretation alone, so for a fixed interpretation the test only
+  needs the rule instances whose body it satisfies: ``flp_reduct``
+  computes them once per candidate, and each u is read against those.
 
 ``satisfies`` after ``ground`` and ``satisfies_direct`` always agree;
 the test suite exercises that equivalence heavily.
@@ -143,6 +146,21 @@ class Interpretation:
 
     def with_atoms(self, atoms: AtomSet) -> "Interpretation":
         return Interpretation(self.universe, atoms, self.constants)
+
+    def _with_checked_atoms(self, atoms: AtomSet) -> "Interpretation":
+        """``with_atoms`` for ground atoms already known to lie in this
+        universe: nothing is checked again and the universe is not
+        sorted again."""
+        new = object.__new__(Interpretation)
+        for name, value in (
+            ("universe", self.universe),
+            ("atoms", atoms),
+            ("constants", self.constants),
+            ("universe_sorted", self.universe_sorted),
+            ("index", frozenset((a.pred, a.args) for a in atoms)),
+        ):
+            object.__setattr__(new, name, value)
+        return new
 
     def intensional_slice(self, intensional: Iterable[str]) -> AtomSet:
         preds = frozenset(intensional)
@@ -373,19 +391,45 @@ def satisfies_direct(
     return _eval(sentence, interp, registry, {})
 
 
+def _instances(program: Program, interp: Interpretation):
+    """Every rule instance ``(rule, env)``: rules in program order, then
+    the assignments of each rule's free variables in sorted order (the
+    order of ``ground_rule``), each with its own env dict."""
+    u_sorted = interp.universe_sorted
+    for rule in program.rules:
+        fvs = rule.variables
+        for combo in itertools.product(u_sorted, repeat=len(fvs)):
+            yield rule, dict(zip(fvs, combo))
+
+
 def satisfies_program(interp: Interpretation, program: Program, registry: Registry) -> bool:
     """Does the interpretation satisfy every rule's universal closure?"""
-    for rule in program.rules:
-        fvs = sorted(rule.free_variables())
-        env: dict = {}
-        for combo in itertools.product(interp.universe_sorted, repeat=len(fvs)):
-            for x, v in zip(fvs, combo):
-                env[x] = v
-            if _eval(rule.body, interp, registry, env) and not _eval(
-                rule.head, interp, registry, env
-            ):
-                return False
+    for rule, env in _instances(program, interp):
+        if _eval(rule.body, interp, registry, env) and not _eval(
+            rule.head, interp, registry, env
+        ):
+            return False
     return True
+
+
+def _fired(program: Program, interp: Interpretation, registry: Registry):
+    """The rule instances whose body holds in ``interp``, lazily: a body
+    that raises does so only once the instances before it are used."""
+    for rule, env in _instances(program, interp):
+        if _eval(rule.body, interp, registry, env):
+            yield rule, env
+
+
+def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> tuple:
+    """The FLP reduct of the program relative to ``interp``: the rule
+    instances ``(rule, env)`` whose body ``interp`` satisfies, in rule
+    order and then in sorted assignment order, each with its own env.
+
+    ``eval_flp_transform`` reads only these instances, so a caller that
+    tests many smaller valuations against one interpretation computes
+    the reduct once and passes it as ``fired``.
+    """
+    return tuple(_fired(program, interp, registry))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +489,7 @@ def _ground(f, interp, registry, env) -> GroundFormula:
 def ground_rule(rule: Rule, interp: Interpretation, registry: Registry) -> tuple:
     """Ground instances of one rule, one implication per assignment of
     the rule's free variables, in sorted assignment order."""
-    fvs = sorted(rule.free_variables())
+    fvs = rule.variables
     formula = impl(rule.body, rule.head)
     out = []
     for combo in itertools.product(interp.universe_sorted, repeat=len(fvs)):
@@ -750,13 +794,21 @@ def eval_flp_transform(
     interp: Interpretation,
     smaller: Iterable[GroundAtom],
     registry: Registry,
+    *,
+    fired: Optional[Iterable[tuple]] = None,
 ) -> bool:
     """Truth of the conjunction, over all rule instances, of
     ``B and B(u) implies H(u)``.
 
     ``B`` is read in ``interp``; ``B(u)`` and ``H(u)`` reinterpret the
     program's intensional predicates by ``smaller`` while everything
-    else keeps its value from ``interp``.
+    else keeps its value from ``interp``.  Since ``B`` does not depend
+    on u, only the instances of the FLP reduct (``flp_reduct``) can
+    fail; ``fired`` is that reduct, computed once per interpretation by
+    the caller, or read here as it goes when absent.  Either way each
+    instance is read in ``interp`` at most once, and an instance whose
+    body raises in ``interp`` raises only after the instances before it
+    have been tested, as the instance-by-instance definition does.
     """
     preds = program.intensional
     smaller = frozenset(smaller)
@@ -769,19 +821,19 @@ def eval_flp_transform(
                 "only mention intensional predicates"
             )
     frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
-    subst = interp.with_atoms(frozen | smaller)
-    for rule in program.rules:
-        fvs = sorted(rule.free_variables())
-        env: dict = {}
-        for combo in itertools.product(interp.universe_sorted, repeat=len(fvs)):
-            for x, v in zip(fvs, combo):
-                env[x] = v
-            if not _eval(rule.body, interp, registry, env):
-                continue
-            if not _eval(rule.body, subst, registry, env):
-                continue
-            if not _eval(rule.head, subst, registry, env):
-                return False
+    if any(v not in interp.universe for a in smaller for v in a.args):
+        # with_atoms names the stray element that a full check meets first
+        interp.with_atoms(frozen | smaller)
+    subst = interp._with_checked_atoms(frozen | smaller)
+    if fired is None:
+        fired = _fired(program, interp, registry)
+    for rule, env in fired:
+        # a read that raises may leave binder variables in env
+        env = dict(env)
+        if _eval(rule.body, subst, registry, env) and not _eval(
+            rule.head, subst, registry, env
+        ):
+            return False
     return True
 
 

@@ -10,7 +10,8 @@ program's ground atom base:
 * ``stable_models_operator``  keeps models with no smaller valuation of
   the intensional predicates satisfying the stability transformation.
 * ``flp_stable_models``       same shape, with the rule-wise
-  transformation ``B and B(u) -> H(u)`` in place of the star.
+  transformation ``B and B(u) -> H(u)`` in place of the star, read
+  over the FLP reduct of each model, computed once per model.
 
 ``compare_semantics`` runs the last two and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
@@ -44,6 +45,7 @@ from .ground import (
     atom_set_key,
     eval_flp_transform,
     eval_star,
+    flp_reduct,
     ground_program,
     herbrand_base,
     satisfies_program,
@@ -103,7 +105,7 @@ def program_to_sentence(program: Program) -> Formula:
     closures = []
     for rule in program.rules:
         f = impl(rule.body, rule.head)
-        for x in sorted(rule.free_variables(), reverse=True):
+        for x in reversed(rule.variables):
             f = forall(x, f)
         closures.append(f)
     if not closures:
@@ -238,10 +240,13 @@ def flp_stable_models(
         slice_pool = sorted(
             (a for a in s if a.pred in intensional), key=GroundAtom.sort_key
         )
+        fired = flp_reduct(program, interp, registry)
         stable = True
         for r in range(len(slice_pool)):
             for sub in itertools.combinations(slice_pool, r):
-                if eval_flp_transform(program, interp, frozenset(sub), registry):
+                if eval_flp_transform(
+                    program, interp, frozenset(sub), registry, fired=fired
+                ):
                     stable = False
                     break
             if not stable:

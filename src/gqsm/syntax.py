@@ -267,11 +267,14 @@ def flatten_spine(f: Formula, name: str) -> list[Formula]:
 
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
-    """Yield ``f`` and every subformula, preorder."""
-    yield f
-    if isinstance(f, Apply):
-        for a in f.args:
-            yield from iter_subformulas(a)
+    """Yield ``f`` and every subformula, preorder.  The walk keeps its
+    own stack, so a formula of any depth is fine."""
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, Apply):
+            stack.extend(reversed(f.args))
 
 
 def free_variables(f: Formula) -> frozenset[str]:
@@ -281,26 +284,31 @@ def free_variables(f: Formula) -> frozenset[str]:
     as bound throughout that application, including in argument
     positions other than its own.  A variable that escapes its binder
     list that way has no value at evaluation time and triggers an
-    unbound-variable error there.
+    unbound-variable error there.  The walk keeps its own stack, so a
+    formula of any depth is fine.
     """
-    if isinstance(f, Atom):
-        out: frozenset[str] = frozenset()
-        for t in f.args:
-            out |= term_variables(t)
-        return out
-    if isinstance(f, Equality):
-        return term_variables(f.left) | term_variables(f.right)
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Apply):
-        bound: set[str] = set()
-        for xs in f.var_lists:
-            bound.update(xs)
-        out = frozenset()
-        for a in f.args:
-            out |= free_variables(a)
-        return out - bound
-    raise GqError(f"not a formula: {f!r}")
+    out: set[str] = set()
+    stack = [(f, frozenset())]
+    while stack:
+        f, bound = stack.pop()
+        if isinstance(f, Atom):
+            terms: Sequence[Term] = f.args
+        elif isinstance(f, Equality):
+            terms = (f.left, f.right)
+        elif isinstance(f, (Top, Bot)):
+            continue
+        elif isinstance(f, Apply):
+            binders = {x for xs in f.var_lists for x in xs}
+            if binders:
+                bound = bound | binders
+            stack.extend((a, bound) for a in reversed(f.args))
+            continue
+        else:
+            raise GqError(f"not a formula: {f!r}")
+        for t in terms:
+            if isinstance(t, Variable) and t.name not in bound:
+                out.add(t.name)
+    return frozenset(out)
 
 
 def constants_in(f: Formula) -> set[Element]:
@@ -340,9 +348,20 @@ class Rule:
 
     head: Formula
     body: Formula
+    # the sorted free variables of head and body, computed once
+    variables: tuple[str, ...] = field(
+        init=False, default=(), compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "variables",
+            tuple(sorted(free_variables(self.head) | free_variables(self.body))),
+        )
 
     def free_variables(self) -> frozenset[str]:
-        return free_variables(self.head) | free_variables(self.body)
+        return frozenset(self.variables)
 
 
 @dataclass(frozen=True)

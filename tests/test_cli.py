@@ -304,3 +304,18 @@ def test_output_is_deterministic(run, sum_path):
     jf = run("compare", sum_path, "--format", "json")
     js = run("compare", sum_path, "--format", "json")
     assert jf == js
+
+
+@pytest.mark.parametrize("literals", [1_200, 10_000])
+def test_long_bodies_solve_on_the_operator_route(run, tmp_path, literals):
+    p = tmp_path / "long_body.gq"
+    p.write_text("#universe {1}.\np :- " + ", ".join(["not q"] * literals) + ".\n")
+    for args in (("--route", "operator"), ("--semantics", "flp")):
+        code, out, err = run("solve", str(p), *args)
+        assert (code, out, err) == (0, "Answer 1: p\n", ""), args
+    code, out, err = run("compare", str(p))
+    assert (code, err) == (0, "")
+    assert out.startswith(
+        "== sm route=operator\nAnswer 1: p\n== flp route=operator\nAnswer 1: p\n"
+    )
+    assert out.endswith("difference: none\nagreement violated: no\n")

@@ -17,9 +17,11 @@ from gqsm.ground import (
     atom_set_key,
     eval_flp_transform,
     eval_star,
+    flp_reduct,
     format_atoms,
     ground,
     ground_program,
+    ground_rule,
     ground_to_json,
     herbrand_base,
     iter_ground_subformulas,
@@ -28,7 +30,7 @@ from gqsm.ground import (
     satisfies_program,
 )
 from gqsm.parser import parse_formula, parse_program
-from gqsm.syntax import GqError
+from gqsm.syntax import GqError, impl
 
 from conftest import SUM_THRESHOLD
 
@@ -238,6 +240,49 @@ def test_eval_flp_transform_validates_inputs(registry):
     i1 = interp({-1, 1, 2}, ga("p", -1), ga("p", 1))
     with pytest.raises(GqError):
         eval_flp_transform(prog, i1, {ga("zz", 1)}, registry)
+
+
+def test_flp_reduct_keeps_ground_rule_order(registry):
+    prog = parse_program(
+        "#universe {1, 2, 3}.\n"
+        "q(X, Y) :- p(X), not p(Y).\n"
+        "p(X) :- not q(X, X).\n"
+        "r :- sum{X : p(X)} > 2.\n",
+        registry,
+    )
+    i = interp({1, 2, 3}, ga("p", 1), ga("p", 3), ga("q", 2, 2))
+    fired = flp_reduct(prog, i, registry)
+    assert [(prog.rules.index(r), env) for r, env in fired] == [
+        (0, {"X": 1, "Y": 2}),
+        (0, {"X": 3, "Y": 2}),
+        (1, {"X": 1}),
+        (1, {"X": 3}),
+        (2, {}),
+    ]
+    # the same instances, in the same order, as the ground rules whose
+    # ground body holds
+    want = [
+        g
+        for rule in prog.rules
+        for g in ground_rule(rule, i, registry)
+        if satisfies(i.atoms, g.sets[0].entries[0][1], i.universe, registry)
+    ]
+    got = [ground(impl(r.body, r.head), i, registry, dict(env)) for r, env in fired]
+    assert got == want
+    # every instance has its own env
+    assert len({id(env) for _, env in fired}) == len(fired)
+
+
+def test_eval_flp_transform_reads_a_given_reduct(registry):
+    prog = parse_program(SUM_THRESHOLD, registry)
+    i1 = interp({-1, 1, 2}, ga("p", -1), ga("p", 1))
+    fired = flp_reduct(prog, i1, registry)
+    for j in ((), (ga("p", -1),), (ga("p", 1),), (ga("p", -1), ga("p", 1))):
+        assert eval_flp_transform(
+            prog, i1, j, registry, fired=fired
+        ) == eval_flp_transform(prog, i1, j, registry)
+    # only the instances given are read
+    assert eval_flp_transform(prog, i1, (ga("p", -1),), registry, fired=())
 
 
 def test_ground_to_json_shape(registry, i_empty):

@@ -174,3 +174,37 @@ def test_universe_sorted_orders_ints_before_symbols():
 def test_rule_free_variables():
     r = Rule(Atom("p", ("X",)), Atom("q", ("X", "Y")))
     assert r.free_variables() == frozenset({"X", "Y"})
+
+
+def test_rule_equality_hash_and_repr_ignore_the_cached_variables():
+    head, body = Atom("p", ("X",)), Atom("q", ("Y", "X"))
+    r = Rule(head, body)
+    assert r.variables == ("X", "Y")
+    assert r == Rule(head, body) and hash(r) == hash(Rule(head, body))
+    assert r != Rule(head, Atom("q", ("X", "Y")))
+    assert repr(r) == f"Rule(head={head!r}, body={body!r})"
+    with pytest.raises(TypeError):
+        Rule(head, body, ("X",))
+
+
+def _nested_body(depth):
+    f = Atom("p", ("X",))
+    for i in range(depth):
+        f = conj(f, Atom("q", (i % 3,))) if i % 2 else exists("Y", conj(f, Atom("q", ("Y",))))
+    return f
+
+
+def test_walks_keep_their_own_stack():
+    deep = _nested_body(10_000)
+    assert free_variables(deep) == frozenset({"X"})
+    # the atom p(X), then 5,000 conj layers of 2 nodes and 5,000 exists layers of 3
+    assert sum(1 for _ in iter_subformulas(deep)) == 1 + 5_000 * 2 + 5_000 * 3
+    long_body = conj(*[neg(Atom("q", ())) for _ in range(10_000)])
+    assert Rule(Atom("p", ()), long_body).variables == ()
+    assert predicates_in(long_body) == {"q": 0}
+
+
+def test_iter_subformulas_is_preorder_left_to_right():
+    a, b, c = Atom("a", ()), Atom("b", ()), Atom("c", ())
+    f = impl(conj(a, b), exists("X", c))
+    assert list(iter_subformulas(f)) == [f, conj(a, b), a, b, exists("X", c), c]
