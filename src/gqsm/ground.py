@@ -353,12 +353,14 @@ def _eval(f: Formula, interp: Interpretation, registry: Registry, env: dict) -> 
         x = f.var_lists[0][0]
         old = env.get(x, _MISSING)
         result = not want
-        for v in interp.universe_sorted:
-            env[x] = v
-            if _eval(args[0], interp, registry, env) == want:
-                result = want
-                break
-        _restore(env, x, old)
+        try:
+            for v in interp.universe_sorted:
+                env[x] = v
+                if _eval(args[0], interp, registry, env) == want:
+                    result = want
+                    break
+        finally:
+            _restore(env, x, old)
         return result
     qdef = registry.resolve(name)
     _check_shape(f, qdef)
@@ -366,13 +368,14 @@ def _eval(f: Formula, interp: Interpretation, registry: Registry, env: dict) -> 
     for xs, arg in zip(f.var_lists, args):
         rows = set()
         saved = [env.get(x, _MISSING) for x in xs]
-        for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
-            for x, v in zip(xs, combo):
-                env[x] = v
-            if _eval(arg, interp, registry, env):
-                rows.add(combo)
-        for x, old in zip(xs, saved):
-            _restore(env, x, old)
+        try:
+            for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
+                for x, v in zip(xs, combo):
+                    env[x] = v
+                if _eval(arg, interp, registry, env):
+                    rows.add(combo)
+        finally:
+            _restore_all(env, xs, saved)
         rels.append(frozenset(rows))
     return bool(qdef.truth(interp.universe, tuple(rels)))
 
@@ -382,6 +385,11 @@ def _restore(env: dict, x: str, old) -> None:
         del env[x]
     else:
         env[x] = old
+
+
+def _restore_all(env: dict, xs, saved) -> None:
+    for x, old in zip(xs, saved):
+        _restore(env, x, old)
 
 
 def satisfies_direct(
@@ -475,12 +483,13 @@ def _ground(f, interp, registry, env) -> GroundFormula:
             n = len(xs)
             entries = []
             saved = [env.get(x, _MISSING) for x in xs]
-            for combo in itertools.product(interp.universe_sorted, repeat=n):
-                for x, v in zip(xs, combo):
-                    env[x] = v
-                entries.append((combo, _ground(arg, interp, registry, env)))
-            for x, old in zip(xs, saved):
-                _restore(env, x, old)
+            try:
+                for combo in itertools.product(interp.universe_sorted, repeat=n):
+                    for x, v in zip(xs, combo):
+                        env[x] = v
+                    entries.append((combo, _ground(arg, interp, registry, env)))
+            finally:
+                _restore_all(env, xs, saved)
             sets.append(PairSet(tuple(entries)))
         return GApply(f.quantifier, tuple(sets))
     raise GqError(f"not a formula: {f!r}")
@@ -731,21 +740,23 @@ def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
         old = env.get(x, _MISSING)
         plain = every
         stars = []
-        for v in interp.universe_sorted:
-            env[x] = v
-            if plain and not every:
-                # exists holds in interp; its star reading reads on
-                stars.append(
-                    _star_later(args[0], interp, j_idx, intensional, registry, env)
-                )
-                continue
-            p, s = _eval_both(args[0], interp, j_idx, intensional, registry, env)
-            stars.append(s)
-            if p != every:
-                plain = p
-                if every:
-                    break
-        _restore(env, x, old)
+        try:
+            for v in interp.universe_sorted:
+                env[x] = v
+                if plain and not every:
+                    # exists holds in interp; its star reading reads on
+                    stars.append(
+                        _star_later(args[0], interp, j_idx, intensional, registry, env)
+                    )
+                    continue
+                p, s = _eval_both(args[0], interp, j_idx, intensional, registry, env)
+                stars.append(s)
+                if p != every:
+                    plain = p
+                    if every:
+                        break
+        finally:
+            _restore(env, x, old)
         if not plain:
             return _FALSE_BOTH
         return True, (_all_stars(stars) if every else _any_stars(stars))
@@ -758,17 +769,18 @@ def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
         rows = set()
         marked = []
         saved = [env.get(x, _MISSING) for x in xs]
-        for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
-            for x, v in zip(xs, combo):
-                env[x] = v
-            p, s = _eval_both(arg, interp, j_idx, intensional, registry, env)
-            if p:
-                rows.add(combo)
-            if s is not False:
-                marked.append((combo, s))
-                deferred = deferred or s is not True
-        for x, old in zip(xs, saved):
-            _restore(env, x, old)
+        try:
+            for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
+                for x, v in zip(xs, combo):
+                    env[x] = v
+                p, s = _eval_both(arg, interp, j_idx, intensional, registry, env)
+                if p:
+                    rows.add(combo)
+                if s is not False:
+                    marked.append((combo, s))
+                    deferred = deferred or s is not True
+        finally:
+            _restore_all(env, xs, saved)
         plain_rels.append(frozenset(rows))
         star_rows.append(marked)
     universe = interp.universe
@@ -828,8 +840,6 @@ def eval_flp_transform(
     if fired is None:
         fired = _fired(program, interp, registry)
     for rule, env in fired:
-        # a read that raises may leave binder variables in env
-        env = dict(env)
         if _eval(rule.body, subst, registry, env) and not _eval(
             rule.head, subst, registry, env
         ):

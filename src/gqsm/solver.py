@@ -2,7 +2,9 @@
 class on which they are guaranteed to agree.
 
 Three enumerators share the same candidate space, every subset of the
-program's ground atom base:
+program's head-bounded base: its ground atoms, less those of the
+intensional predicates that head no rule, which no stable or FLP model
+holds (``_checked_base`` says why):
 
 * ``stable_models_reduct``    grounds once, then keeps candidates that
   are minimal models of their own reduct.  Sound only when every
@@ -35,6 +37,7 @@ from .syntax import (
     impl,
     is_atomic,
     is_bot,
+    predicates_in,
 )
 from .quantifiers import Registry
 from .ground import (
@@ -122,7 +125,29 @@ def _subsets_ascending(pool: tuple):
 
 
 def _checked_base(program: Program, cap: Optional[int]) -> tuple:
-    base = herbrand_base(program)
+    """The head-bounded base, checked against the atom cap: every ground
+    atom of the program except those of an intensional predicate that
+    occurs in no rule head.  Extensional predicates are free inputs and
+    stay, headed or not.
+
+    Dropping the others loses no stable model under any of the three
+    semantics.  Let I be a model holding an atom of a headless
+    intensional predicate, and J be I without those atoms, so J < I on
+    the intensional part.  Take any rule instance B -> H.  If B*(J)
+    holds then B holds in I, since F*(J) implies F when J <= I, so H
+    holds in I.  H mentions no headless predicate, so H*(J) = H*(I) = H
+    (F*(I) is equivalent to F), which is true.  So F*(J) holds and I is
+    not SM-stable (Ferraris, Lee and Lifschitz, *Stable models and
+    circumscription*, AIJ 2011).  For FLP, every instance in the reduct
+    of I has H(J) = H(I), which is true, so I is not FLP-stable.  The
+    reduct route agrees with the operator route on the all-intensional
+    programs it accepts, so the same holds there.
+    """
+    headed = set()
+    for rule in program.rules:
+        headed.update(predicates_in(rule.head))
+    free = headed | (set(program.signature) - program.intensional)
+    base = tuple(a for a in herbrand_base(program) if a.pred in free)
     limit = resolve_cap(cap)
     if len(base) > limit:
         raise EnumerationCapError(len(base), limit)

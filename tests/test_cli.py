@@ -1,12 +1,15 @@
 """Command line behavior: output text, JSON shapes, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gqsm.cli import main
 
 from conftest import COUNT_GUARD, NEGATIVE_LOOP, SUM_THRESHOLD
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 @pytest.fixture
@@ -319,3 +322,39 @@ def test_long_bodies_solve_on_the_operator_route(run, tmp_path, literals):
         "== sm route=operator\nAnswer 1: p\n== flp route=operator\nAnswer 1: p\n"
     )
     assert out.endswith("difference: none\nagreement violated: no\n")
+
+
+@pytest.mark.parametrize("name", ["default_closure.gq", "sum_threshold.gq"])
+def test_json_candidates_count_the_head_bounded_base(run, name):
+    # default_closure.gq has six ground atoms; the three of p, which
+    # heads no rule, are never enumerated
+    code, out, _ = run("solve", str(PROGRAMS / name), "--format", "json")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert result["stats"] == {"candidates": 8}
+
+
+def test_the_cap_counts_the_head_bounded_base(run, tmp_path):
+    p = tmp_path / "closure.gq"
+    p.write_text("#universe {1, 2, 3}.\nq(X) :- not p(X).\n")
+    assert run("solve", str(p), "--cap", "3") == (0, "Answer 1: q(1) q(2) q(3)\n", "")
+    assert run("solve", str(p), "--cap", "2") == (
+        2,
+        "",
+        "error: 3 atoms would mean 2**3 candidate sets; the cap is 2 "
+        "(set GQSM_ATOM_CAP or pass cap= to raise it)\n",
+    )
+
+
+def test_closure_over_ten_elements_solves_on_every_route(run, tmp_path):
+    p = tmp_path / "closure10.gq"
+    p.write_text("#universe {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}.\nq(X) :- not p(X).\n")
+    answer = "Answer 1: " + " ".join(f"q({i})" for i in range(1, 11)) + "\n"
+    for args in (("--route", "operator"), ("--route", "reduct"), ("--semantics", "flp")):
+        assert run("solve", str(p), *args) == (0, answer, ""), args
+    assert run("compare", str(p)) == (
+        0,
+        "== sm route=operator\n" + answer + "== flp route=operator\n" + answer
+        + "== agreement\nin class: yes\ndifference: none\nagreement violated: no\n",
+        "",
+    )

@@ -14,6 +14,8 @@ from gqsm.ground import (
     GroundingError,
     Interpretation,
     PairSet,
+    _eval,
+    _eval_both,
     atom_set_key,
     eval_flp_transform,
     eval_star,
@@ -296,3 +298,22 @@ def test_ground_to_json_shape(registry, i_empty):
     kinds = {child["kind"] for _, child in bound_set}
     assert kinds == {"top", "bot"}
     assert json.dumps(d)  # serializable
+
+
+@pytest.mark.parametrize("read", ["eval", "eval_both", "ground"])
+def test_a_read_that_raises_mid_binder_leaves_the_env_unchanged(registry, read):
+    # V escapes into the second argument of count_ge, which meets it
+    # unbound while X, Y and W are bound by the binders around it
+    f = parse_formula("forall X (exists Y (count_ge[V][W](p(V); W = V)))", registry)
+    i = interp({1, 2}, ga("p", 1))
+    env = {"X": 2, "W": 2, "Z": 1}
+    calls = {
+        "eval": lambda: _eval(f, i, registry, env),
+        "eval_both": lambda: _eval_both(
+            f, i, frozenset(), frozenset({"p"}), registry, env
+        ),
+        "ground": lambda: ground(f, i, registry, env),
+    }
+    with pytest.raises(GroundingError, match="unbound free variable V"):
+        calls[read]()
+    assert env == {"X": 2, "W": 2, "Z": 1}
