@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .syntax import Element, GqError
 from .quantifiers import Registry
@@ -22,6 +22,7 @@ from .ground import (
     GroundFormula,
     GTop,
     PairSet,
+    _gsat,
     atom_set_key,
 )
 
@@ -120,6 +121,14 @@ def reduct_program(
     return tuple(reduct(g, atoms, universe, registry) for g in ground_rules)
 
 
+def _subsets_ascending(pool, largest: Optional[int] = None):
+    """The subsets of ``pool`` as tuples, smallest first and in
+    ``itertools.combinations`` order within a size; only those of at
+    most ``largest`` elements when it is given."""
+    for r in range(len(pool) + 1 if largest is None else largest + 1):
+        yield from itertools.combinations(pool, r)
+
+
 def minimal_models(
     formulas: Iterable[GroundFormula],
     base: Iterable[GroundAtom],
@@ -130,20 +139,17 @@ def minimal_models(
     """All minimal (by inclusion) subsets of ``base`` satisfying every
     formula, enumerated in ascending cardinality so supersets of a hit
     can be skipped."""
-    from .ground import _gsat
-
     u = frozenset(universe)
     pool = sorted(frozenset(base), key=GroundAtom.sort_key)
     if len(pool) > check_cap(cap, "cap"):
         raise EnumerationCapError(len(pool), cap)
     formulas = tuple(formulas)
     found: list = []
-    for r in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, r):
-            s = frozenset(combo)
-            if any(m <= s for m in found):
-                continue
-            idx = frozenset((a.pred, a.args) for a in s)
-            if all(_gsat(g, idx, u, registry) for g in formulas):
-                found.append(s)
+    for combo in _subsets_ascending(pool):
+        s = frozenset(combo)
+        if any(m <= s for m in found):
+            continue
+        idx = frozenset((a.pred, a.args) for a in s)
+        if all(_gsat(g, idx, u, registry) for g in formulas):
+            found.append(s)
     return tuple(sorted(found, key=atom_set_key))

@@ -221,6 +221,18 @@ def _ground_aggregate_parts(g: GApply):
     return m.group(1), CMP_SYMBOLS[m.group(2)], bound
 
 
+def _plain_sides(g: GroundFormula):
+    """The two sides of a plain binary ``and``, ``or`` or ``impl``: two
+    pair-sets, each one entry keyed ``()``.  None for anything else."""
+    if isinstance(g, GApply) and g.quantifier in ("and", "or", "impl"):
+        sets = g.sets
+        if len(sets) == 2 and len(sets[0]) == 1 and len(sets[1]) == 1:
+            ((k0, a),), ((k1, b),) = sets[0].entries, sets[1].entries
+            if k0 == () and k1 == ():
+                return a, b
+    return None
+
+
 def _render_ground(g: GroundFormula, min_level: int) -> str:
     text, level = _ground_node(g)
     if level < min_level:
@@ -237,11 +249,9 @@ def _ground_node(g: GroundFormula) -> tuple[str, int]:
         return "bot", 5
     if isinstance(g, GApply):
         name = g.quantifier
-        if name in ("and", "or", "impl") and all(
-            len(s) == 1 and s.entries[0][0] == () for s in g.sets
-        ):
-            a = g.sets[0].entries[0][1]
-            b = g.sets[1].entries[0][1]
+        sides = _plain_sides(g)
+        if sides is not None:
+            a, b = sides
             if name == "impl":
                 if isinstance(b, GBot) and not isinstance(a, (GTop, GBot)):
                     return f"not {_render_ground(a, 4)}", 4
@@ -261,13 +271,9 @@ def _ground_node(g: GroundFormula) -> tuple[str, int]:
 def render_ground_rule(g: GroundFormula) -> str:
     """Render a ground rule with its top-level implication always shown
     as an arrow, even when the consequent is ``bot``."""
-    if (
-        isinstance(g, GApply)
-        and g.quantifier == "impl"
-        and all(len(s) == 1 and s.entries[0][0] == () for s in g.sets)
-    ):
-        a = g.sets[0].entries[0][1]
-        b = g.sets[1].entries[0][1]
+    sides = _plain_sides(g)
+    if sides is not None and g.quantifier == "impl":
+        a, b = sides
         return f"{_render_ground(a, 2)} -> {_render_ground(b, 1)}"
     return _render_ground(g, 1)
 
@@ -284,14 +290,10 @@ def simplify_ground(g: GroundFormula) -> GroundFormula:
     are, so the pair-sets a reduct produced stay visible.  A negated
     formula ``F -> bot`` is kept when F does not fold away.
     """
-    if not (
-        isinstance(g, GApply)
-        and g.quantifier in ("and", "or", "impl")
-        and all(len(s) == 1 and s.entries[0][0] == () for s in g.sets)
-    ):
+    sides = _plain_sides(g)
+    if sides is None:
         return g
-    a = simplify_ground(g.sets[0].entries[0][1])
-    b = simplify_ground(g.sets[1].entries[0][1])
+    a, b = map(simplify_ground, sides)
     name = g.quantifier
     if name == "impl":
         if isinstance(a, GBot):
@@ -324,12 +326,8 @@ def simplify_rule_sides(g: GroundFormula) -> GroundFormula:
     reduces to ``top`` still reads ``top -> head`` rather than just the
     head; anything that is not an implication is simplified whole.
     """
-    if (
-        isinstance(g, GApply)
-        and g.quantifier == "impl"
-        and all(len(s) == 1 and s.entries[0][0] == () for s in g.sets)
-    ):
-        a = simplify_ground(g.sets[0].entries[0][1])
-        b = simplify_ground(g.sets[1].entries[0][1])
+    sides = _plain_sides(g)
+    if sides is not None and g.quantifier == "impl":
+        a, b = map(simplify_ground, sides)
         return GApply("impl", (PairSet((((), a),)), PairSet((((), b),))))
     return simplify_ground(g)

@@ -1,26 +1,29 @@
 """Model enumeration under the two stable semantics, and the syntactic
 class on which they are guaranteed to agree.
 
-Three enumerators share the same candidate space, every subset of the
-program's head-bounded base: its ground atoms, less those of the
-intensional predicates that head no rule, which no stable or FLP model
-holds (``_checked_base`` says why):
+All three definitions have one shape, so one scan, ``_search``, serves
+them.  It tries every subset I of the program's head-bounded base (its
+ground atoms, less those of the intensional predicates that head no
+rule, which no stable or FLP model holds; ``_checked_base`` says why),
+and keeps a model I when no proper subset J of its intensional atoms is
+a witness against it.  The routes differ only in their model and
+witness tests:
 
-* ``stable_models_reduct``    grounds once, then keeps candidates that
-  are minimal models of their own reduct.  Sound only when every
-  predicate is intensional.
-* ``stable_models_operator``  keeps models with no smaller valuation of
-  the intensional predicates satisfying the stability transformation.
-* ``flp_stable_models``       same shape, with the rule-wise
-  transformation ``B and B(u) -> H(u)`` in place of the star, read
-  over the FLP reduct of each model, computed once per model.
+* ``stable_models_reduct``    grounds once; I is a model of the ground
+  rules, and J is a model of their reduct relative to I, so a kept I is
+  a minimal model of its reduct.  Sound only when every predicate is
+  intensional.
+* ``stable_models_operator``  I satisfies the program's sentence F, and
+  J satisfies F*(J), the stability transformation.
+* ``flp_stable_models``       I satisfies every rule instance, and J
+  satisfies the rule-wise transformation ``B and B(u) -> H(u)``, read
+  over the FLP reduct of I, computed once per model.
 
 ``compare_semantics`` runs the last two and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
 """
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from dataclasses import dataclass
@@ -53,7 +56,13 @@ from .ground import (
     herbrand_base,
     satisfies_program,
 )
-from .reduct import DEFAULT_ATOM_CAP, EnumerationCapError, check_cap, reduct
+from .reduct import (
+    DEFAULT_ATOM_CAP,
+    EnumerationCapError,
+    _subsets_ascending,
+    check_cap,
+    reduct,
+)
 
 CAP_ENV_VAR = "GQSM_ATOM_CAP"
 
@@ -119,11 +128,6 @@ def program_to_sentence(program: Program) -> Formula:
     return out
 
 
-def _subsets_ascending(pool: tuple):
-    for r in range(len(pool) + 1):
-        yield from itertools.combinations(pool, r)
-
-
 def _checked_base(program: Program, cap: Optional[int]) -> tuple:
     """The head-bounded base, checked against the atom cap: every ground
     atom of the program except those of an intensional predicate that
@@ -154,10 +158,39 @@ def _checked_base(program: Program, cap: Optional[int]) -> tuple:
     return base
 
 
+def _search(
+    semantics: str, route: str, t0: float, base: tuple, intensional, model_test
+) -> SolveResult:
+    """The one stability search behind all three routes.
+
+    Candidates I are the subsets of ``base``, smallest first.
+    ``model_test(I)`` is None when I is not a model, and otherwise a
+    test ``witness(J)`` that is true when J rules I out.  The J tried are
+    the proper subsets of I's intensional atoms, as tuples, smallest
+    first; a model that none rules out is kept.  ``t0`` is when the
+    route started, so the elapsed time covers its setup.
+    """
+    models = []
+    for combo in _subsets_ascending(base):
+        s = frozenset(combo)
+        witness = model_test(s)
+        if witness is None:
+            continue
+        pool = sorted(
+            (a for a in s if a.pred in intensional), key=GroundAtom.sort_key
+        )
+        if not any(witness(j) for j in _subsets_ascending(pool, len(pool) - 1)):
+            models.append(s)
+    models.sort(key=atom_set_key)
+    stats = SolveStats(2 ** len(base), time.perf_counter() - t0)
+    return SolveResult(semantics, route, tuple(models), stats)
+
+
 def stable_models_reduct(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> SolveResult:
-    """Stable models via grounding and reducts.
+    """Stable models via grounding and reducts: a model is stable when
+    it is a minimal model of its own reduct.
 
     Sound only when every predicate is intensional, since the reduct
     minimizes over whole atom sets; otherwise this raises
@@ -173,34 +206,20 @@ def stable_models_reduct(
     base = _checked_base(program, cap)
     universe = program.universe
     rules = ground_program(program, registry)
-    models = []
-    candidates = 0
-    for combo in _subsets_ascending(base):
-        candidates += 1
-        s = frozenset(combo)
+
+    def model_test(s):
         idx = frozenset((a.pred, a.args) for a in s)
         if not all(_gsat(g, idx, universe, registry) for g in rules):
-            continue
+            return None
         reduced = tuple(reduct(g, s, universe, registry).formula for g in rules)
-        pool = sorted(s, key=GroundAtom.sort_key)
-        minimal = True
-        for r in range(len(pool)):
-            for sub in itertools.combinations(pool, r):
-                sub_idx = frozenset((a.pred, a.args) for a in sub)
-                if all(_gsat(g, sub_idx, universe, registry) for g in reduced):
-                    minimal = False
-                    break
-            if not minimal:
-                break
-        if minimal:
-            models.append(s)
-    models.sort(key=atom_set_key)
-    return SolveResult(
-        "sm",
-        "reduct",
-        tuple(models),
-        SolveStats(candidates, time.perf_counter() - t0),
-    )
+
+        def witness(j):
+            j_idx = frozenset((a.pred, a.args) for a in j)
+            return all(_gsat(g, j_idx, universe, registry) for g in reduced)
+
+        return witness
+
+    return _search("sm", "reduct", t0, base, program.intensional, model_test)
 
 
 def stable_models_operator(
@@ -214,34 +233,16 @@ def stable_models_operator(
     universe = program.universe
     sentence = program_to_sentence(program)
     intensional = program.intensional
-    models = []
-    candidates = 0
-    for combo in _subsets_ascending(base):
-        candidates += 1
-        s = frozenset(combo)
+
+    def model_test(s):
         interp = Interpretation(universe, s)
         if not _eval(sentence, interp, registry, {}):
-            continue
-        slice_pool = sorted(
-            (a for a in s if a.pred in intensional), key=GroundAtom.sort_key
+            return None
+        return lambda j: eval_star(
+            sentence, interp, frozenset(j), intensional, registry
         )
-        stable = True
-        for r in range(len(slice_pool)):
-            for sub in itertools.combinations(slice_pool, r):
-                if eval_star(sentence, interp, frozenset(sub), intensional, registry):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            models.append(s)
-    models.sort(key=atom_set_key)
-    return SolveResult(
-        "sm",
-        "operator",
-        tuple(models),
-        SolveStats(candidates, time.perf_counter() - t0),
-    )
+
+    return _search("sm", "operator", t0, base, intensional, model_test)
 
 
 def flp_stable_models(
@@ -253,38 +254,17 @@ def flp_stable_models(
     t0 = time.perf_counter()
     base = _checked_base(program, cap)
     universe = program.universe
-    intensional = program.intensional
-    models = []
-    candidates = 0
-    for combo in _subsets_ascending(base):
-        candidates += 1
-        s = frozenset(combo)
+
+    def model_test(s):
         interp = Interpretation(universe, s)
         if not satisfies_program(interp, program, registry):
-            continue
-        slice_pool = sorted(
-            (a for a in s if a.pred in intensional), key=GroundAtom.sort_key
-        )
+            return None
         fired = flp_reduct(program, interp, registry)
-        stable = True
-        for r in range(len(slice_pool)):
-            for sub in itertools.combinations(slice_pool, r):
-                if eval_flp_transform(
-                    program, interp, frozenset(sub), registry, fired=fired
-                ):
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            models.append(s)
-    models.sort(key=atom_set_key)
-    return SolveResult(
-        "flp",
-        "operator",
-        tuple(models),
-        SolveStats(candidates, time.perf_counter() - t0),
-    )
+        return lambda j: eval_flp_transform(
+            program, interp, frozenset(j), registry, fired=fired
+        )
+
+    return _search("flp", "operator", t0, base, program.intensional, model_test)
 
 
 # ---------------------------------------------------------------------------

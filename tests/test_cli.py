@@ -358,3 +358,74 @@ def test_closure_over_ten_elements_solves_on_every_route(run, tmp_path):
         + "== agreement\nin class: yes\ndifference: none\nagreement violated: no\n",
         "",
     )
+
+
+# V escapes into the second argument of count_ge; h heads no rule, so the
+# head-bounded base is q, p(1) and p(2)
+ESCAPING_BINDER = (
+    "#universe {1, 2}.\n"
+    "q :- h(1), count_ge[V][W](p(V); W = V).\n"
+    "p(1) :- q.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--route", "reduct"),
+        ("solve", "--route", "operator"),
+        ("solve", "--semantics", "flp"),
+        ("compare",),
+    ],
+)
+def test_the_cap_is_checked_before_grounding_or_the_sentence(run, tmp_path, args):
+    p = tmp_path / "escaping.gq"
+    p.write_text(ESCAPING_BINDER)
+    assert run(*args, str(p), "--cap", "0") == (
+        2,
+        "",
+        "error: 3 atoms would mean 2**3 candidate sets; the cap is 0 "
+        "(set GQSM_ATOM_CAP or pass cap= to raise it)\n",
+    )
+
+
+def test_without_the_cap_the_reduct_route_fails_at_grounding(run, tmp_path):
+    p = tmp_path / "escaping.gq"
+    p.write_text(ESCAPING_BINDER)
+    assert run("solve", str(p), "--route", "reduct") == (
+        1,
+        "",
+        "error: unbound free variable V\n",
+    )
+
+
+def test_the_reduct_route_refuses_extensional_predicates_before_the_cap(
+    run, tmp_path
+):
+    p = tmp_path / "extensional.gq"
+    p.write_text("#universe {1, 2}.\n#intensional p.\np(X) :- e(X).\n")
+    assert run("solve", str(p), "--route", "reduct", "--cap", "0") == (
+        1,
+        "",
+        "error: the reduct route requires every predicate to be intensional; "
+        "extensional here: e\n",
+    )
+
+
+def test_models_are_ordered_by_their_sorted_atoms_not_by_size(run, tmp_path):
+    p = tmp_path / "order.gq"
+    p.write_text(
+        "#universe {1, 2, 3}.\n"
+        "p(2) :- not p(1).\n"
+        "p(1) :- not p(2).\n"
+        "p(3) :- p(1).\n"
+    )
+    answers = "Answer 1: p(1) p(3)\nAnswer 2: p(2)\n"
+    for args in (("--route", "reduct"), ("--route", "operator"), ("--semantics", "flp")):
+        assert run("solve", str(p), *args) == (0, answers, ""), args
+    assert run("compare", str(p)) == (
+        0,
+        "== sm route=operator\n" + answers + "== flp route=operator\n" + answers
+        + "== agreement\nin class: yes\ndifference: none\nagreement violated: no\n",
+        "",
+    )

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gqsm.ground import (
+    G_TOP,
     GApply,
     GBot,
     GroundAtom,
@@ -201,3 +202,23 @@ def test_random_ground_render_reparses_consistently():
     for text in ("p(1) & q(1)", "p(1) | q(1)", "not p(1)", "top", "bot"):
         g = ground(parse_formula(text, reg), i, reg)
         assert render(g) == text
+
+
+# An API-built connective whose pair-sets are not exactly two, each one
+# entry keyed (), is not a plain binary connective: it prints in the
+# generic form and is left unsimplified.
+@pytest.mark.parametrize(
+    "g",
+    [
+        GApply("and", (PairSet((((), G_TOP),)),)),
+        GApply("or", (PairSet((((), G_TOP),)),)),
+        GApply("impl", (PairSet((((), G_TOP),)),) * 3),
+    ],
+    ids=["and-one-set", "or-one-set", "impl-three-sets"],
+)
+def test_connectives_without_two_plain_sets_use_the_generic_form(g):
+    text = g.quantifier + "{ top }" * len(g.sets)
+    assert render(g) == text
+    assert render_ground_rule(g) == text
+    assert simplify_ground(g) is g
+    assert simplify_rule_sides(g) is g
