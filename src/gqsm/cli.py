@@ -18,7 +18,7 @@ from typing import Optional
 
 from .syntax import GqError, Program
 from .quantifiers import Registry
-from .ground import GroundAtom, format_atoms, ground_program, ground_to_json
+from .ground import atom_strings, format_atoms, ground_program, ground_to_json
 from .parser import ParseError, parse_model, parse_program
 from .reduct import EnumerationCapError, reduct
 from .render import render_ground_rule, simplify_rule_sides
@@ -197,9 +197,7 @@ def _run_reduct(args, program: Program, registry: Registry) -> int:
                 "results": [
                     {
                         "command": "reduct",
-                        "model": [
-                            str(a) for a in sorted(model, key=GroundAtom.sort_key)
-                        ],
+                        "model": atom_strings(model),
                         "rules": [
                             {"text": text, "replaced": n} for text, n in shown
                         ],
@@ -221,10 +219,7 @@ def _run_compare(args, program: Program, registry: Registry) -> int:
                 "agreement": {
                     "in_class": rep.class_report.in_class,
                     "violations": rep.class_report.to_json()["violations"],
-                    "difference": [
-                        [str(a) for a in sorted(m, key=GroundAtom.sort_key)]
-                        for m in rep.difference
-                    ],
+                    "difference": [atom_strings(m) for m in rep.difference],
                     "agreement_violated": rep.agreement_violated,
                 },
             }

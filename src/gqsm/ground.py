@@ -19,10 +19,17 @@ table per argument position.  On top of that live:
 
 ``satisfies`` after ``ground`` and ``satisfies_direct`` always agree;
 the test suite exercises that equivalence heavily.
+
+A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
+interpretation's included, is its own index: a lookup asks whether
+``(pred, args)`` is in it.  ``Interpretation.with_atoms`` derives an
+interpretation over the same universe and constants, and checks only
+the new atoms.
 """
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -44,7 +51,7 @@ from .syntax import (
     flatten_spine,
     impl,
 )
-from .quantifiers import Registry
+from .quantifiers import Registry, _row_key
 
 _MISSING = object()
 
@@ -57,15 +64,17 @@ class GroundingError(GqError):
 # Ground atoms and interpretations
 
 
-@dataclass(frozen=True)
-class GroundAtom:
-    """A predicate applied to universe elements, e.g. ``p(-1)``."""
+class GroundAtom(namedtuple("GroundAtom", "pred args")):
+    """A predicate applied to universe elements, e.g. ``p(-1)``.
 
-    pred: str
-    args: tuple[Element, ...] = ()
+    An atom is the pair ``(pred, args)`` itself: it equals that plain
+    tuple and hashes like it, so a set of atoms is its own lookup index.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    __slots__ = ()
+
+    def __new__(cls, pred: str, args: Iterable[Element] = ()):
+        return super().__new__(cls, pred, tuple(args))
 
     def sort_key(self):
         return (self.pred, tuple(element_key(v) for v in self.args))
@@ -84,8 +93,26 @@ def atom_set_key(atoms: Iterable[GroundAtom]):
     return tuple(sorted(a.sort_key() for a in atoms))
 
 
+def atom_strings(atoms: Iterable[GroundAtom]) -> list:
+    """The atoms as strings, sorted: how a model is written in JSON."""
+    return [str(a) for a in sorted(atoms, key=GroundAtom.sort_key)]
+
+
 def format_atoms(atoms: Iterable[GroundAtom]) -> str:
-    return " ".join(str(a) for a in sorted(atoms, key=GroundAtom.sort_key))
+    return " ".join(atom_strings(atoms))
+
+
+def _checked_atoms(atoms: Iterable[GroundAtom], universe: frozenset) -> AtomSet:
+    """``atoms`` as a set, once each is known to be a ground atom over
+    ``universe``."""
+    atoms = frozenset(atoms)
+    for a in atoms:
+        if not isinstance(a, GroundAtom):
+            raise GqError(f"not a ground atom: {a!r}")
+        for v in a.args:
+            if v not in universe:
+                raise GqError(f"atom {a} mentions {v!r}, not a universe element")
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -94,7 +121,9 @@ class Interpretation:
 
     ``constants`` maps object constants to universe elements; ``None``
     is the usual identity valuation, under which every constant names
-    itself and must belong to the universe.
+    itself and must belong to the universe.  The atom set is also the
+    lookup index: ``(pred, args) in interp.atoms`` asks whether an atom
+    is true.
     """
 
     universe: frozenset
@@ -103,7 +132,6 @@ class Interpretation:
     universe_sorted: tuple = field(
         default=None, compare=False, repr=False, hash=False
     )
-    index: frozenset = field(default=None, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         universe = frozenset(check_element(e) for e in self.universe)
@@ -113,17 +141,7 @@ class Interpretation:
         object.__setattr__(
             self, "universe_sorted", tuple(sorted(universe, key=element_key))
         )
-        atoms = frozenset(self.atoms)
-        for a in atoms:
-            if not isinstance(a, GroundAtom):
-                raise GqError(f"not a ground atom: {a!r}")
-            for v in a.args:
-                if v not in universe:
-                    raise GqError(f"atom {a} mentions {v!r}, not a universe element")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(
-            self, "index", frozenset((a.pred, a.args) for a in atoms)
-        )
+        object.__setattr__(self, "atoms", _checked_atoms(self.atoms, universe))
         if self.constants is not None:
             for c, v in self.constants.items():
                 check_element(c)
@@ -144,22 +162,14 @@ class Interpretation:
             )
         return constant
 
-    def with_atoms(self, atoms: AtomSet) -> "Interpretation":
-        return Interpretation(self.universe, atoms, self.constants)
-
-    def _with_checked_atoms(self, atoms: AtomSet) -> "Interpretation":
-        """``with_atoms`` for ground atoms already known to lie in this
-        universe: nothing is checked again and the universe is not
-        sorted again."""
+    def with_atoms(self, atoms: Iterable[GroundAtom]) -> "Interpretation":
+        """This interpretation with another atom set.  The universe, its
+        sorted order and the constants were checked already; only the
+        atoms are checked here."""
         new = object.__new__(Interpretation)
-        for name, value in (
-            ("universe", self.universe),
-            ("atoms", atoms),
-            ("constants", self.constants),
-            ("universe_sorted", self.universe_sorted),
-            ("index", frozenset((a.pred, a.args) for a in atoms)),
-        ):
-            object.__setattr__(new, name, value)
+        new.__dict__.update(
+            self.__dict__, atoms=_checked_atoms(atoms, self.universe)
+        )
         return new
 
     def intensional_slice(self, intensional: Iterable[str]) -> AtomSet:
@@ -222,10 +232,6 @@ class GroundAtomNode(GroundFormula):
 
     def __str__(self):
         return str(self.to_atom())
-
-
-def _row_key(row):
-    return tuple(element_key(v) for v in row)
 
 
 @dataclass(frozen=True)
@@ -320,7 +326,7 @@ def _eval(f: Formula, interp: Interpretation, registry: Registry, env: dict) -> 
     t = type(f)
     if t is Atom:
         vals = tuple(_term_value(a, interp, env) for a in f.args)
-        return (f.pred, vals) in interp.index
+        return (f.pred, vals) in interp.atoms
     if t is Equality:
         return _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
     if t is Top:
@@ -537,15 +543,13 @@ def satisfies(
     consult it; ``g`` should be ground with respect to an
     interpretation over that same universe.
     """
-    u = frozenset(universe)
-    idx = frozenset((a.pred, a.args) for a in atoms)
-    return _gsat(g, idx, u, registry)
+    return _gsat(g, frozenset(atoms), frozenset(universe), registry)
 
 
-def _gsat(g, idx, universe, registry) -> bool:
+def _gsat(g, atoms, universe, registry) -> bool:
     t = type(g)
     if t is GroundAtomNode:
-        return (g.pred, g.args) in idx
+        return (g.pred, g.args) in atoms
     if t is GTop:
         return True
     if t is GBot:
@@ -560,21 +564,21 @@ def _gsat(g, idx, universe, registry) -> bool:
                 f"expected {len(qdef.arities)}"
             )
         if name in ("and", "or", "impl") and all(len(s) == 1 for s in sets):
-            a = _gsat(sets[0].entries[0][1], idx, universe, registry)
+            a = _gsat(sets[0].entries[0][1], atoms, universe, registry)
             if name == "and":
-                return a and _gsat(sets[1].entries[0][1], idx, universe, registry)
+                return a and _gsat(sets[1].entries[0][1], atoms, universe, registry)
             if name == "or":
-                return a or _gsat(sets[1].entries[0][1], idx, universe, registry)
-            return not a or _gsat(sets[1].entries[0][1], idx, universe, registry)
+                return a or _gsat(sets[1].entries[0][1], atoms, universe, registry)
+            return not a or _gsat(sets[1].entries[0][1], atoms, universe, registry)
         if name == "exists":
             return any(
-                _gsat(child, idx, universe, registry) for _, child in sets[0].entries
+                _gsat(child, atoms, universe, registry) for _, child in sets[0].entries
             )
         rels = tuple(
             frozenset(
                 key
                 for key, child in ps.entries
-                if _gsat(child, idx, universe, registry)
+                if _gsat(child, atoms, universe, registry)
             )
             for ps in sets
         )
@@ -618,8 +622,7 @@ def eval_star(
         for v in a.args:
             if v not in interp.universe:
                 raise GqError(f"atom {a} mentions {v!r}, not a universe element")
-    j_idx = frozenset((a.pred, a.args) for a in smaller)
-    return _force(_eval_both(sentence, interp, j_idx, preds, registry, {})[1])
+    return _force(_eval_both(sentence, interp, smaller, preds, registry, {})[1])
 
 
 # A star reading is True, False, or a thunk returning one of the two.  A
@@ -661,16 +664,16 @@ def _any_stars(stars: list):
     return False
 
 
-def _star_later(f, interp, j_idx, intensional, registry, env):
+def _star_later(f, interp, j, intensional, registry, env):
     """A thunk for the star reading of ``f``, a node the plain pass did
     not visit, in a copy of the current bindings."""
     env = dict(env)
     return lambda: _force(
-        _eval_both(f, interp, j_idx, intensional, registry, env)[1]
+        _eval_both(f, interp, j, intensional, registry, env)[1]
     )
 
 
-def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
+def _eval_both(f, interp, j, intensional, registry, env) -> tuple:
     """``(truth of f in interp, star reading of f)`` in one visit per node.
 
     At an ``Apply`` node the star reading is the plain reading and the
@@ -682,9 +685,9 @@ def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
     t = type(f)
     if t is Atom:
         key = (f.pred, tuple(_term_value(a, interp, env) for a in f.args))
-        plain = key in interp.index
+        plain = key in interp.atoms
         if f.pred in intensional:
-            return plain, key in j_idx
+            return plain, key in j
         return plain, plain
     if t is Equality:
         v = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
@@ -701,32 +704,32 @@ def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
         if name == "and":
             stars = []
             for part in flatten_spine(f, "and"):
-                p, s = _eval_both(part, interp, j_idx, intensional, registry, env)
+                p, s = _eval_both(part, interp, j, intensional, registry, env)
                 if not p:
                     return _FALSE_BOTH
                 stars.append(s)
             return True, _all_stars(stars)
         if name == "or":
-            pa, sa = _eval_both(args[0], interp, j_idx, intensional, registry, env)
+            pa, sa = _eval_both(args[0], interp, j, intensional, registry, env)
             if pa:
                 if sa is True:
                     return _TRUE_BOTH
-                later = _star_later(args[1], interp, j_idx, intensional, registry, env)
+                later = _star_later(args[1], interp, j, intensional, registry, env)
                 return True, _any_stars([sa, later])
-            pb, sb = _eval_both(args[1], interp, j_idx, intensional, registry, env)
+            pb, sb = _eval_both(args[1], interp, j, intensional, registry, env)
             if not pb:
                 return _FALSE_BOTH
             return True, _any_stars([sa, sb])
         if name == "impl":
-            pa, sa = _eval_both(args[0], interp, j_idx, intensional, registry, env)
+            pa, sa = _eval_both(args[0], interp, j, intensional, registry, env)
             if not pa:
                 # sa is a bool here; it holds only when J is not below I
                 if not sa:
                     return _TRUE_BOTH
                 return True, _star_later(
-                    args[1], interp, j_idx, intensional, registry, env
+                    args[1], interp, j, intensional, registry, env
                 )
-            pb, sb = _eval_both(args[1], interp, j_idx, intensional, registry, env)
+            pb, sb = _eval_both(args[1], interp, j, intensional, registry, env)
             if not pb:
                 return _FALSE_BOTH
             if sa is False:
@@ -746,10 +749,10 @@ def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
                 if plain and not every:
                     # exists holds in interp; its star reading reads on
                     stars.append(
-                        _star_later(args[0], interp, j_idx, intensional, registry, env)
+                        _star_later(args[0], interp, j, intensional, registry, env)
                     )
                     continue
-                p, s = _eval_both(args[0], interp, j_idx, intensional, registry, env)
+                p, s = _eval_both(args[0], interp, j, intensional, registry, env)
                 stars.append(s)
                 if p != every:
                     plain = p
@@ -773,7 +776,7 @@ def _eval_both(f, interp, j_idx, intensional, registry, env) -> tuple:
             for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
                 for x, v in zip(xs, combo):
                     env[x] = v
-                p, s = _eval_both(arg, interp, j_idx, intensional, registry, env)
+                p, s = _eval_both(arg, interp, j, intensional, registry, env)
                 if p:
                     rows.add(combo)
                 if s is not False:
@@ -833,10 +836,7 @@ def eval_flp_transform(
                 "only mention intensional predicates"
             )
     frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
-    if any(v not in interp.universe for a in smaller for v in a.args):
-        # with_atoms names the stray element that a full check meets first
-        interp.with_atoms(frozen | smaller)
-    subst = interp._with_checked_atoms(frozen | smaller)
+    subst = interp.with_atoms(frozen | smaller)
     if fired is None:
         fired = _fired(program, interp, registry)
     for rule, env in fired:

@@ -421,14 +421,8 @@ class _Parser:
                     op,
                 )
             self.take()
-            bound = self.term()
-            y = fresh_variable(
-                free_variables(body) | {names[0]} | term_variables(bound)
-            )
-            return Apply(
-                f"{name}_{_CMP_KINDS[op.kind]}",
-                ((names[0],), (y,)),
-                (body, Equality(Variable(y), bound)),
+            return aggregate_apply(
+                name, _CMP_KINDS[op.kind], names[0], body, self.term()
             )
         qdef = self.resolve_quantifier(name, name_tok)
         if qdef.arities != (len(names),):

@@ -64,7 +64,7 @@ def reduct(
     registry: Registry,
 ) -> ReductResult:
     u = frozenset(universe)
-    idx = frozenset((a.pred, a.args) for a in atoms)
+    atoms = frozenset(atoms)
     memo: dict = {}
 
     def sat(n) -> bool:
@@ -78,7 +78,7 @@ def reduct(
         elif t is GBot:
             v = False
         elif t is GroundAtomNode:
-            v = (n.pred, n.args) in idx
+            v = (n.pred, n.args) in atoms
         elif t is GApply:
             qdef = registry.resolve(n.quantifier)
             rels = tuple(
@@ -149,7 +149,6 @@ def minimal_models(
         s = frozenset(combo)
         if any(m <= s for m in found):
             continue
-        idx = frozenset((a.pred, a.args) for a in s)
-        if all(_gsat(g, idx, u, registry) for g in formulas):
+        if all(_gsat(g, s, u, registry) for g in formulas):
             found.append(s)
     return tuple(sorted(found, key=atom_set_key))

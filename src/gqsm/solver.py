@@ -49,6 +49,7 @@ from .ground import (
     _eval,
     _gsat,
     atom_set_key,
+    atom_strings,
     eval_flp_transform,
     eval_star,
     flp_reduct,
@@ -88,10 +89,7 @@ class SolveResult:
         return {
             "semantics": self.semantics,
             "route": self.route,
-            "models": [
-                [str(a) for a in sorted(m, key=GroundAtom.sort_key)]
-                for m in self.models
-            ],
+            "models": [atom_strings(m) for m in self.models],
             "stats": {"candidates": self.stats.candidates},
         }
 
@@ -207,15 +205,16 @@ def stable_models_reduct(
     universe = program.universe
     rules = ground_program(program, registry)
 
+    # Each candidate s, and each J as a set, is a new object, which is
+    # how a tracer wrapping _gsat tells one test from the next.
     def model_test(s):
-        idx = frozenset((a.pred, a.args) for a in s)
-        if not all(_gsat(g, idx, universe, registry) for g in rules):
+        if not all(_gsat(g, s, universe, registry) for g in rules):
             return None
         reduced = tuple(reduct(g, s, universe, registry).formula for g in rules)
 
         def witness(j):
-            j_idx = frozenset((a.pred, a.args) for a in j)
-            return all(_gsat(g, j_idx, universe, registry) for g in reduced)
+            j = frozenset(j)
+            return all(_gsat(g, j, universe, registry) for g in reduced)
 
         return witness
 
@@ -230,17 +229,15 @@ def stable_models_operator(
     starred sentence."""
     t0 = time.perf_counter()
     base = _checked_base(program, cap)
-    universe = program.universe
+    empty = Interpretation(program.universe)
     sentence = program_to_sentence(program)
     intensional = program.intensional
 
     def model_test(s):
-        interp = Interpretation(universe, s)
+        interp = empty.with_atoms(s)
         if not _eval(sentence, interp, registry, {}):
             return None
-        return lambda j: eval_star(
-            sentence, interp, frozenset(j), intensional, registry
-        )
+        return lambda j: eval_star(sentence, interp, j, intensional, registry)
 
     return _search("sm", "operator", t0, base, intensional, model_test)
 
@@ -253,15 +250,15 @@ def flp_stable_models(
     read as ``B and B(u) -> H(u)``."""
     t0 = time.perf_counter()
     base = _checked_base(program, cap)
-    universe = program.universe
+    empty = Interpretation(program.universe)
 
     def model_test(s):
-        interp = Interpretation(universe, s)
+        interp = empty.with_atoms(s)
         if not satisfies_program(interp, program, registry):
             return None
         fired = flp_reduct(program, interp, registry)
         return lambda j: eval_flp_transform(
-            program, interp, frozenset(j), registry, fired=fired
+            program, interp, j, registry, fired=fired
         )
 
     return _search("flp", "operator", t0, base, program.intensional, model_test)
@@ -305,16 +302,33 @@ def _negated(f: Formula):
     return None
 
 
+def _literal_violation(part: Formula, registry: Registry) -> Optional[str]:
+    """Why a body literal is outside the agreement class, or None.
+
+    A literal that is not atomic is an application, since ``Rule``
+    accepts no other formula."""
+    inner = _negated(part)
+    app = part if inner is None else inner
+    if is_atomic(app):
+        return None
+    if not all(is_atomic(a) for a in app.args):
+        if inner is None:
+            return "quantifier argument is not atomic"
+        return "negated quantifier has a non-atomic argument"
+    if inner is None or registry.resolve(app.quantifier).monotone_everywhere:
+        return None
+    return (
+        f"quantifier {app.quantifier!r} is not monotone in every "
+        "position, so it cannot be negated"
+    )
+
+
 def monotone_class_report(program: Program, registry: Registry) -> ClassReport:
     """Check rules against the shape on which both semantics coincide:
     disjunctions of atomics in the head; bodies built from literals that
     are atomic or apply a quantifier to atomic arguments, where any
     negated quantifier must be monotone in every argument position."""
     violations = []
-
-    def atomic_args_ok(app: Apply) -> bool:
-        return all(is_atomic(a) for a in app.args)
-
     for i, rule in enumerate(program.rules):
         for part in flatten_spine(rule.head, "or"):
             if not is_atomic(part):
@@ -322,49 +336,9 @@ def monotone_class_report(program: Program, registry: Registry) -> ClassReport:
                     ClassViolation(i, str(part), "head disjunct is not atomic")
                 )
         for part in flatten_spine(rule.body, "and"):
-            inner = _negated(part)
-            if inner is not None:
-                if is_atomic(inner):
-                    continue
-                if isinstance(inner, Apply):
-                    if not atomic_args_ok(inner):
-                        violations.append(
-                            ClassViolation(
-                                i,
-                                str(part),
-                                "negated quantifier has a non-atomic argument",
-                            )
-                        )
-                        continue
-                    qdef = registry.resolve(inner.quantifier)
-                    if not qdef.monotone_everywhere:
-                        violations.append(
-                            ClassViolation(
-                                i,
-                                str(part),
-                                f"quantifier {inner.quantifier!r} is not "
-                                "monotone in every position, so it cannot "
-                                "be negated",
-                            )
-                        )
-                    continue
-                violations.append(
-                    ClassViolation(i, str(part), "negated part is not atomic")
-                )
-                continue
-            if is_atomic(part):
-                continue
-            if isinstance(part, Apply):
-                if not atomic_args_ok(part):
-                    violations.append(
-                        ClassViolation(
-                            i, str(part), "quantifier argument is not atomic"
-                        )
-                    )
-                continue
-            violations.append(
-                ClassViolation(i, str(part), "body literal is not atomic")
-            )
+            reason = _literal_violation(part, registry)
+            if reason is not None:
+                violations.append(ClassViolation(i, str(part), reason))
     return ClassReport(not violations, tuple(violations))
 
 
@@ -380,10 +354,7 @@ class ComparisonReport:
         return {
             "sm": self.sm.to_json(),
             "flp": self.flp.to_json(),
-            "difference": [
-                [str(a) for a in sorted(m, key=GroundAtom.sort_key)]
-                for m in self.difference
-            ],
+            "difference": [atom_strings(m) for m in self.difference],
             "class": self.class_report.to_json(),
             "agreement_violated": self.agreement_violated,
         }

@@ -1,7 +1,9 @@
 """Grounding, two satisfaction routes, and the two fixpoint-style checks
 used by the solver (starred evaluation and the body-substitution test)."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -69,6 +71,47 @@ def test_interpretation_validates_atoms():
         interp({1}, ga("p", 9))
     with pytest.raises(GqError, match="must not be empty"):
         Interpretation(frozenset())
+
+
+def test_ground_atom_is_the_pair_of_predicate_and_arguments():
+    atom = GroundAtom("p", (1,))
+    assert atom == ("p", (1,))
+    assert hash(atom) == hash(("p", (1,)))
+    assert ("p", (1,)) in frozenset({atom})
+    assert GroundAtom("p", [1]).args == (1,)
+    assert GroundAtom("q").args == ()
+
+
+def test_ground_atom_repr_str_and_copies():
+    atom = GroundAtom("p", (-1, "a"))
+    assert repr(atom) == "GroundAtom(pred='p', args=(-1, 'a'))"
+    assert str(atom) == "p(-1, a)"
+    assert str(GroundAtom("q")) == "q"
+    for copied in (pickle.loads(pickle.dumps(atom)), copy.copy(atom)):
+        assert copied == atom
+        assert type(copied) is GroundAtom
+        assert str(copied) == "p(-1, a)"
+
+
+def test_with_atoms_keeps_the_checked_universe_and_constants():
+    base = Interpretation(frozenset({2, 1}), constants={"a": 1})
+    derived = base.with_atoms({ga("p", 2)})
+    assert derived.atoms == frozenset({ga("p", 2)})
+    assert derived.universe is base.universe
+    assert derived.universe_sorted == (1, 2)
+    assert derived.constants == {"a": 1}
+    assert derived.value("a") == 1
+    assert base.atoms == frozenset()
+
+
+def test_with_atoms_checks_the_new_atoms():
+    base = interp({1, 2})
+    with pytest.raises(GqError, match=r"^not a ground atom: \('p', \(1,\)\)$"):
+        base.with_atoms({("p", (1,))})
+    with pytest.raises(
+        GqError, match=r"^atom p\(9\) mentions 9, not a universe element$"
+    ):
+        base.with_atoms({ga("p", 9)})
 
 
 def test_interpretation_constant_values():

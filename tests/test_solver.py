@@ -232,6 +232,17 @@ def test_monotone_class_rejects_nested_quantifier_arguments(registry):
     assert report.violations[0].reason == "quantifier argument is not atomic"
 
 
+def test_monotone_class_rejects_negated_quantifier_with_nested_argument(registry):
+    prog = parse_program(
+        "#universe {1, 2}.\np(X) :- q(X), not majority{Y : q(Y) & r(Y)}.", registry
+    )
+    report = monotone_class_report(prog, registry)
+    assert not report.in_class
+    (v,) = report.violations
+    assert v.literal == "not majority{Y : q(Y) & r(Y)}"
+    assert v.reason == "negated quantifier has a non-atomic argument"
+
+
 def test_monotone_class_allows_positive_aggregates_and_ne(registry):
     prog = parse_program(
         "#universe {1, 2}.\np(X) :- sum{W : q(W)} > 1, X != 1.\nq(2).",

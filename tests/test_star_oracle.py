@@ -59,7 +59,7 @@ def oracle_plain(f, interp, registry, env):
     t = type(f)
     if t is Atom:
         vals = tuple(_term_value(a, interp, env) for a in f.args)
-        return (f.pred, vals) in interp.index
+        return (f.pred, vals) in interp.atoms
     if t is Equality:
         return _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
     if t is not Apply:
@@ -75,7 +75,7 @@ def oracle_star(f, interp, j_idx, intensional, registry, env):
     t = type(f)
     if t is Atom:
         vals = tuple(_term_value(a, interp, env) for a in f.args)
-        return (f.pred, vals) in (j_idx if f.pred in intensional else interp.index)
+        return (f.pred, vals) in (j_idx if f.pred in intensional else interp.atoms)
     if t is not Apply:
         return oracle_plain(f, interp, registry, env)
     qdef = registry.resolve(f.quantifier)
