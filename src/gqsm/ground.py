@@ -14,11 +14,17 @@ table per argument position.  On top of that live:
 * ``eval_flp_transform``  truth of the rule-wise transformation
   B and B(u) implies H(u) used by the FLP semantics.  B is read in the
   interpretation alone, so for a fixed interpretation the test only
-  needs the rule instances whose body it satisfies: ``flp_reduct``
-  computes them once per candidate, and each u is read against those.
+  needs the rule instances whose body it satisfies, the FLP reduct,
+  and each u is read against those.
 
 ``satisfies`` after ``ground`` and ``satisfies_direct`` always agree;
 the test suite exercises that equivalence heavily.
+
+The last three, and ``satisfies_program``, read a compiled form: a
+sentence compiled by ``_compile_sentence``, or a program's rule
+instances compiled by ``_compile_program``.  Given a formula or a
+``Program`` they compile it per call; the solver compiles once per solve
+and reads every candidate and every u off the same compiled nodes.
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
@@ -28,6 +34,7 @@ the new atoms.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -50,6 +57,7 @@ from .syntax import (
     element_key,
     flatten_spine,
     impl,
+    iter_subformulas,
 )
 from .quantifiers import Registry, _row_key
 
@@ -291,7 +299,26 @@ def iter_ground_subformulas(g: GroundFormula):
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation of formulas in an interpretation
+# Compiled evaluation of formulas in an interpretation
+#
+# A formula is compiled once for an interpretation's universe and constant
+# valuation, a registry and a set of intensional predicates.  Binders are
+# unrolled over the sorted universe, so every variable and constant is
+# read, every spine flattened, every quantifier resolved and its shape
+# checked at compile time.  What remains is one node per ground
+# occurrence, a pair of closures:
+#
+# * ``plain(atoms)``   the truth of the node when ``atoms`` are the true
+#   atoms;
+# * ``both(atoms, j)`` the pair (plain reading, star reading), where the
+#   star reading takes the intensional atoms from ``j`` instead.
+#
+# A read that fails at compile time (an unbound variable, a constant with
+# no value, an unknown quantifier, a misshapen application) becomes a node
+# that raises that error when it is visited, so a program fails exactly
+# where, and only when, an evaluation reaches the failing node.  A
+# compiled form is built per solve (or per call of the public readers)
+# and never cached past it, so a registry change is seen by the next one.
 
 
 def _term_value(t, interp: Interpretation, env: dict) -> Element:
@@ -322,70 +349,6 @@ def _one_binder(f: Apply) -> bool:
     return len(f.var_lists) == 1 and len(f.var_lists[0]) == 1
 
 
-def _eval(f: Formula, interp: Interpretation, registry: Registry, env: dict) -> bool:
-    t = type(f)
-    if t is Atom:
-        vals = tuple(_term_value(a, interp, env) for a in f.args)
-        return (f.pred, vals) in interp.atoms
-    if t is Equality:
-        return _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
-    if t is Top:
-        return True
-    if t is Bot:
-        return False
-    if t is not Apply:
-        raise GqError(f"not a formula: {f!r}")
-    # The five built-in connectives are dispatched by name, their shape
-    # checked structurally; the registry cannot shadow them.  A misshapen
-    # one falls through to _check_shape, which reports it.
-    name = f.quantifier
-    args = f.args
-    if f.var_lists == ((), ()):
-        if name == "and":
-            for part in flatten_spine(f, "and"):
-                if not _eval(part, interp, registry, env):
-                    return False
-            return True
-        if name == "or":
-            return _eval(args[0], interp, registry, env) or _eval(
-                args[1], interp, registry, env
-            )
-        if name == "impl":
-            return not _eval(args[0], interp, registry, env) or _eval(
-                args[1], interp, registry, env
-            )
-    elif (name == "forall" or name == "exists") and _one_binder(f):
-        want = name == "exists"
-        x = f.var_lists[0][0]
-        old = env.get(x, _MISSING)
-        result = not want
-        try:
-            for v in interp.universe_sorted:
-                env[x] = v
-                if _eval(args[0], interp, registry, env) == want:
-                    result = want
-                    break
-        finally:
-            _restore(env, x, old)
-        return result
-    qdef = registry.resolve(name)
-    _check_shape(f, qdef)
-    rels = []
-    for xs, arg in zip(f.var_lists, args):
-        rows = set()
-        saved = [env.get(x, _MISSING) for x in xs]
-        try:
-            for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
-                for x, v in zip(xs, combo):
-                    env[x] = v
-                if _eval(arg, interp, registry, env):
-                    rows.add(combo)
-        finally:
-            _restore_all(env, xs, saved)
-        rels.append(frozenset(rows))
-    return bool(qdef.truth(interp.universe, tuple(rels)))
-
-
 def _restore(env: dict, x: str, old) -> None:
     if old is _MISSING:
         del env[x]
@@ -398,10 +361,479 @@ def _restore_all(env: dict, xs, saved) -> None:
         _restore(env, x, old)
 
 
+# A star reading is True, False, or a thunk returning one of the two.  A
+# thunk stands for work the two-pass definition does only once the star
+# reading of an enclosing node is asked for: visiting a subformula that
+# the plain reading skipped.  Forcing thunks in the order that definition
+# reads the children visits what it visits, in its order, so a program
+# raises exactly where it does.  Truth functions are total (verify_profile
+# calls them on every relation tuple), so calling one on star relations
+# whose reading nobody asks for is harmless.  Where the plain reading is
+# False, the star reading is a bool.
+
+_FALSE_BOTH = (False, False)
+_TRUE_BOTH = (True, True)
+_TRUE_FALSE = (True, False)
+_FALSE_TRUE = (False, True)
+
+
+def _force(star) -> bool:
+    return star if star is True or star is False else star()
+
+
+def _all_stars(stars: list):
+    """The conjunction of star readings, read left to right."""
+    for i, s in enumerate(stars):
+        if s is False:
+            return False
+        if s is not True:
+            rest = stars[i:]
+            return lambda: all(_force(r) for r in rest)
+    return True
+
+
+def _any_stars(stars: list):
+    """The disjunction of star readings, read left to right."""
+    for i, s in enumerate(stars):
+        if s is True:
+            return True
+        if s is not False:
+            rest = stars[i:]
+            return lambda: any(_force(r) for r in rest)
+    return False
+
+
+def _later(both, atoms, j):
+    """A thunk for the star reading of a node the plain pass did not visit."""
+    return lambda: _force(both(atoms, j)[1])
+
+
+_TOP_NODE = (lambda atoms: True, lambda atoms, j: _TRUE_BOTH)
+_BOT_NODE = (lambda atoms: False, lambda atoms, j: _FALSE_BOTH)
+
+
+def _raising_node(error: Exception) -> tuple:
+    def plain(atoms):
+        raise error.with_traceback(None)
+
+    def both(atoms, j):
+        raise error.with_traceback(None)
+
+    return plain, both
+
+
+def _atom_node(key: tuple, intensional: bool, negated: bool) -> tuple:
+    """The node of an atom, or of its negation ``atom -> bot``."""
+    if negated:
+
+        def plain(atoms):
+            return key not in atoms
+
+        def both(atoms, j):
+            if key in atoms:
+                return _FALSE_BOTH
+            return _TRUE_FALSE if intensional and key in j else _TRUE_BOTH
+
+    elif intensional:
+
+        def plain(atoms):
+            return key in atoms
+
+        def both(atoms, j):
+            if key in atoms:
+                return _TRUE_BOTH if key in j else _TRUE_FALSE
+            return _FALSE_TRUE if key in j else _FALSE_BOTH
+
+    else:
+
+        def plain(atoms):
+            return key in atoms
+
+        def both(atoms, j):
+            return _TRUE_BOTH if key in atoms else _FALSE_BOTH
+
+    return plain, both
+
+
+def _all_node(kids: list) -> tuple:
+    """A conjunction spine, or ``forall`` over its instances, read left
+    to right; the plain reading stops at the first false child.  The
+    star reading is the conjunction of the children's, which is why a
+    spine can be flattened, and a ``top`` child dropped."""
+    kids = [k for k in kids if k is not _TOP_NODE]
+    if not kids:
+        return _TOP_NODE
+    plains = tuple(p for p, _ in kids)
+    boths = tuple(b for _, b in kids)
+
+    def plain(atoms):
+        for p in plains:
+            if not p(atoms):
+                return False
+        return True
+
+    def both(atoms, j):
+        # True, False, or the star readings from the first thunk on
+        star = True
+        for b in boths:
+            p, s = b(atoms, j)
+            if not p:
+                return _FALSE_BOTH
+            if s is not True and star is not False:
+                if star is True:
+                    star = False if s is False else [s]
+                else:
+                    star.append(s)
+        if star is True:
+            return _TRUE_BOTH
+        if star is False:
+            return _TRUE_FALSE
+        return True, _all_stars(star)
+
+    return plain, both
+
+
+def _any_node(kids: list) -> tuple:
+    """A disjunction, or ``exists`` over its instances, read left to
+    right; the plain reading stops at the first true child, and the star
+    reading reads the children after it only through thunks.  A nested
+    disjunction is not flattened: a child's star reading may hold where
+    its plain reading does not, and the inner node masks it."""
+    plains = tuple(p for p, _ in kids)
+    boths = tuple(b for _, b in kids)
+
+    def plain(atoms):
+        for p in plains:
+            if p(atoms):
+                return True
+        return False
+
+    def both(atoms, j):
+        star = False  # the star readings so far, all bools
+        for i, b in enumerate(boths):
+            p, s = b(atoms, j)
+            if p:
+                if star or s is True:
+                    return _TRUE_BOTH
+                rest = [_later(c, atoms, j) for c in boths[i + 1 :]]
+                return True, _any_stars([s] + rest)
+            star = star or s
+        return _FALSE_BOTH
+
+    return plain, both
+
+
+def _not_node(a: tuple) -> tuple:
+    """``a -> bot``: where ``a`` is false its star reading, a bool, decides."""
+    plain_a, both_a = a
+
+    def plain(atoms):
+        return not plain_a(atoms)
+
+    def both(atoms, j):
+        pa, sa = both_a(atoms, j)
+        if pa:
+            return _FALSE_BOTH
+        return _TRUE_FALSE if sa else _TRUE_BOTH
+
+    return plain, both
+
+
+def _impl_node(a: tuple, b: tuple) -> tuple:
+    if a is _BOT_NODE:
+        return _TOP_NODE
+    if b is _BOT_NODE:
+        return _BOT_NODE if a is _TOP_NODE else _not_node(a)
+    plain_a, both_a = a
+    plain_b, both_b = b
+
+    def plain(atoms):
+        return not plain_a(atoms) or plain_b(atoms)
+
+    def both(atoms, j):
+        pa, sa = both_a(atoms, j)
+        if not pa:
+            # sa is a bool here; it holds only when J is not below I
+            if not sa:
+                return _TRUE_BOTH
+            return True, _later(both_b, atoms, j)
+        pb, sb = both_b(atoms, j)
+        if not pb:
+            return _FALSE_BOTH
+        if sa is False:
+            return _TRUE_BOTH
+        if sa is True:
+            return True, sb
+        return True, lambda: not sa() or _force(sb)
+
+    return plain, both
+
+
+def _apply_node(truth, universe: frozenset, positions: list) -> tuple:
+    """A quantifier application; ``positions`` holds, per argument
+    position, the element tuples and the node of the argument at each.
+    Every argument instance is read, and the star reading is the plain
+    reading and the quantifier over the children's star readings.
+
+    One node may serve several occurrences (see ``_Compiler``), so each
+    reading keeps its last answer: the atom sets are immutable, and a
+    truth function gives the same answer for the same relations.
+    """
+    table = []
+    for rows in positions:
+        combos, nodes = zip(*rows)
+        table.append((combos, tuple(p for p, _ in nodes), tuple(b for _, b in nodes)))
+    last_plain, last_both = (None, None), (None, None, None)
+
+    def plain(atoms):
+        nonlocal last_plain
+        if last_plain[0] is atoms:
+            return last_plain[1]
+        rels = tuple(
+            frozenset(c for c, p in zip(combos, plains) if p(atoms))
+            for combos, plains, _ in table
+        )
+        value = bool(truth(universe, rels))
+        last_plain = (atoms, value)
+        return value
+
+    def both(atoms, j):
+        nonlocal last_both
+        if last_both[0] is atoms and last_both[1] is j:
+            return last_both[2]
+        last_both = (atoms, j, _both(atoms, j))
+        return last_both[2]
+
+    def _both(atoms, j):
+        plain_rels = []
+        star_rows = []  # per position: (tuple, star) for every star not False
+        deferred = False
+        for combos, _, boths in table:
+            rows = []
+            marked = []
+            for combo, b in zip(combos, boths):
+                p, s = b(atoms, j)
+                if p:
+                    rows.append(combo)
+                if s is not False:
+                    marked.append((combo, s))
+                    deferred = deferred or s is not True
+            plain_rels.append(frozenset(rows))
+            star_rows.append(marked)
+        if not truth(universe, tuple(plain_rels)):
+            return _FALSE_BOTH
+
+        def star_truth():
+            rels = tuple(
+                frozenset(combo for combo, s in marked if _force(s))
+                for marked in star_rows
+            )
+            return bool(truth(universe, rels))
+
+        return True, (star_truth if deferred else star_truth())
+
+    return plain, both
+
+
+class _Compiler:
+    """Compiles formulas for interpretations over ``interp``'s universe
+    and constants: ``node(f, env)`` is the node of ``f`` under the
+    bindings ``env``.  Each quantifier name is resolved at most once per
+    compiler, and the occurrences of a quantifier application under
+    bindings that agree on what it reads share one node:
+    ``sum{Y : p(Y)} < 2`` in a rule over X is read once per valuation,
+    not once per instance.  A compiler is not kept past its compile."""
+
+    def __init__(self, interp: Interpretation, registry: Registry, intensional):
+        self.interp = interp
+        self.registry = registry
+        self.intensional = frozenset(intensional)
+        self.resolved = {}  # name -> (qdef, None) or (None, the error)
+        self.reads = {}  # id of an application -> _read_names of it
+        self.shared = {}  # (id, the values of what it reads) -> its node
+
+    def resolve(self, name: str):
+        if name not in self.resolved:
+            try:
+                self.resolved[name] = (self.registry.resolve(name), None)
+            except Exception as e:
+                self.resolved[name] = (None, e)
+        qdef, error = self.resolved[name]
+        if error is not None:
+            raise error
+        return qdef
+
+    def atom(self, f: Atom, env: dict, negated: bool = False) -> tuple:
+        try:
+            vals = tuple(_term_value(a, self.interp, env) for a in f.args)
+        except Exception as e:
+            return _raising_node(e)
+        return _atom_node((f.pred, vals), f.pred in self.intensional, negated)
+
+    def conjuncts(self, f: Formula, env: dict, out: list) -> list:
+        """Append the nodes of the conjuncts of ``f`` to ``out``: its
+        ``and`` spine, with each ``forall`` unrolled into the instances
+        of its argument.  A conjunction's star reading is the conjunction
+        of its conjuncts' (each with its plain reading), so the nesting
+        may go."""
+        for g in flatten_spine(f, "and"):
+            if type(g) is Apply and g.quantifier == "forall" and _one_binder(g):
+                x = g.var_lists[0][0]
+                for v in self.interp.universe_sorted:
+                    self.conjuncts(g.args[0], {**env, x: v}, out)
+            else:
+                out.append(self.node(g, env))
+        return out
+
+    def node(self, f: Formula, env: dict) -> tuple:
+        t = type(f)
+        if t is Atom:
+            return self.atom(f, env)
+        if t is Equality:
+            try:
+                left = _term_value(f.left, self.interp, env)
+                same = left == _term_value(f.right, self.interp, env)
+            except Exception as e:
+                return _raising_node(e)
+            return _TOP_NODE if same else _BOT_NODE
+        if t is Top:
+            return _TOP_NODE
+        if t is Bot:
+            return _BOT_NODE
+        if t is not Apply:
+            return _raising_node(GqError(f"not a formula: {f!r}"))
+        # The five built-in connectives are dispatched by name, their shape
+        # checked structurally; the registry cannot shadow them.  A
+        # misshapen one falls through to _check_shape, which reports it.
+        name = f.quantifier
+        if f.var_lists == ((), ()):
+            if name == "and":
+                return _all_node(self.conjuncts(f, env, []))
+            if name == "or":
+                a, b = f.args
+                return _any_node([self.node(a, env), self.node(b, env)])
+            if name == "impl":
+                a, b = f.args
+                if type(a) is Atom and type(b) is Bot:
+                    return self.atom(a, env, negated=True)
+                return _impl_node(self.node(a, env), self.node(b, env))
+        elif name == "forall" and _one_binder(f):
+            return _all_node(self.conjuncts(f, env, []))
+        elif name == "exists" and _one_binder(f):
+            x = f.var_lists[0][0]
+            u_sorted = self.interp.universe_sorted
+            return _any_node([self.node(f.args[0], {**env, x: v}) for v in u_sorted])
+        try:
+            qdef = self.resolve(name)
+            _check_shape(f, qdef)
+        except Exception as e:
+            return _raising_node(e)
+        if id(f) not in self.reads:
+            self.reads[id(f)] = _read_names(f)
+        key = (id(f),) + tuple(env.get(x, _MISSING) for x in self.reads[id(f)])
+        if key not in self.shared:
+            positions = []
+            u_sorted = self.interp.universe_sorted
+            for xs, arg in zip(f.var_lists, f.args):
+                rows = []
+                for combo in itertools.product(u_sorted, repeat=len(xs)):
+                    inner = dict(env)
+                    inner.update(zip(xs, combo))
+                    rows.append((combo, self.node(arg, inner)))
+                positions.append(rows)
+            self.shared[key] = _apply_node(qdef.truth, self.interp.universe, positions)
+        return self.shared[key]
+
+
+def _read_names(f: Formula) -> tuple:
+    """The variables that terms in ``f`` read, bound in ``f`` or not: the
+    bindings that a compiled node of ``f`` can depend on."""
+    out = set()
+    for g in iter_subformulas(f):
+        t = type(g)
+        terms = g.args if t is Atom else (g.left, g.right) if t is Equality else ()
+        out.update(x.name for x in terms if type(x) is Variable)
+    return tuple(sorted(out))
+
+
+def _without_gc(build):
+    """``build()`` with the cyclic garbage collector paused.  A compile
+    allocates a few long-lived objects per ground node, and each full
+    collection they would trigger rescans the whole heap."""
+    if not gc.isenabled():
+        return build()
+    gc.disable()
+    try:
+        return build()
+    finally:
+        gc.enable()
+
+
+class _Sentence:
+    """A formula compiled by ``_compile_sentence``: the two readings of
+    its root node."""
+
+    __slots__ = ("plain", "both")
+
+    def __init__(self, root: tuple):
+        self.plain, self.both = root
+
+
+class _Rules:
+    """A program compiled by ``_compile_program``: its intensional
+    predicates, and the plain readings ``(body, head)`` of its rule
+    instances in the order of ``_instances``."""
+
+    __slots__ = ("intensional", "instances")
+
+    def __init__(self, intensional, instances: tuple):
+        self.intensional = intensional
+        self.instances = instances
+
+
+def _compile_sentence(
+    f: Formula,
+    interp: Interpretation,
+    registry: Registry,
+    intensional=(),
+    env: Optional[Mapping] = None,
+) -> _Sentence:
+    """``f`` compiled for interpretations over ``interp``'s universe and
+    constants, with ``intensional`` read from the smaller valuation in
+    the star reading and ``env`` binding its free variables."""
+    node = _Compiler(interp, registry, intensional).node
+    return _without_gc(lambda: _Sentence(node(f, dict(env or {}))))
+
+
+def _compile_program(
+    program: Program, interp: Interpretation, registry: Registry
+) -> _Rules:
+    """Every rule instance of ``program``, compiled for interpretations
+    over ``interp``'s universe and constants."""
+    node = _Compiler(interp, registry, ()).node
+    instances = _without_gc(
+        lambda: tuple(
+            (node(rule.body, env)[0], node(rule.head, env)[0])
+            for rule, env in _instances(program, interp)
+        )
+    )
+    return _Rules(program.intensional, instances)
+
+
+def _eval(f, interp: Interpretation, registry: Registry, env: dict) -> bool:
+    """Truth of ``f`` in ``interp`` under the bindings ``env``.  ``f`` is a
+    formula, compiled here, or a ``_Sentence`` compiled for ``interp``'s
+    universe and constants, whose bindings were fixed then."""
+    if type(f) is not _Sentence:
+        f = _compile_sentence(f, interp, registry, (), env)
+    return f.plain(interp.atoms)
+
+
 def satisfies_direct(
     interp: Interpretation, sentence: Formula, registry: Registry
 ) -> bool:
-    """Truth of a sentence in an interpretation, without grounding."""
+    """Truth of a sentence in an interpretation, without grounding.  The
+    sentence is compiled per call."""
     return _eval(sentence, interp, registry, {})
 
 
@@ -416,22 +848,33 @@ def _instances(program: Program, interp: Interpretation):
             yield rule, dict(zip(fvs, combo))
 
 
-def satisfies_program(interp: Interpretation, program: Program, registry: Registry) -> bool:
-    """Does the interpretation satisfy every rule's universal closure?"""
-    for rule, env in _instances(program, interp):
-        if _eval(rule.body, interp, registry, env) and not _eval(
-            rule.head, interp, registry, env
-        ):
-            return False
+def satisfies_program(
+    interp: Interpretation,
+    program,
+    registry: Registry,
+    *,
+    fired: Optional[list] = None,
+) -> bool:
+    """Does the interpretation satisfy every rule's universal closure?
+
+    ``program`` is a ``Program``, compiled per call, or a ``_Rules``.
+    Each instance's body is read once, and its head only where the body
+    holds; the first violated instance ends the pass.  When ``fired`` is
+    a list, the compiled instances whose body holds are appended to it,
+    so after a true answer it is the FLP reduct that
+    ``eval_flp_transform`` takes with the same ``_Rules``.
+    """
+    if type(program) is not _Rules:
+        program = _compile_program(program, interp, registry)
+    atoms = interp.atoms
+    for instance in program.instances:
+        body, head = instance
+        if body(atoms):
+            if not head(atoms):
+                return False
+            if fired is not None:
+                fired.append(instance)
     return True
-
-
-def _fired(program: Program, interp: Interpretation, registry: Registry):
-    """The rule instances whose body holds in ``interp``, lazily: a body
-    that raises does so only once the instances before it are used."""
-    for rule, env in _instances(program, interp):
-        if _eval(rule.body, interp, registry, env):
-            yield rule, env
 
 
 def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> tuple:
@@ -443,7 +886,13 @@ def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> 
     tests many smaller valuations against one interpretation computes
     the reduct once and passes it as ``fired``.
     """
-    return tuple(_fired(program, interp, registry))
+    node = _Compiler(interp, registry, ()).node
+    atoms = interp.atoms
+    return tuple(
+        (rule, env)
+        for rule, env in _instances(program, interp)
+        if node(rule.body, env)[0](atoms)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +1040,7 @@ def _gsat(g, atoms, universe, registry) -> bool:
 
 
 def eval_star(
-    sentence: Formula,
+    sentence,
     interp: Interpretation,
     smaller: Iterable[GroundAtom],
     intensional: Iterable[str],
@@ -605,9 +1054,12 @@ def eval_star(
     when it holds both under the recursive star reading and under the
     plain reading in ``interp``.
 
-    Both readings come out of one pass that visits each node once per
-    ``smaller``; a child is visited only where the two-pass definition
-    would visit it, so evaluation fails exactly where that one does.
+    ``sentence`` is a formula, compiled per call, or a ``_Sentence``
+    compiled for ``interp``'s universe and constants and these
+    intensional predicates.  Both readings come out of one pass that
+    visits each node once per ``smaller``; a child is visited only where
+    the two-pass definition would visit it, so evaluation fails exactly
+    where that one does.
     """
     preds = frozenset(intensional)
     smaller = frozenset(smaller)
@@ -622,182 +1074,9 @@ def eval_star(
         for v in a.args:
             if v not in interp.universe:
                 raise GqError(f"atom {a} mentions {v!r}, not a universe element")
-    return _force(_eval_both(sentence, interp, smaller, preds, registry, {})[1])
-
-
-# A star reading is True, False, or a thunk returning one of the two.  A
-# thunk stands for work the two-pass definition does only once the star
-# reading of an enclosing node is asked for: visiting a subformula that
-# the plain reading skipped.  Forcing thunks in the order that definition
-# reads the children visits what it visits, in its order, so a program
-# raises exactly where it did.  Truth functions are total (verify_profile
-# calls them on every relation tuple), so calling one on star relations
-# whose reading nobody asks for is harmless.
-
-_FALSE_BOTH = (False, False)
-_TRUE_BOTH = (True, True)
-
-
-def _force(star) -> bool:
-    return star if star is True or star is False else star()
-
-
-def _all_stars(stars: list):
-    """The conjunction of star readings, read left to right."""
-    for i, s in enumerate(stars):
-        if s is False:
-            return False
-        if s is not True:
-            rest = stars[i:]
-            return lambda: all(_force(r) for r in rest)
-    return True
-
-
-def _any_stars(stars: list):
-    """The disjunction of star readings, read left to right."""
-    for i, s in enumerate(stars):
-        if s is True:
-            return True
-        if s is not False:
-            rest = stars[i:]
-            return lambda: any(_force(r) for r in rest)
-    return False
-
-
-def _star_later(f, interp, j, intensional, registry, env):
-    """A thunk for the star reading of ``f``, a node the plain pass did
-    not visit, in a copy of the current bindings."""
-    env = dict(env)
-    return lambda: _force(
-        _eval_both(f, interp, j, intensional, registry, env)[1]
-    )
-
-
-def _eval_both(f, interp, j, intensional, registry, env) -> tuple:
-    """``(truth of f in interp, star reading of f)`` in one visit per node.
-
-    At an ``Apply`` node the star reading is the plain reading and the
-    quantifier applied to the children's star readings, so it is False
-    whenever the plain reading is.  The plain reading short-circuits as
-    ``_eval`` does; the star reading visits what the plain pass skipped
-    only through thunks.
-    """
-    t = type(f)
-    if t is Atom:
-        key = (f.pred, tuple(_term_value(a, interp, env) for a in f.args))
-        plain = key in interp.atoms
-        if f.pred in intensional:
-            return plain, key in j
-        return plain, plain
-    if t is Equality:
-        v = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
-        return v, v
-    if t is Top:
-        return _TRUE_BOTH
-    if t is Bot:
-        return _FALSE_BOTH
-    if t is not Apply:
-        raise GqError(f"not a formula: {f!r}")
-    name = f.quantifier
-    args = f.args
-    if f.var_lists == ((), ()):
-        if name == "and":
-            stars = []
-            for part in flatten_spine(f, "and"):
-                p, s = _eval_both(part, interp, j, intensional, registry, env)
-                if not p:
-                    return _FALSE_BOTH
-                stars.append(s)
-            return True, _all_stars(stars)
-        if name == "or":
-            pa, sa = _eval_both(args[0], interp, j, intensional, registry, env)
-            if pa:
-                if sa is True:
-                    return _TRUE_BOTH
-                later = _star_later(args[1], interp, j, intensional, registry, env)
-                return True, _any_stars([sa, later])
-            pb, sb = _eval_both(args[1], interp, j, intensional, registry, env)
-            if not pb:
-                return _FALSE_BOTH
-            return True, _any_stars([sa, sb])
-        if name == "impl":
-            pa, sa = _eval_both(args[0], interp, j, intensional, registry, env)
-            if not pa:
-                # sa is a bool here; it holds only when J is not below I
-                if not sa:
-                    return _TRUE_BOTH
-                return True, _star_later(
-                    args[1], interp, j, intensional, registry, env
-                )
-            pb, sb = _eval_both(args[1], interp, j, intensional, registry, env)
-            if not pb:
-                return _FALSE_BOTH
-            if sa is False:
-                return _TRUE_BOTH
-            if sa is True:
-                return True, sb
-            return True, lambda: not sa() or _force(sb)
-    elif (name == "forall" or name == "exists") and _one_binder(f):
-        every = name == "forall"
-        x = f.var_lists[0][0]
-        old = env.get(x, _MISSING)
-        plain = every
-        stars = []
-        try:
-            for v in interp.universe_sorted:
-                env[x] = v
-                if plain and not every:
-                    # exists holds in interp; its star reading reads on
-                    stars.append(
-                        _star_later(args[0], interp, j, intensional, registry, env)
-                    )
-                    continue
-                p, s = _eval_both(args[0], interp, j, intensional, registry, env)
-                stars.append(s)
-                if p != every:
-                    plain = p
-                    if every:
-                        break
-        finally:
-            _restore(env, x, old)
-        if not plain:
-            return _FALSE_BOTH
-        return True, (_all_stars(stars) if every else _any_stars(stars))
-    qdef = registry.resolve(name)
-    _check_shape(f, qdef)
-    plain_rels = []
-    star_rows = []  # per position: (tuple, star) for every star not False
-    deferred = False
-    for xs, arg in zip(f.var_lists, args):
-        rows = set()
-        marked = []
-        saved = [env.get(x, _MISSING) for x in xs]
-        try:
-            for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
-                for x, v in zip(xs, combo):
-                    env[x] = v
-                p, s = _eval_both(arg, interp, j, intensional, registry, env)
-                if p:
-                    rows.add(combo)
-                if s is not False:
-                    marked.append((combo, s))
-                    deferred = deferred or s is not True
-        finally:
-            _restore_all(env, xs, saved)
-        plain_rels.append(frozenset(rows))
-        star_rows.append(marked)
-    universe = interp.universe
-    if not qdef.truth(universe, tuple(plain_rels)):
-        return _FALSE_BOTH
-
-    def star_truth():
-        rels = tuple(
-            frozenset(combo for combo, s in marked if _force(s))
-            for marked in star_rows
-        )
-        return bool(qdef.truth(universe, rels))
-
-    return True, (star_truth if deferred else star_truth())
+    if type(sentence) is not _Sentence:
+        sentence = _compile_sentence(sentence, interp, registry, preds)
+    return _force(sentence.both(interp.atoms, smaller)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -805,12 +1084,12 @@ def _eval_both(f, interp, j, intensional, registry, env) -> tuple:
 
 
 def eval_flp_transform(
-    program: Program,
+    program,
     interp: Interpretation,
     smaller: Iterable[GroundAtom],
     registry: Registry,
     *,
-    fired: Optional[Iterable[tuple]] = None,
+    fired: Optional[Iterable] = None,
 ) -> bool:
     """Truth of the conjunction, over all rule instances, of
     ``B and B(u) implies H(u)``.
@@ -818,12 +1097,16 @@ def eval_flp_transform(
     ``B`` is read in ``interp``; ``B(u)`` and ``H(u)`` reinterpret the
     program's intensional predicates by ``smaller`` while everything
     else keeps its value from ``interp``.  Since ``B`` does not depend
-    on u, only the instances of the FLP reduct (``flp_reduct``) can
-    fail; ``fired`` is that reduct, computed once per interpretation by
-    the caller, or read here as it goes when absent.  Either way each
-    instance is read in ``interp`` at most once, and an instance whose
-    body raises in ``interp`` raises only after the instances before it
-    have been tested, as the instance-by-instance definition does.
+    on u, only the instances of the FLP reduct can fail; ``fired`` is
+    that reduct, computed once per interpretation by the caller, or read
+    here as it goes when absent.  Either way each instance is read in
+    ``interp`` at most once, and an instance whose body raises in
+    ``interp`` raises only after the instances before it have been
+    tested, as the instance-by-instance definition does.
+
+    ``program`` is a ``Program``, compiled per call, with ``fired`` from
+    ``flp_reduct``; or a ``_Rules``, with ``fired`` filled by
+    ``satisfies_program``.
     """
     preds = program.intensional
     smaller = frozenset(smaller)
@@ -836,13 +1119,19 @@ def eval_flp_transform(
                 "only mention intensional predicates"
             )
     frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
-    subst = interp.with_atoms(frozen | smaller)
+    subst = _checked_atoms(frozen | smaller, interp.universe)
     if fired is None:
-        fired = _fired(program, interp, registry)
-    for rule, env in fired:
-        if _eval(rule.body, subst, registry, env) and not _eval(
-            rule.head, subst, registry, env
-        ):
+        if type(program) is not _Rules:
+            program = _compile_program(program, interp, registry)
+        atoms = interp.atoms
+        fired = (inst for inst in program.instances if inst[0](atoms))
+    elif type(program) is not _Rules:
+        node = _Compiler(interp, registry, ()).node
+        fired = (
+            (node(rule.body, env)[0], node(rule.head, env)[0]) for rule, env in fired
+        )
+    for body, head in fired:
+        if body(subst) and not head(subst):
             return False
     return True
 

@@ -14,10 +14,12 @@ witness tests:
   a minimal model of its reduct.  Sound only when every predicate is
   intensional.
 * ``stable_models_operator``  I satisfies the program's sentence F, and
-  J satisfies F*(J), the stability transformation.
+  J satisfies F*(J), the stability transformation.  F is compiled once
+  per solve.
 * ``flp_stable_models``       I satisfies every rule instance, and J
   satisfies the rule-wise transformation ``B and B(u) -> H(u)``, read
-  over the FLP reduct of I, computed once per model.
+  over the FLP reduct of I, which the model check collects.  The rule
+  instances are compiled once per solve.
 
 ``compare_semantics`` runs the last two and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
@@ -46,13 +48,14 @@ from .quantifiers import Registry
 from .ground import (
     GroundAtom,
     Interpretation,
+    _compile_program,
+    _compile_sentence,
     _eval,
     _gsat,
     atom_set_key,
     atom_strings,
     eval_flp_transform,
     eval_star,
-    flp_reduct,
     ground_program,
     herbrand_base,
     satisfies_program,
@@ -230,8 +233,10 @@ def stable_models_operator(
     t0 = time.perf_counter()
     base = _checked_base(program, cap)
     empty = Interpretation(program.universe)
-    sentence = program_to_sentence(program)
     intensional = program.intensional
+    sentence = _compile_sentence(
+        program_to_sentence(program), empty, registry, intensional
+    )
 
     def model_test(s):
         interp = empty.with_atoms(s)
@@ -251,15 +256,14 @@ def flp_stable_models(
     t0 = time.perf_counter()
     base = _checked_base(program, cap)
     empty = Interpretation(program.universe)
+    rules = _compile_program(program, empty, registry)
 
     def model_test(s):
         interp = empty.with_atoms(s)
-        if not satisfies_program(interp, program, registry):
+        fired = []
+        if not satisfies_program(interp, rules, registry, fired=fired):
             return None
-        fired = flp_reduct(program, interp, registry)
-        return lambda j: eval_flp_transform(
-            program, interp, j, registry, fired=fired
-        )
+        return lambda j: eval_flp_transform(rules, interp, j, registry, fired=fired)
 
     return _search("flp", "operator", t0, base, program.intensional, model_test)
 

@@ -1,0 +1,648 @@
+"""The compiled readings against the walkers they replaced.
+
+The package compiles a sentence (or a program's rule instances) once per
+solve and reads every candidate I and every smaller valuation J off the
+compiled nodes.  The oracle below is the evaluator it replaced, kept as
+it was: ``oracle_eval`` walks the formula for the plain reading and
+``oracle_eval_both`` for the one-pass (plain, star) pair, resolving
+quantifiers, checking shapes and reading variables at every visit.  On
+every (I, J) pair the compiled form must give the oracle's plain value,
+F*(J) value and FLP checks, or raise the oracle's exception type with its
+text, which shows that a compiled node fails only where, and when, a
+visit of the formula fails.
+"""
+
+import itertools
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import randprog
+from gqsm import (
+    Apply,
+    Atom,
+    Constant,
+    Equality,
+    Mono,
+    Program,
+    QuantifierDef,
+    Registry,
+    Rule,
+    Variable,
+    atom,
+    conj,
+    disj,
+    impl,
+    neg,
+)
+from gqsm.ground import (
+    GroundAtom,
+    GroundingError,
+    Interpretation,
+    _compile_program,
+    _compile_sentence,
+    _eval,
+    eval_flp_transform,
+    eval_star,
+    herbrand_base,
+    satisfies_program,
+)
+from gqsm.parser import parse_program
+from gqsm.quantifiers import UnknownQuantifierError
+from gqsm.solver import (
+    compare_semantics,
+    flp_stable_models,
+    program_to_sentence,
+    stable_models_operator,
+)
+from gqsm.syntax import Bot, GqError, Top, exists, flatten_spine, forall
+
+from test_flp_oracle import (
+    BOOM,
+    ESCAPING,
+    MISSHAPEN_AND,
+    _raising_program,
+    _raising_registry,
+)
+
+PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.gq"))
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the dict-env walkers as they were before compilation
+
+_MISSING = object()
+
+
+def _term_value(t, interp, env):
+    if isinstance(t, Variable):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise GroundingError(f"unbound free variable {t.name}") from None
+    return interp.value(t.value)
+
+
+def _check_shape(f, qdef):
+    if len(f.var_lists) != len(qdef.arities):
+        raise GroundingError(
+            f"quantifier {f.quantifier!r} takes {len(qdef.arities)} arguments, "
+            f"got {len(f.var_lists)}"
+        )
+    for xs, n in zip(f.var_lists, qdef.arities):
+        if len(xs) != n:
+            raise GroundingError(
+                f"quantifier {f.quantifier!r} binds {n} variable(s) per "
+                f"argument in this position, got {len(xs)}"
+            )
+
+
+def _one_binder(f):
+    return len(f.var_lists) == 1 and len(f.var_lists[0]) == 1
+
+
+def _restore(env, x, old):
+    if old is _MISSING:
+        del env[x]
+    else:
+        env[x] = old
+
+
+def _restore_all(env, xs, saved):
+    for x, old in zip(xs, saved):
+        _restore(env, x, old)
+
+
+def oracle_eval(f, interp, registry, env):
+    t = type(f)
+    if t is Atom:
+        vals = tuple(_term_value(a, interp, env) for a in f.args)
+        return (f.pred, vals) in interp.atoms
+    if t is Equality:
+        return _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
+    if t is Top:
+        return True
+    if t is Bot:
+        return False
+    if t is not Apply:
+        raise GqError(f"not a formula: {f!r}")
+    name = f.quantifier
+    args = f.args
+    if f.var_lists == ((), ()):
+        if name == "and":
+            for part in flatten_spine(f, "and"):
+                if not oracle_eval(part, interp, registry, env):
+                    return False
+            return True
+        if name == "or":
+            return oracle_eval(args[0], interp, registry, env) or oracle_eval(
+                args[1], interp, registry, env
+            )
+        if name == "impl":
+            return not oracle_eval(args[0], interp, registry, env) or oracle_eval(
+                args[1], interp, registry, env
+            )
+    elif (name == "forall" or name == "exists") and _one_binder(f):
+        want = name == "exists"
+        x = f.var_lists[0][0]
+        old = env.get(x, _MISSING)
+        result = not want
+        try:
+            for v in interp.universe_sorted:
+                env[x] = v
+                if oracle_eval(args[0], interp, registry, env) == want:
+                    result = want
+                    break
+        finally:
+            _restore(env, x, old)
+        return result
+    qdef = registry.resolve(name)
+    _check_shape(f, qdef)
+    rels = []
+    for xs, arg in zip(f.var_lists, args):
+        rows = set()
+        saved = [env.get(x, _MISSING) for x in xs]
+        try:
+            for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
+                for x, v in zip(xs, combo):
+                    env[x] = v
+                if oracle_eval(arg, interp, registry, env):
+                    rows.add(combo)
+        finally:
+            _restore_all(env, xs, saved)
+        rels.append(frozenset(rows))
+    return bool(qdef.truth(interp.universe, tuple(rels)))
+
+
+_FALSE_BOTH = (False, False)
+_TRUE_BOTH = (True, True)
+
+
+def _force(star):
+    return star if star is True or star is False else star()
+
+
+def _all_stars(stars):
+    for i, s in enumerate(stars):
+        if s is False:
+            return False
+        if s is not True:
+            rest = stars[i:]
+            return lambda: all(_force(r) for r in rest)
+    return True
+
+
+def _any_stars(stars):
+    for i, s in enumerate(stars):
+        if s is True:
+            return True
+        if s is not False:
+            rest = stars[i:]
+            return lambda: any(_force(r) for r in rest)
+    return False
+
+
+def _star_later(f, interp, j, intensional, registry, env):
+    env = dict(env)
+    return lambda: _force(
+        oracle_eval_both(f, interp, j, intensional, registry, env)[1]
+    )
+
+
+def oracle_eval_both(f, interp, j, intensional, registry, env):
+    t = type(f)
+    if t is Atom:
+        key = (f.pred, tuple(_term_value(a, interp, env) for a in f.args))
+        plain = key in interp.atoms
+        if f.pred in intensional:
+            return plain, key in j
+        return plain, plain
+    if t is Equality:
+        v = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
+        return v, v
+    if t is Top:
+        return _TRUE_BOTH
+    if t is Bot:
+        return _FALSE_BOTH
+    if t is not Apply:
+        raise GqError(f"not a formula: {f!r}")
+    name = f.quantifier
+    args = f.args
+    if f.var_lists == ((), ()):
+        if name == "and":
+            stars = []
+            for part in flatten_spine(f, "and"):
+                p, s = oracle_eval_both(part, interp, j, intensional, registry, env)
+                if not p:
+                    return _FALSE_BOTH
+                stars.append(s)
+            return True, _all_stars(stars)
+        if name == "or":
+            pa, sa = oracle_eval_both(args[0], interp, j, intensional, registry, env)
+            if pa:
+                if sa is True:
+                    return _TRUE_BOTH
+                later = _star_later(args[1], interp, j, intensional, registry, env)
+                return True, _any_stars([sa, later])
+            pb, sb = oracle_eval_both(args[1], interp, j, intensional, registry, env)
+            if not pb:
+                return _FALSE_BOTH
+            return True, _any_stars([sa, sb])
+        if name == "impl":
+            pa, sa = oracle_eval_both(args[0], interp, j, intensional, registry, env)
+            if not pa:
+                if not sa:
+                    return _TRUE_BOTH
+                return True, _star_later(
+                    args[1], interp, j, intensional, registry, env
+                )
+            pb, sb = oracle_eval_both(args[1], interp, j, intensional, registry, env)
+            if not pb:
+                return _FALSE_BOTH
+            if sa is False:
+                return _TRUE_BOTH
+            if sa is True:
+                return True, sb
+            return True, lambda: not sa() or _force(sb)
+    elif (name == "forall" or name == "exists") and _one_binder(f):
+        every = name == "forall"
+        x = f.var_lists[0][0]
+        old = env.get(x, _MISSING)
+        plain = every
+        stars = []
+        try:
+            for v in interp.universe_sorted:
+                env[x] = v
+                if plain and not every:
+                    stars.append(
+                        _star_later(args[0], interp, j, intensional, registry, env)
+                    )
+                    continue
+                p, s = oracle_eval_both(args[0], interp, j, intensional, registry, env)
+                stars.append(s)
+                if p != every:
+                    plain = p
+                    if every:
+                        break
+        finally:
+            _restore(env, x, old)
+        if not plain:
+            return _FALSE_BOTH
+        return True, (_all_stars(stars) if every else _any_stars(stars))
+    qdef = registry.resolve(name)
+    _check_shape(f, qdef)
+    plain_rels = []
+    star_rows = []
+    deferred = False
+    for xs, arg in zip(f.var_lists, args):
+        rows = set()
+        marked = []
+        saved = [env.get(x, _MISSING) for x in xs]
+        try:
+            for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
+                for x, v in zip(xs, combo):
+                    env[x] = v
+                p, s = oracle_eval_both(arg, interp, j, intensional, registry, env)
+                if p:
+                    rows.add(combo)
+                if s is not False:
+                    marked.append((combo, s))
+                    deferred = deferred or s is not True
+        finally:
+            _restore_all(env, xs, saved)
+        plain_rels.append(frozenset(rows))
+        star_rows.append(marked)
+    universe = interp.universe
+    if not qdef.truth(universe, tuple(plain_rels)):
+        return _FALSE_BOTH
+
+    def star_truth():
+        rels = tuple(
+            frozenset(combo for combo, s in marked if _force(s))
+            for marked in star_rows
+        )
+        return bool(qdef.truth(universe, rels))
+
+    return True, (star_truth if deferred else star_truth())
+
+
+def _oracle_instances(program, interp):
+    for rule in program.rules:
+        fvs = rule.variables
+        for combo in itertools.product(interp.universe_sorted, repeat=len(fvs)):
+            yield rule, dict(zip(fvs, combo))
+
+
+def oracle_satisfies_program(interp, program, registry):
+    for rule, env in _oracle_instances(program, interp):
+        if oracle_eval(rule.body, interp, registry, env) and not oracle_eval(
+            rule.head, interp, registry, env
+        ):
+            return False
+    return True
+
+
+def oracle_flp_reduct(program, interp, registry):
+    return tuple(
+        (rule, env)
+        for rule, env in _oracle_instances(program, interp)
+        if oracle_eval(rule.body, interp, registry, env)
+    )
+
+
+def oracle_flp_transform(program, interp, j, registry):
+    """``B and B(u) -> H(u)`` over the instances, reading each body in I
+    as it goes; ``j`` is a valid smaller valuation."""
+    subst = interp.with_atoms(
+        frozenset(a for a in interp.atoms if a.pred not in program.intensional) | j
+    )
+    for rule, env in _oracle_instances(program, interp):
+        if not oracle_eval(rule.body, interp, registry, env):
+            continue
+        if oracle_eval(rule.body, subst, registry, env) and not oracle_eval(
+            rule.head, subst, registry, env
+        ):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The comparison
+
+
+def outcome(fn):
+    try:
+        return ("value", fn())
+    except Exception as e:  # user truth functions may raise anything
+        return (type(e).__name__, str(e))
+
+
+def subsets(items):
+    items = list(items)
+    for r in range(len(items) + 1):
+        yield from map(frozenset, itertools.combinations(items, r))
+
+
+def check_sentence(f, frame, atoms, js, intensional, registry):
+    """Compile ``f`` once over ``frame`` (an interpretation giving the
+    universe and constants) and compare every I made of ``atoms`` and
+    every J in ``js`` with the oracle.  Returns the outcome kinds seen."""
+    intensional = frozenset(intensional)
+    compiled = _compile_sentence(f, frame, registry, intensional)
+    kinds = set()
+    for i_atoms in subsets(atoms):
+        interp = frame.with_atoms(i_atoms)
+        want = outcome(lambda: oracle_eval(f, interp, registry, {}))
+        assert outcome(lambda: _eval(compiled, interp, registry, {})) == want, (
+            str(f), sorted(map(str, i_atoms)),
+        )
+        assert outcome(lambda: _eval(f, interp, registry, {})) == want
+        kinds.add(want[0])
+        for j in js:
+            want = outcome(
+                lambda: _pair(oracle_eval_both(f, interp, j, intensional, registry, {}))
+            )
+            got = outcome(lambda: _pair(compiled.both(interp.atoms, j)))
+            assert got == want, (str(f), sorted(map(str, i_atoms)), sorted(map(str, j)))
+            # eval_star answers the star half of the pair
+            star = outcome(lambda: eval_star(compiled, interp, j, intensional, registry))
+            assert star == (("value", want[1][1]) if want[0] == "value" else want)
+            kinds.add(want[0])
+    return kinds
+
+
+def _pair(both):
+    plain, star = both
+    return plain, _force(star)
+
+
+def check_program(program, registry, frame=None):
+    """The sentence of ``program`` under every I over its base and every
+    intensional J, then its FLP checks: the model check with its reduct,
+    and the transformation with and without that reduct."""
+    frame = frame or Interpretation(program.universe)
+    base = herbrand_base(program)
+    slice_ = [a for a in base if a.pred in program.intensional]
+    js = list(subsets(slice_))
+    kinds = check_sentence(
+        program_to_sentence(program), frame, base, js, program.intensional, registry
+    )
+    rules = _compile_program(program, frame, registry)
+    for i_atoms in subsets(base):
+        interp = frame.with_atoms(i_atoms)
+        model = outcome(lambda: oracle_satisfies_program(interp, program, registry))
+        fired = []
+        got = outcome(lambda: satisfies_program(interp, rules, registry, fired=fired))
+        assert got == model, sorted(map(str, i_atoms))
+        assert outcome(lambda: satisfies_program(interp, program, registry)) == model
+        is_model = model == ("value", True)
+        if is_model:
+            assert len(fired) == len(oracle_flp_reduct(program, interp, registry))
+        for j in js:
+            want = outcome(lambda: oracle_flp_transform(program, interp, j, registry))
+            got = outcome(lambda: eval_flp_transform(rules, interp, j, registry))
+            assert got == want, (sorted(map(str, i_atoms)), sorted(map(str, j)))
+            if is_model:
+                got = outcome(
+                    lambda: eval_flp_transform(rules, interp, j, registry, fired=fired)
+                )
+                assert got == want, (sorted(map(str, i_atoms)), sorted(map(str, j)))
+            kinds.add(want[0])
+    return kinds
+
+
+# ---------------------------------------------------------------------------
+# Parsed programs
+
+
+def _program_sources():
+    for path in PROGRAMS:
+        yield path.name, path.read_text()
+    rng = random.Random(7117)
+    for i in range(120):
+        gen = randprog.random_wild_program if i % 2 else randprog.random_in_class_program
+        yield f"random #{i}", gen(rng)
+
+
+def test_programs_match_the_oracle():
+    reg = Registry()
+    checked = 0
+    for label, src in _program_sources():
+        prog = parse_program(src, reg)
+        if len(herbrand_base(prog)) > 4 and not label.endswith(".gq"):
+            continue
+        assert check_program(prog, reg), label
+        checked += 1
+    assert checked > 60, checked
+
+
+# ---------------------------------------------------------------------------
+# Nodes that raise when visited
+
+# frob is registered nowhere, so resolving it fails
+FROB = Apply("frob", (("Z",),), (atom("p", "Z"),))
+X, W = Variable("X"), Variable("W")
+
+
+def count_ge(x, arg, bound):
+    """``count{x : arg} >= bound`` in the application form."""
+    return Apply("count_ge", ((x,), ("W",)), (arg, Equality(W, bound)))
+
+
+@pytest.mark.parametrize(
+    "risky, error",
+    [
+        (ESCAPING, "GroundingError"),
+        (MISSHAPEN_AND, "GroundingError"),
+        (BOOM, "ValueError"),
+        (FROB, "UnknownQuantifierError"),
+    ],
+    ids=["escaping-binder", "misshapen-and", "raising-truth", "unknown-quantifier"],
+)
+def test_programs_whose_bodies_raise_match_the_oracle(risky, error):
+    # the risky body is read only where r(X) and p(2) hold in I
+    kinds = check_program(_raising_program(risky), _raising_registry())
+    assert kinds == {"value", error}
+
+
+SENTENCES = [
+    ESCAPING,
+    MISSHAPEN_AND,
+    BOOM,
+    FROB,
+    impl(atom("p", 1), FROB),
+    disj(atom("q", 2), conj(BOOM, atom("q", 1))),
+    # a binder's variable is unbound again after it
+    conj(forall("X", atom("p", "X")), atom("q", "X")),
+    conj(neg(exists("X", atom("p", "X"))), atom("q", "X")),
+    conj(count_ge("X", atom("p", "X"), X), atom("q", "X")),
+    # the escaping V reads the binding around the application
+    forall("V", ESCAPING),
+    # and the outer binding comes back after an inner binder shadows it
+    forall("X", impl(atom("q", "X"), conj(exists("X", atom("p", "X")), atom("p", "X")))),
+    exists(
+        "X",
+        conj(Apply("count_ge", (("X",), ("W",)), (atom("q", "X"), Top())), neg(atom("q", "X"))),
+    ),
+]
+
+
+@pytest.mark.parametrize("sentence", SENTENCES, ids=[str(s) for s in SENTENCES])
+def test_sentences_with_raising_or_shadowed_nodes_match_the_oracle(sentence):
+    reg = _raising_registry()
+    frame = Interpretation(frozenset({1, 2}))
+    atoms = [GroundAtom(p, (v,)) for p in ("p", "q") for v in (1, 2)]
+    js = list(subsets(atoms))
+    assert check_sentence(sentence, frame, atoms, js, {"p", "q"}, reg)
+
+
+def test_shadowed_rule_variables_match_the_oracle():
+    # the rule's X is read again after exists and count_ge rebind X
+    rules = (
+        Rule(atom("r", "X"), conj(atom("q", "X"), exists("X", atom("p", "X")), atom("q", "X"))),
+        Rule(atom("p", "X"), conj(count_ge("X", atom("r", "X"), Constant(1)), neg(atom("q", "X")))),
+    )
+    prog = Program(rules, frozenset({1, 2}))
+    assert check_program(prog, Registry()) == {"value"}
+
+
+def test_a_constant_valuation_is_read_at_compile_time():
+    # a and b have values, c has none: reading q(c) fails, and only the
+    # I that reach it fail
+    a, b, c = Constant("a"), Constant("b"), Constant("c")
+    rules = (
+        Rule(Atom("p", (b,)), Atom("p", (a,))),
+        Rule(Atom("q", (a,)), conj(Atom("p", (b,)), neg(Atom("q", (b,))))),
+        Rule(Atom("q", (b,)), conj(Atom("q", (a,)), Atom("p", (a,)), Atom("q", (c,)))),
+        Rule(atom("p", "X"), conj(atom("q", "X"), Equality(X, a))),
+    )
+    prog = Program(rules, frozenset({1, 2, "a", "b", "c"}))
+    frame = Interpretation(frozenset({1, 2}), constants={"a": 1, "b": 2})
+    base = [GroundAtom(p, (v,)) for p in ("p", "q") for v in (1, 2)]
+    js = list(subsets(base))
+    sentence = program_to_sentence(prog)
+    kinds = check_sentence(sentence, frame, base, js, {"p", "q"}, Registry())
+    assert kinds == {"value", "GroundingError"}
+
+
+def test_a_long_body_matches_the_oracle():
+    src = "#universe {1}.\np :- " + ", ".join(["not q"] * 10_000) + ".\n"
+    prog = parse_program(src, Registry())
+    assert check_program(prog, Registry()) == {"value"}
+
+
+# ---------------------------------------------------------------------------
+# Quantifiers are resolved when a solve compiles, not per candidate
+
+
+class CountingRegistry(Registry):
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def resolve(self, name):
+        self.calls[name] += 1
+        return super().resolve(name)
+
+
+def _guarded_choice(n):
+    # atmost(3) and atmost(4) are one node each, true at n <= 3; the
+    # candidates grow as 4**n
+    universe = ", ".join(str(v) for v in range(1, n + 1))
+    return (
+        f"#universe {{{universe}}}.\n"
+        "p(X) :- not q(X), atmost(3){Y : p(Y)}.\n"
+        "q(X) :- not p(X), atmost(4){Y : q(Y)}.\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "route", [stable_models_operator, flp_stable_models], ids=["operator", "flp"]
+)
+def test_one_solve_resolves_each_quantifier_a_bounded_number_of_times(route):
+    seen = []
+    for n in (1, 2, 3):
+        reg = CountingRegistry()
+        prog = parse_program(_guarded_choice(n), reg)
+        reg.calls.clear()
+        result = route(prog, reg)
+        assert result.stats.candidates == 4**n and len(result.models) == 2**n
+        seen.append(dict(reg.calls))
+    # the same for 4, 16 and 64 candidates: once per name per compile
+    assert seen == [{"atmost(3)": 1, "atmost(4)": 1}] * 3
+
+
+def test_compare_resolves_once_per_route():
+    reg = CountingRegistry()
+    prog = parse_program(_guarded_choice(3), reg)
+    reg.calls.clear()
+    report = compare_semantics(prog, reg)
+    assert len(report.sm.models) == len(report.flp.models) == 8
+    # once per route
+    assert reg.calls == {"atmost(3)": 2, "atmost(4)": 2}
+
+
+def _frob_program():
+    # r :- frob{X : p(X)}. and p(1) :- r.  frob holds of a nonempty set
+    body = Apply("frob", (("X",),), (atom("p", "X"),))
+    rules = (Rule(atom("r"), body), Rule(atom("p", 1), atom("r")))
+    return Program(rules, frozenset({1, 2}))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [stable_models_operator, flp_stable_models, compare_semantics],
+    ids=["operator", "flp", "compare"],
+)
+def test_no_compiled_form_outlives_its_solve(route):
+    reg = Registry()
+    prog = _frob_program()
+    with pytest.raises(UnknownQuantifierError, match="unknown quantifier 'frob'"):
+        route(prog, reg)
+    reg.register(QuantifierDef("frob", (1,), lambda u, rels: bool(rels[0]), (Mono.MONOTONE,)))
+    result = route(prog, reg)
+    # r and p(1) only support each other, so the empty set is the one model
+    models = result.models if route is not compare_semantics else result.sm.models
+    assert models == (frozenset(),)

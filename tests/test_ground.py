@@ -16,8 +16,8 @@ from gqsm.ground import (
     GroundingError,
     Interpretation,
     PairSet,
+    _compile_sentence,
     _eval,
-    _eval_both,
     atom_set_key,
     eval_flp_transform,
     eval_star,
@@ -352,8 +352,8 @@ def test_a_read_that_raises_mid_binder_leaves_the_env_unchanged(registry, read):
     env = {"X": 2, "W": 2, "Z": 1}
     calls = {
         "eval": lambda: _eval(f, i, registry, env),
-        "eval_both": lambda: _eval_both(
-            f, i, frozenset(), frozenset({"p"}), registry, env
+        "eval_both": lambda: _compile_sentence(f, i, registry, {"p"}, env).both(
+            i.atoms, frozenset()
         ),
         "ground": lambda: ground(f, i, registry, env),
     }
