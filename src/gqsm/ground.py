@@ -8,9 +8,9 @@ table per argument position.  On top of that live:
 * ``satisfies``        truth of a ground formula in a set of atoms,
 * ``satisfies_direct`` truth of a sentence in an interpretation,
 * ``eval_star``        truth of the stability transformation F*(u),
-  where u is a second, smaller valuation of the intensional predicates;
-  one pass visits each node once per u and yields both the plain and the
-  starred reading of it,
+  where u is a second, smaller valuation of the intensional predicates,
+  read by its definition: every application is its plain reading and
+  the application over its starred arguments,
 * ``eval_flp_transform``  truth of the rule-wise transformation
   B and B(u) implies H(u) used by the FLP semantics.  B is read in the
   interpretation alone, so for a fixed interpretation the test only
@@ -24,7 +24,9 @@ The last three, and ``satisfies_program``, read a compiled form: a
 sentence compiled by ``_compile_sentence``, or a program's rule
 instances compiled by ``_compile_program``.  Given a formula or a
 ``Program`` they compile it per call; the solver compiles once per solve
-and reads every candidate and every u off the same compiled nodes.
+and reads every candidate and every u off the same compiled nodes.  A
+compiled node keeps its last plain answer, so the plain readings of a
+candidate are computed once however many u are tested against it.
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
@@ -310,8 +312,16 @@ def iter_ground_subformulas(g: GroundFormula):
 #
 # * ``plain(atoms)``   the truth of the node when ``atoms`` are the true
 #   atoms;
-# * ``both(atoms, j)`` the pair (plain reading, star reading), where the
-#   star reading takes the intensional atoms from ``j`` instead.
+# * ``star(atoms, j)`` the truth of its stability transformation F*(j), by
+#   the definition (Ferraris, Lee and Lifschitz, AIJ 2011): an intensional
+#   atom is read from ``j``, any other atom from ``atoms``, and every
+#   application, connectives included, is its plain reading conjoined
+#   with the application over its children's star readings, in that
+#   order.
+#
+# A node with children keeps its last plain answer per atom set (a
+# negation through its child's), so the plain readings of a candidate are
+# computed once, and each j after that reads only star readings.
 #
 # A read that fails at compile time (an unbound variable, a constant with
 # no value, an unknown quantifier, a misshapen application) becomes a node
@@ -361,182 +371,122 @@ def _restore_all(env: dict, xs, saved) -> None:
         _restore(env, x, old)
 
 
-# A star reading is True, False, or a thunk returning one of the two.  A
-# thunk stands for work the two-pass definition does only once the star
-# reading of an enclosing node is asked for: visiting a subformula that
-# the plain reading skipped.  Forcing thunks in the order that definition
-# reads the children visits what it visits, in its order, so a program
-# raises exactly where it does.  Truth functions are total (verify_profile
-# calls them on every relation tuple), so calling one on star relations
-# whose reading nobody asks for is harmless.  Where the plain reading is
-# False, the star reading is a bool.
+def _kept(read):
+    """The plain reading ``read``, keeping its last answer.  Atom sets are
+    immutable, so the answer holds while the same set is asked again; a
+    read that raises keeps nothing."""
+    last = (None, None)
 
-_FALSE_BOTH = (False, False)
-_TRUE_BOTH = (True, True)
-_TRUE_FALSE = (True, False)
-_FALSE_TRUE = (False, True)
+    def plain(atoms):
+        nonlocal last
+        if last[0] is atoms:
+            return last[1]
+        value = read(atoms)
+        last = (atoms, value)
+        return value
 
-
-def _force(star) -> bool:
-    return star if star is True or star is False else star()
+    return plain
 
 
-def _all_stars(stars: list):
-    """The conjunction of star readings, read left to right."""
-    for i, s in enumerate(stars):
-        if s is False:
-            return False
-        if s is not True:
-            rest = stars[i:]
-            return lambda: all(_force(r) for r in rest)
-    return True
-
-
-def _any_stars(stars: list):
-    """The disjunction of star readings, read left to right."""
-    for i, s in enumerate(stars):
-        if s is True:
-            return True
-        if s is not False:
-            rest = stars[i:]
-            return lambda: any(_force(r) for r in rest)
-    return False
-
-
-def _later(both, atoms, j):
-    """A thunk for the star reading of a node the plain pass did not visit."""
-    return lambda: _force(both(atoms, j)[1])
-
-
-_TOP_NODE = (lambda atoms: True, lambda atoms, j: _TRUE_BOTH)
-_BOT_NODE = (lambda atoms: False, lambda atoms, j: _FALSE_BOTH)
+_TOP_NODE = (lambda atoms: True, lambda atoms, j: True)
+_BOT_NODE = (lambda atoms: False, lambda atoms, j: False)
 
 
 def _raising_node(error: Exception) -> tuple:
-    def plain(atoms):
+    def read(*_):
         raise error.with_traceback(None)
 
-    def both(atoms, j):
-        raise error.with_traceback(None)
-
-    return plain, both
+    return read, read
 
 
 def _atom_node(key: tuple, intensional: bool, negated: bool) -> tuple:
-    """The node of an atom, or of its negation ``atom -> bot``."""
+    """The node of an atom, or of its negation ``atom -> bot``, whose star
+    reading is its plain reading and the atom's star reading false."""
     if negated:
 
         def plain(atoms):
             return key not in atoms
 
-        def both(atoms, j):
-            if key in atoms:
-                return _FALSE_BOTH
-            return _TRUE_FALSE if intensional and key in j else _TRUE_BOTH
-
-    elif intensional:
-
-        def plain(atoms):
-            return key in atoms
-
-        def both(atoms, j):
-            if key in atoms:
-                return _TRUE_BOTH if key in j else _TRUE_FALSE
-            return _FALSE_TRUE if key in j else _FALSE_BOTH
+        def star(atoms, j):
+            return key not in atoms and not (intensional and key in j)
 
     else:
 
         def plain(atoms):
             return key in atoms
 
-        def both(atoms, j):
-            return _TRUE_BOTH if key in atoms else _FALSE_BOTH
+        def star(atoms, j):
+            return key in (j if intensional else atoms)
 
-    return plain, both
+    return plain, star
 
 
 def _all_node(kids: list) -> tuple:
     """A conjunction spine, or ``forall`` over its instances, read left
     to right; the plain reading stops at the first false child.  The
-    star reading is the conjunction of the children's, which is why a
-    spine can be flattened, and a ``top`` child dropped."""
+    plain reading of the whole implies each child's, so a spine can be
+    flattened, and a ``top`` child dropped."""
     kids = [k for k in kids if k is not _TOP_NODE]
     if not kids:
         return _TOP_NODE
     plains = tuple(p for p, _ in kids)
-    boths = tuple(b for _, b in kids)
+    stars = tuple(s for _, s in kids)
 
+    @_kept
     def plain(atoms):
         for p in plains:
             if not p(atoms):
                 return False
         return True
 
-    def both(atoms, j):
-        # True, False, or the star readings from the first thunk on
-        star = True
-        for b in boths:
-            p, s = b(atoms, j)
-            if not p:
-                return _FALSE_BOTH
-            if s is not True and star is not False:
-                if star is True:
-                    star = False if s is False else [s]
-                else:
-                    star.append(s)
-        if star is True:
-            return _TRUE_BOTH
-        if star is False:
-            return _TRUE_FALSE
-        return True, _all_stars(star)
+    def star(atoms, j):
+        if not plain(atoms):
+            return False
+        for s in stars:
+            if not s(atoms, j):
+                return False
+        return True
 
-    return plain, both
+    return plain, star
 
 
 def _any_node(kids: list) -> tuple:
     """A disjunction, or ``exists`` over its instances, read left to
-    right; the plain reading stops at the first true child, and the star
-    reading reads the children after it only through thunks.  A nested
+    right; each reading stops at the first true child.  A nested
     disjunction is not flattened: a child's star reading may hold where
     its plain reading does not, and the inner node masks it."""
     plains = tuple(p for p, _ in kids)
-    boths = tuple(b for _, b in kids)
+    stars = tuple(s for _, s in kids)
 
+    @_kept
     def plain(atoms):
         for p in plains:
             if p(atoms):
                 return True
         return False
 
-    def both(atoms, j):
-        star = False  # the star readings so far, all bools
-        for i, b in enumerate(boths):
-            p, s = b(atoms, j)
-            if p:
-                if star or s is True:
-                    return _TRUE_BOTH
-                rest = [_later(c, atoms, j) for c in boths[i + 1 :]]
-                return True, _any_stars([s] + rest)
-            star = star or s
-        return _FALSE_BOTH
+    def star(atoms, j):
+        if not plain(atoms):
+            return False
+        for s in stars:
+            if s(atoms, j):
+                return True
+        return False
 
-    return plain, both
+    return plain, star
 
 
 def _not_node(a: tuple) -> tuple:
-    """``a -> bot``: where ``a`` is false its star reading, a bool, decides."""
-    plain_a, both_a = a
+    """``a -> bot``: ``a`` false, in the plain and in the star reading."""
+    plain_a, star_a = a
 
     def plain(atoms):
         return not plain_a(atoms)
 
-    def both(atoms, j):
-        pa, sa = both_a(atoms, j)
-        if pa:
-            return _FALSE_BOTH
-        return _TRUE_FALSE if sa else _TRUE_BOTH
+    def star(atoms, j):
+        return not plain_a(atoms) and not star_a(atoms, j)
 
-    return plain, both
+    return plain, star
 
 
 def _impl_node(a: tuple, b: tuple) -> tuple:
@@ -544,95 +494,49 @@ def _impl_node(a: tuple, b: tuple) -> tuple:
         return _TOP_NODE
     if b is _BOT_NODE:
         return _BOT_NODE if a is _TOP_NODE else _not_node(a)
-    plain_a, both_a = a
-    plain_b, both_b = b
+    plain_a, star_a = a
+    plain_b, star_b = b
 
+    @_kept
     def plain(atoms):
         return not plain_a(atoms) or plain_b(atoms)
 
-    def both(atoms, j):
-        pa, sa = both_a(atoms, j)
-        if not pa:
-            # sa is a bool here; it holds only when J is not below I
-            if not sa:
-                return _TRUE_BOTH
-            return True, _later(both_b, atoms, j)
-        pb, sb = both_b(atoms, j)
-        if not pb:
-            return _FALSE_BOTH
-        if sa is False:
-            return _TRUE_BOTH
-        if sa is True:
-            return True, sb
-        return True, lambda: not sa() or _force(sb)
+    def star(atoms, j):
+        return plain(atoms) and (not star_a(atoms, j) or star_b(atoms, j))
 
-    return plain, both
+    return plain, star
 
 
 def _apply_node(truth, universe: frozenset, positions: list) -> tuple:
     """A quantifier application; ``positions`` holds, per argument
     position, the element tuples and the node of the argument at each.
-    Every argument instance is read, and the star reading is the plain
-    reading and the quantifier over the children's star readings.
-
-    One node may serve several occurrences (see ``_Compiler``), so each
-    reading keeps its last answer: the atom sets are immutable, and a
-    truth function gives the same answer for the same relations.
+    Every argument instance is read.  One node may serve several
+    occurrences (see ``_Compiler``): a truth function gives the same
+    answer for the same relations, so they share its kept plain answer.
     """
     table = []
     for rows in positions:
         combos, nodes = zip(*rows)
-        table.append((combos, tuple(p for p, _ in nodes), tuple(b for _, b in nodes)))
-    last_plain, last_both = (None, None), (None, None, None)
+        table.append((combos, tuple(p for p, _ in nodes), tuple(s for _, s in nodes)))
 
+    @_kept
     def plain(atoms):
-        nonlocal last_plain
-        if last_plain[0] is atoms:
-            return last_plain[1]
         rels = tuple(
             frozenset(c for c, p in zip(combos, plains) if p(atoms))
             for combos, plains, _ in table
         )
-        value = bool(truth(universe, rels))
-        last_plain = (atoms, value)
-        return value
+        return bool(truth(universe, rels))
 
-    def both(atoms, j):
-        nonlocal last_both
-        if last_both[0] is atoms and last_both[1] is j:
-            return last_both[2]
-        last_both = (atoms, j, _both(atoms, j))
-        return last_both[2]
+    def star(atoms, j):
+        if not plain(atoms):
+            return False
+        rels = tuple(
+            frozenset(c for c, s in zip(combos, stars) if s(atoms, j))
+            for combos, _, stars in table
+        )
+        return bool(truth(universe, rels))
 
-    def _both(atoms, j):
-        plain_rels = []
-        star_rows = []  # per position: (tuple, star) for every star not False
-        deferred = False
-        for combos, _, boths in table:
-            rows = []
-            marked = []
-            for combo, b in zip(combos, boths):
-                p, s = b(atoms, j)
-                if p:
-                    rows.append(combo)
-                if s is not False:
-                    marked.append((combo, s))
-                    deferred = deferred or s is not True
-            plain_rels.append(frozenset(rows))
-            star_rows.append(marked)
-        if not truth(universe, tuple(plain_rels)):
-            return _FALSE_BOTH
-
-        def star_truth():
-            rels = tuple(
-                frozenset(combo for combo, s in marked if _force(s))
-                for marked in star_rows
-            )
-            return bool(truth(universe, rels))
-
-        return True, (star_truth if deferred else star_truth())
-
-    return plain, both
+    return plain, star
 
 
 class _Compiler:
@@ -641,8 +545,9 @@ class _Compiler:
     bindings ``env``.  Each quantifier name is resolved at most once per
     compiler, and the occurrences of a quantifier application under
     bindings that agree on what it reads share one node:
-    ``sum{Y : p(Y)} < 2`` in a rule over X is read once per valuation,
-    not once per instance.  A compiler is not kept past its compile."""
+    ``sum{Y : p(Y)} < 2`` in a rule over X is read in an interpretation
+    once, not once per instance.  A compiler is not kept past its
+    compile."""
 
     def __init__(self, interp: Interpretation, registry: Registry, intensional):
         self.interp = interp
@@ -673,8 +578,8 @@ class _Compiler:
     def conjuncts(self, f: Formula, env: dict, out: list) -> list:
         """Append the nodes of the conjuncts of ``f`` to ``out``: its
         ``and`` spine, with each ``forall`` unrolled into the instances
-        of its argument.  A conjunction's star reading is the conjunction
-        of its conjuncts' (each with its plain reading), so the nesting
+        of its argument.  The plain reading of the whole implies each
+        inner conjunction's, so their plain conjuncts, and the nesting,
         may go."""
         for g in flatten_spine(f, "and"):
             if type(g) is Apply and g.quantifier == "forall" and _one_binder(g):
@@ -773,10 +678,10 @@ class _Sentence:
     """A formula compiled by ``_compile_sentence``: the two readings of
     its root node."""
 
-    __slots__ = ("plain", "both")
+    __slots__ = ("plain", "star")
 
     def __init__(self, root: tuple):
-        self.plain, self.both = root
+        self.plain, self.star = root
 
 
 class _Rules:
@@ -1050,33 +955,35 @@ def eval_star(
 
     ``smaller`` reinterprets the intensional predicates only; every
     other atom, and one conjunct of every quantifier application, is
-    still read from ``interp``.  A quantifier application is true only
-    when it holds both under the recursive star reading and under the
-    plain reading in ``interp``.
+    still read from ``interp``.  A quantifier application, connectives
+    included, is true only when it holds under the plain reading in
+    ``interp`` and then under the recursive star reading, read in that
+    order, so evaluation visits what the definition visits and fails
+    exactly where it does, whether or not u is below ``interp``.
 
-    ``sentence`` is a formula, compiled per call, or a ``_Sentence``
-    compiled for ``interp``'s universe and constants and these
-    intensional predicates.  Both readings come out of one pass that
-    visits each node once per ``smaller``; a child is visited only where
-    the two-pass definition would visit it, so evaluation fails exactly
-    where that one does.
+    ``sentence`` is a formula, compiled per call, whose ``smaller`` is
+    checked here atom by atom; or a ``_Sentence`` compiled for
+    ``interp``'s universe and constants and these intensional
+    predicates.  Only the solver builds a ``_Sentence``, and its u are
+    subsets of a checked candidate, so they are not checked again.  The
+    plain readings of ``interp`` are kept from one u to the next.
     """
-    preds = frozenset(intensional)
     smaller = frozenset(smaller)
-    for a in smaller:
-        if not isinstance(a, GroundAtom):
-            raise GqError(f"not a ground atom: {a!r}")
-        if a.pred not in preds:
-            raise GqError(
-                f"atom {a} is not intensional; the smaller valuation may "
-                "only mention intensional predicates"
-            )
-        for v in a.args:
-            if v not in interp.universe:
-                raise GqError(f"atom {a} mentions {v!r}, not a universe element")
     if type(sentence) is not _Sentence:
+        preds = frozenset(intensional)
+        for a in smaller:
+            if not isinstance(a, GroundAtom):
+                raise GqError(f"not a ground atom: {a!r}")
+            if a.pred not in preds:
+                raise GqError(
+                    f"atom {a} is not intensional; the smaller valuation may "
+                    "only mention intensional predicates"
+                )
+            for v in a.args:
+                if v not in interp.universe:
+                    raise GqError(f"atom {a} mentions {v!r}, not a universe element")
         sentence = _compile_sentence(sentence, interp, registry, preds)
-    return _force(sentence.both(interp.atoms, smaller)[1])
+    return sentence.star(interp.atoms, smaller)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 The package compiles a sentence (or a program's rule instances) once per
 solve and reads every candidate I and every smaller valuation J off the
-compiled nodes.  The oracle below is the evaluator it replaced, kept as
-it was: ``oracle_eval`` walks the formula for the plain reading and
-``oracle_eval_both`` for the one-pass (plain, star) pair, resolving
-quantifiers, checking shapes and reading variables at every visit.  On
-every (I, J) pair the compiled form must give the oracle's plain value,
-F*(J) value and FLP checks, or raise the oracle's exception type with its
-text, which shows that a compiled node fails only where, and when, a
-visit of the formula fails.
+compiled nodes.  The oracle below is the plain walker it replaced, kept
+as it was: ``oracle_eval`` walks the formula, resolving quantifiers,
+checking shapes and reading variables at every visit.  The star reading
+is held to the two-pass definition, ``oracle_star`` of
+``test_star_oracle``.  On every (I, J) pair the compiled form must give
+the oracles' plain value, F*(J) value and FLP checks, or raise the
+oracles' exception type with its text, which shows that a compiled node
+fails only where, and when, a visit of the formula fails.
 """
 
 import itertools
@@ -66,12 +66,13 @@ from test_flp_oracle import (
     _raising_program,
     _raising_registry,
 )
+from test_star_oracle import oracle_star
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.gq"))
 
 
 # ---------------------------------------------------------------------------
-# The oracle: the dict-env walkers as they were before compilation
+# The oracle: the dict-env plain walker as it was before compilation
 
 _MISSING = object()
 
@@ -176,158 +177,6 @@ def oracle_eval(f, interp, registry, env):
     return bool(qdef.truth(interp.universe, tuple(rels)))
 
 
-_FALSE_BOTH = (False, False)
-_TRUE_BOTH = (True, True)
-
-
-def _force(star):
-    return star if star is True or star is False else star()
-
-
-def _all_stars(stars):
-    for i, s in enumerate(stars):
-        if s is False:
-            return False
-        if s is not True:
-            rest = stars[i:]
-            return lambda: all(_force(r) for r in rest)
-    return True
-
-
-def _any_stars(stars):
-    for i, s in enumerate(stars):
-        if s is True:
-            return True
-        if s is not False:
-            rest = stars[i:]
-            return lambda: any(_force(r) for r in rest)
-    return False
-
-
-def _star_later(f, interp, j, intensional, registry, env):
-    env = dict(env)
-    return lambda: _force(
-        oracle_eval_both(f, interp, j, intensional, registry, env)[1]
-    )
-
-
-def oracle_eval_both(f, interp, j, intensional, registry, env):
-    t = type(f)
-    if t is Atom:
-        key = (f.pred, tuple(_term_value(a, interp, env) for a in f.args))
-        plain = key in interp.atoms
-        if f.pred in intensional:
-            return plain, key in j
-        return plain, plain
-    if t is Equality:
-        v = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
-        return v, v
-    if t is Top:
-        return _TRUE_BOTH
-    if t is Bot:
-        return _FALSE_BOTH
-    if t is not Apply:
-        raise GqError(f"not a formula: {f!r}")
-    name = f.quantifier
-    args = f.args
-    if f.var_lists == ((), ()):
-        if name == "and":
-            stars = []
-            for part in flatten_spine(f, "and"):
-                p, s = oracle_eval_both(part, interp, j, intensional, registry, env)
-                if not p:
-                    return _FALSE_BOTH
-                stars.append(s)
-            return True, _all_stars(stars)
-        if name == "or":
-            pa, sa = oracle_eval_both(args[0], interp, j, intensional, registry, env)
-            if pa:
-                if sa is True:
-                    return _TRUE_BOTH
-                later = _star_later(args[1], interp, j, intensional, registry, env)
-                return True, _any_stars([sa, later])
-            pb, sb = oracle_eval_both(args[1], interp, j, intensional, registry, env)
-            if not pb:
-                return _FALSE_BOTH
-            return True, _any_stars([sa, sb])
-        if name == "impl":
-            pa, sa = oracle_eval_both(args[0], interp, j, intensional, registry, env)
-            if not pa:
-                if not sa:
-                    return _TRUE_BOTH
-                return True, _star_later(
-                    args[1], interp, j, intensional, registry, env
-                )
-            pb, sb = oracle_eval_both(args[1], interp, j, intensional, registry, env)
-            if not pb:
-                return _FALSE_BOTH
-            if sa is False:
-                return _TRUE_BOTH
-            if sa is True:
-                return True, sb
-            return True, lambda: not sa() or _force(sb)
-    elif (name == "forall" or name == "exists") and _one_binder(f):
-        every = name == "forall"
-        x = f.var_lists[0][0]
-        old = env.get(x, _MISSING)
-        plain = every
-        stars = []
-        try:
-            for v in interp.universe_sorted:
-                env[x] = v
-                if plain and not every:
-                    stars.append(
-                        _star_later(args[0], interp, j, intensional, registry, env)
-                    )
-                    continue
-                p, s = oracle_eval_both(args[0], interp, j, intensional, registry, env)
-                stars.append(s)
-                if p != every:
-                    plain = p
-                    if every:
-                        break
-        finally:
-            _restore(env, x, old)
-        if not plain:
-            return _FALSE_BOTH
-        return True, (_all_stars(stars) if every else _any_stars(stars))
-    qdef = registry.resolve(name)
-    _check_shape(f, qdef)
-    plain_rels = []
-    star_rows = []
-    deferred = False
-    for xs, arg in zip(f.var_lists, args):
-        rows = set()
-        marked = []
-        saved = [env.get(x, _MISSING) for x in xs]
-        try:
-            for combo in itertools.product(interp.universe_sorted, repeat=len(xs)):
-                for x, v in zip(xs, combo):
-                    env[x] = v
-                p, s = oracle_eval_both(arg, interp, j, intensional, registry, env)
-                if p:
-                    rows.add(combo)
-                if s is not False:
-                    marked.append((combo, s))
-                    deferred = deferred or s is not True
-        finally:
-            _restore_all(env, xs, saved)
-        plain_rels.append(frozenset(rows))
-        star_rows.append(marked)
-    universe = interp.universe
-    if not qdef.truth(universe, tuple(plain_rels)):
-        return _FALSE_BOTH
-
-    def star_truth():
-        rels = tuple(
-            frozenset(combo for combo, s in marked if _force(s))
-            for marked in star_rows
-        )
-        return bool(qdef.truth(universe, rels))
-
-    return True, (star_truth if deferred else star_truth())
-
-
 def _oracle_instances(program, interp):
     for rule in program.rules:
         fvs = rule.variables
@@ -402,20 +251,14 @@ def check_sentence(f, frame, atoms, js, intensional, registry):
         kinds.add(want[0])
         for j in js:
             want = outcome(
-                lambda: _pair(oracle_eval_both(f, interp, j, intensional, registry, {}))
+                lambda: oracle_star(f, interp, j, intensional, registry, {})
             )
-            got = outcome(lambda: _pair(compiled.both(interp.atoms, j)))
+            got = outcome(lambda: compiled.star(interp.atoms, j))
             assert got == want, (str(f), sorted(map(str, i_atoms)), sorted(map(str, j)))
-            # eval_star answers the star half of the pair
             star = outcome(lambda: eval_star(compiled, interp, j, intensional, registry))
-            assert star == (("value", want[1][1]) if want[0] == "value" else want)
+            assert star == want
             kinds.add(want[0])
     return kinds
-
-
-def _pair(both):
-    plain, star = both
-    return plain, _force(star)
 
 
 def check_program(program, registry, frame=None):

@@ -246,6 +246,27 @@ def test_eval_star_reads_extensional_atoms_from_the_interpretation(registry):
     assert eval_star(f, i, frozenset(), {"p"}, registry)
 
 
+@pytest.mark.parametrize(
+    "smaller, message",
+    [
+        ({"p(1)"}, "not a ground atom: 'p(1)'"),
+        (
+            {ga("q", 1)},
+            "atom q(1) is not intensional; the smaller valuation may only "
+            "mention intensional predicates",
+        ),
+        ({ga("p", 9)}, "atom p(9) mentions 9, not a universe element"),
+    ],
+    ids=["non-atom", "extensional", "outside-the-universe"],
+)
+def test_eval_star_checks_the_smaller_valuation_of_a_formula(registry, smaller, message):
+    i = interp({1, 2}, ga("p", 1), ga("q", 1))
+    f = parse_formula("p(1) | q(1)", registry)
+    with pytest.raises(GqError) as raised:
+        eval_star(f, i, smaller, {"p"}, registry)
+    assert str(raised.value) == message
+
+
 def test_eval_star_negation_needs_falsity_in_the_interpretation(registry):
     # not p(1) stays false at every smaller valuation when p(1) holds
     i = interp({1}, ga("p", 1))
@@ -352,7 +373,7 @@ def test_a_read_that_raises_mid_binder_leaves_the_env_unchanged(registry, read):
     env = {"X": 2, "W": 2, "Z": 1}
     calls = {
         "eval": lambda: _eval(f, i, registry, env),
-        "eval_both": lambda: _compile_sentence(f, i, registry, {"p"}, env).both(
+        "eval_both": lambda: _compile_sentence(f, i, registry, {"p"}, env).star(
             i.atoms, frozenset()
         ),
         "ground": lambda: ground(f, i, registry, env),

@@ -5,8 +5,9 @@ The oracle below evaluates F*(J) the way the definition reads: at every
 quantifier application it first evaluates the whole application in I
 (the plain conjunct), then the application over the starred arguments,
 resolving the quantifier and checking its shape at every visit.  The
-package computes both readings in one pass; these tests hold it to the
-oracle's values, and to the oracle's exceptions, which shows that it
+package reads its compiled nodes the same way, keeping each node's plain
+answer per candidate; these tests hold it to the oracle's values, and to
+the oracle's exceptions, on every J, below I or not, which shows that it
 visits the nodes the oracle visits, in the oracle's order.
 """
 
@@ -43,7 +44,9 @@ from gqsm.ground import (
 from gqsm.parser import parse_program
 from gqsm.quantifiers import Registry
 from gqsm.solver import program_to_sentence
-from gqsm.syntax import GqError, atom, forall
+from gqsm.syntax import GqError, atom, flatten_spine, forall
+
+from test_flp_oracle import BOOM, _raising_program, _raising_registry
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "programs").glob("*.gq"))
 
@@ -93,7 +96,10 @@ def _apply(f, qdef, interp, env, value):
     right short circuits."""
     name, args = f.quantifier, f.args
     if name == "and":
-        return value(args[0]) and value(args[1])
+        # the whole left spine at once: the plain reading of a conjunction
+        # implies each conjunct's, so F* is the same, and a body of 10,000
+        # literals stays within the recursion limit
+        return all(value(g) for g in flatten_spine(f, "and"))
     if name == "or":
         return value(args[0]) or value(args[1])
     if name == "impl":
@@ -134,7 +140,7 @@ def _put_back(env, x, old):
 def outcome(fn):
     try:
         return ("value", fn())
-    except GqError as e:
+    except (GqError, ValueError) as e:  # ValueError: a raising truth function
         return (type(e).__name__, str(e))
 
 
@@ -289,6 +295,35 @@ def test_random_closed_sentences_match_the_oracle():
         for j in subsets(randprog.random_interpretation(rng, universe).atoms):
             ok, detail = both_agree(sentence, interp, j, {"p", "q"}, reg)
             assert ok, (str(sentence), detail)
+
+
+# ---------------------------------------------------------------------------
+# A truth function that raises: every I, every J, J below I or not
+
+# the program of test_flp_oracle whose risky body is boom{Z : p(Z)}, and
+# the sentences of test_compiled_oracle that read boom, over their atoms
+BOOM_CASES = [
+    (program_to_sentence(_raising_program(BOOM)), ("p", "q", "r")),
+    (BOOM, ("p", "q")),
+    (disj(atom("q", 2), conj(BOOM, atom("q", 1))), ("p", "q")),
+]
+
+
+@pytest.mark.parametrize("sentence, preds", BOOM_CASES, ids=["program", "boom", "or-boom"])
+def test_a_raising_truth_function_matches_the_oracle_on_every_pair(sentence, preds):
+    # boom raises on a full relation; a star reading that the definition
+    # never reaches must not raise, J below I or not
+    reg = _raising_registry()
+    atoms = [GroundAtom(p, (v,)) for p in preds for v in (1, 2)]
+    intensional = set(preds)
+    kinds = set()
+    for i_atoms in subsets(atoms):
+        interp = Interpretation(frozenset({1, 2}), i_atoms)
+        for j in subsets(atoms):
+            ok, detail = both_agree(sentence, interp, j, intensional, reg)
+            assert ok, (sorted(map(str, i_atoms)), sorted(map(str, j)), detail)
+            kinds.add(detail[3][0])
+    assert kinds == {"value", "ValueError"}
 
 
 # ---------------------------------------------------------------------------
