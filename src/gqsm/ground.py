@@ -20,6 +20,16 @@ table per argument position.  On top of that live:
 ``satisfies`` after ``ground`` and ``satisfies_direct`` always agree;
 the test suite exercises that equivalence heavily.
 
+``satisfies`` and the reduct (``reduct.reduct``) walk ground formulas
+node by node, on every candidate.  They read the built-in connectives
+and binders, ``and``, ``or``, ``impl``, ``forall`` and ``exists``, by
+their shape, which the registry cannot shadow; only a generalized
+quantifier, or a misshapen built-in, is looked up in the registry.
+Grounding runs once per solve and checks every application against the
+registry.  All three walk a left-deep ``and`` spine in a loop.
+Grounding and the reduct build their pair-sets sorted and with unique
+keys, so they skip the checks of the public constructors.
+
 The last three, and ``satisfies_program``, read a compiled form: a
 sentence compiled by ``_compile_sentence``, or a program's rule
 instances compiled by ``_compile_program``.  Given a formula or a
@@ -268,6 +278,16 @@ class PairSet:
         rows.sort(key=lambda kv: _row_key(kv[0]))
         object.__setattr__(self, "entries", tuple(rows))
 
+    @classmethod
+    def _sorted(cls, entries: tuple) -> "PairSet":
+        """A pair-set of ``entries`` that are already sorted by key, with
+        unique tuple keys and ground-formula values, so nothing is checked.
+        Only ``_ground`` and ``reduct`` build one, where that holds by
+        construction."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "entries", entries)
+        return ps
+
     def __len__(self):
         return len(self.entries)
 
@@ -289,7 +309,52 @@ class GApply(GroundFormula):
                 raise GqError(f"not a pair-set: {s!r}")
         object.__setattr__(self, "sets", sets)
 
+    @classmethod
+    def _of(cls, quantifier: str, sets: tuple) -> "GApply":
+        """An application of ``sets``, a tuple of pair-sets, unchecked.
+        Only ``_ground`` and ``reduct`` build one, from pair-sets they
+        built."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "quantifier", quantifier)
+        object.__setattr__(g, "sets", sets)
+        return g
+
     __str__ = GroundFormula.__str__
+
+
+def _binary(name: str, left: tuple, right: tuple) -> GApply:
+    """``name`` applied to two one-entry pair-sets, of the entries
+    ``left`` and ``right``, unchecked."""
+    return GApply._of(name, (PairSet._sorted((left,)), PairSet._sorted((right,))))
+
+
+def _sides(g: GApply):
+    """The two values of ``g``'s pair-sets when it has two of one entry
+    each, the shape in which ``and``, ``or`` and ``impl`` are connectives;
+    None otherwise.  Unlike ``render``'s check, the keys are not read."""
+    sets = g.sets
+    if len(sets) == 2:
+        left, right = sets[0].entries, sets[1].entries
+        if len(left) == 1 and len(right) == 1:
+            return left[0][1], right[0][1]
+    return None
+
+
+def _and_spine(g: GroundFormula):
+    """The left spine of ``and`` connectives from ``g``, by the rule of
+    ``syntax.flatten_spine``: the operand at its bottom, and the spine's
+    nodes from the innermost out, each with its right operand.  A ``g``
+    that is not such a node is its own bottom.  The walk is a loop, so a
+    spine of any length is fine."""
+    nodes = []
+    while type(g) is GApply and g.quantifier == "and":
+        sides = _sides(g)
+        if sides is None:
+            break
+        nodes.append((g, sides[1]))
+        g = sides[0]
+    nodes.reverse()
+    return g, nodes
 
 
 def iter_ground_subformulas(g: GroundFormula):
@@ -352,6 +417,9 @@ def _check_shape(f: Apply, qdef) -> None:
                 f"quantifier {f.quantifier!r} binds {n} variable(s) per "
                 f"argument in this position, got {len(xs)}"
             )
+
+
+_BINDERS = ("forall", "exists")
 
 
 def _one_binder(f: Apply) -> bool:
@@ -835,24 +903,34 @@ def _ground(f, interp, registry, env) -> GroundFormula:
         return G_TOP
     if t is Bot:
         return G_BOT
-    if t is Apply:
-        qdef = registry.resolve(f.quantifier)
-        _check_shape(f, qdef)
-        sets = []
-        for xs, arg in zip(f.var_lists, f.args):
-            n = len(xs)
-            entries = []
-            saved = [env.get(x, _MISSING) for x in xs]
-            try:
-                for combo in itertools.product(interp.universe_sorted, repeat=n):
-                    for x, v in zip(xs, combo):
-                        env[x] = v
-                    entries.append((combo, _ground(arg, interp, registry, env)))
-            finally:
-                _restore_all(env, xs, saved)
-            sets.append(PairSet(tuple(entries)))
-        return GApply(f.quantifier, tuple(sets))
-    raise GqError(f"not a formula: {f!r}")
+    if t is not Apply:
+        raise GqError(f"not a formula: {f!r}")
+    name = f.quantifier
+    _check_shape(f, registry.resolve(name))
+    if name == "and" and f.var_lists == ((), ()):
+        # The inner nodes of a left-deep spine are plain ``and``s too, so
+        # their shape holds; the spine is grounded in a loop.
+        parts = flatten_spine(f, "and")
+        out = _ground(parts[0], interp, registry, env)
+        for part in parts[1:]:
+            out = _binary("and", ((), out), ((), _ground(part, interp, registry, env)))
+        return out
+    # Keys come in the order of the sorted universe, so each pair-set is
+    # sorted and its keys unique as built.
+    sets = []
+    for xs, arg in zip(f.var_lists, f.args):
+        n = len(xs)
+        entries = []
+        saved = [env.get(x, _MISSING) for x in xs]
+        try:
+            for combo in itertools.product(interp.universe_sorted, repeat=n):
+                for x, v in zip(xs, combo):
+                    env[x] = v
+                entries.append((combo, _ground(arg, interp, registry, env)))
+        finally:
+            _restore_all(env, xs, saved)
+        sets.append(PairSet._sorted(tuple(entries)))
+    return GApply._of(name, tuple(sets))
 
 
 def ground_rule(rule: Rule, interp: Interpretation, registry: Registry) -> tuple:
@@ -901,6 +979,17 @@ def satisfies(
 
 
 def _gsat(g, atoms, universe, registry) -> bool:
+    """Truth of the ground formula ``g`` in the atom set ``atoms``.
+
+    The built-ins are read by their shape, and only a generalized
+    quantifier, or a misshapen built-in, goes through the registry.
+    ``and``, ``or`` and ``impl`` with two one-entry pair-sets, whatever
+    their keys, are connectives that stop at the first side that decides
+    them, and a left-deep ``and`` spine is read in a loop.  ``exists``
+    with one pair-set stops at its first true instance; ``forall`` with
+    one reads every instance and counts the true ones, as its truth
+    function does.
+    """
     t = type(g)
     if t is GroundAtomNode:
         return (g.pred, g.args) in atoms
@@ -908,36 +997,47 @@ def _gsat(g, atoms, universe, registry) -> bool:
         return True
     if t is GBot:
         return False
-    if t is GApply:
-        qdef = registry.resolve(g.quantifier)
-        name = g.quantifier
-        sets = g.sets
-        if len(sets) != len(qdef.arities):
-            raise GroundingError(
-                f"ground quantifier {name!r} has {len(sets)} pair-sets, "
-                f"expected {len(qdef.arities)}"
-            )
-        if name in ("and", "or", "impl") and all(len(s) == 1 for s in sets):
-            a = _gsat(sets[0].entries[0][1], atoms, universe, registry)
-            if name == "and":
-                return a and _gsat(sets[1].entries[0][1], atoms, universe, registry)
+    if t is not GApply:
+        raise GqError(f"not a ground formula: {g!r}")
+    name = g.quantifier
+    sets = g.sets
+    if name == "and":
+        bottom, nodes = _and_spine(g)
+        if nodes:
+            if not _gsat(bottom, atoms, universe, registry):
+                return False
+            for _, right in nodes:
+                if not _gsat(right, atoms, universe, registry):
+                    return False
+            return True
+    elif name == "or" or name == "impl":
+        sides = _sides(g)
+        if sides is not None:
+            a = _gsat(sides[0], atoms, universe, registry)
             if name == "or":
-                return a or _gsat(sets[1].entries[0][1], atoms, universe, registry)
-            return not a or _gsat(sets[1].entries[0][1], atoms, universe, registry)
+                return a or _gsat(sides[1], atoms, universe, registry)
+            return not a or _gsat(sides[1], atoms, universe, registry)
+    elif name in _BINDERS and len(sets) == 1:
         if name == "exists":
-            return any(
-                _gsat(child, atoms, universe, registry) for _, child in sets[0].entries
-            )
-        rels = tuple(
-            frozenset(
-                key
-                for key, child in ps.entries
-                if _gsat(child, atoms, universe, registry)
-            )
-            for ps in sets
+            for _, child in sets[0].entries:
+                if _gsat(child, atoms, universe, registry):
+                    return True
+            return False
+        held = [_gsat(child, atoms, universe, registry) for _, child in sets[0].entries]
+        return held.count(True) == len(universe)
+    qdef = registry.resolve(name)
+    if len(sets) != len(qdef.arities):
+        raise GroundingError(
+            f"ground quantifier {name!r} has {len(sets)} pair-sets, "
+            f"expected {len(qdef.arities)}"
         )
-        return bool(qdef.truth(universe, rels))
-    raise GqError(f"not a ground formula: {g!r}")
+    rels = tuple(
+        [
+            frozenset([k for k, c in ps.entries if _gsat(c, atoms, universe, registry)])
+            for ps in sets
+        ]
+    )
+    return bool(qdef.truth(universe, rels))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,22 +1111,27 @@ def eval_flp_transform(
     ``interp`` raises only after the instances before it have been
     tested, as the instance-by-instance definition does.
 
-    ``program`` is a ``Program``, compiled per call, with ``fired`` from
-    ``flp_reduct``; or a ``_Rules``, with ``fired`` filled by
-    ``satisfies_program``.
+    ``program`` is a ``Program``, compiled per call, whose ``smaller`` is
+    checked here atom by atom, with ``fired`` from ``flp_reduct``; or a
+    ``_Rules``, with ``fired`` filled by ``satisfies_program``.  Only the
+    solver builds a ``_Rules``, and its u are subsets of a checked
+    candidate, so they are not checked again.
     """
     preds = program.intensional
     smaller = frozenset(smaller)
-    for a in smaller:
-        if not isinstance(a, GroundAtom):
-            raise GqError(f"not a ground atom: {a!r}")
-        if a.pred not in preds:
-            raise GqError(
-                f"atom {a} is not intensional; the smaller valuation may "
-                "only mention intensional predicates"
-            )
     frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
-    subst = _checked_atoms(frozen | smaller, interp.universe)
+    if type(program) is _Rules:
+        subst = frozen | smaller
+    else:
+        for a in smaller:
+            if not isinstance(a, GroundAtom):
+                raise GqError(f"not a ground atom: {a!r}")
+            if a.pred not in preds:
+                raise GqError(
+                    f"atom {a} is not intensional; the smaller valuation may "
+                    "only mention intensional predicates"
+                )
+        subst = _checked_atoms(frozen | smaller, interp.universe)
     if fired is None:
         if type(program) is not _Rules:
             program = _compile_program(program, interp, registry)

@@ -4,6 +4,12 @@ The reduct of a ground formula relative to a set of atoms replaces
 every maximal subformula not satisfied by those atoms with ``bot``;
 satisfied parts are kept and rebuilt recursively.  ``top`` and ``bot``
 are left alone and never counted as replacements.
+
+Truth here is read on the ground formula, as ``ground._gsat`` reads it:
+the built-in connectives and binders by their shape, and only the
+generalized quantifiers through the registry.  The reduct route does not
+read the stability operator's compiled nodes, so it checks the paper's
+theorem independently of them.
 """
 from __future__ import annotations
 
@@ -22,7 +28,11 @@ from .ground import (
     GroundFormula,
     GTop,
     PairSet,
+    _BINDERS,
+    _and_spine,
+    _binary,
     _gsat,
+    _sides,
     atom_set_key,
 )
 
@@ -63,6 +73,18 @@ def reduct(
     universe: Iterable[Element],
     registry: Registry,
 ) -> ReductResult:
+    """The reduct of ``g`` relative to ``atoms``: each maximal subformula
+    that ``atoms`` do not satisfy becomes ``bot``, and ``replaced`` counts
+    them.
+
+    Every node's truth is read once, and every instance of every node is
+    read, so an error is raised wherever one is met.  The built-ins are
+    read by their shape, as in ``ground._gsat``, and only a generalized
+    quantifier, or a misshapen built-in, goes through the registry.  A
+    left-deep ``and`` spine is read, and rebuilt, in a loop.  The kept
+    nodes are rebuilt from pair-sets that were checked already, so they
+    are not checked again.
+    """
     u = frozenset(universe)
     atoms = frozenset(atoms)
     memo: dict = {}
@@ -80,15 +102,36 @@ def reduct(
         elif t is GroundAtomNode:
             v = (n.pred, n.args) in atoms
         elif t is GApply:
-            qdef = registry.resolve(n.quantifier)
-            rels = tuple(
-                frozenset(k for k, c in ps.entries if sat(c)) for ps in n.sets
-            )
-            v = bool(qdef.truth(u, rels))
+            v = sat_apply(n)
         else:
             raise GqError(f"not a ground formula: {n!r}")
         memo[key] = v
         return v
+
+    def sat_apply(n) -> bool:
+        # Both sides of a connective are read, the left first, whatever
+        # the left says.
+        name = n.quantifier
+        if name == "and":
+            bottom, nodes = _and_spine(n)
+            if nodes:
+                v = sat(bottom)
+                for node, right in nodes:
+                    v = sat(right) and v
+                    memo[id(node)] = v
+                return v
+        elif name == "or" or name == "impl":
+            sides = _sides(n)
+            if sides is not None:
+                a, b = sat(sides[0]), sat(sides[1])
+                return (a or b) if name == "or" else (not a or b)
+        sets = n.sets
+        if name in _BINDERS and len(sets) == 1:
+            held = [sat(c) for _, c in sets[0].entries]
+            return any(held) if name == "exists" else held.count(True) == len(u)
+        qdef = registry.resolve(name)
+        rels = tuple([frozenset([k for k, c in ps.entries if sat(c)]) for ps in sets])
+        return bool(qdef.truth(u, rels))
 
     replaced = 0
 
@@ -102,10 +145,19 @@ def reduct(
             return G_BOT
         if t is GroundAtomNode:
             return n
-        sets = tuple(
-            PairSet(tuple((k, rebuild(c)) for k, c in ps.entries)) for ps in n.sets
-        )
-        return GApply(n.quantifier, sets)
+        # A true and holds on both sides, so its whole spine is kept.
+        bottom, nodes = _and_spine(n)
+        if nodes:
+            out = rebuild(bottom)
+            for node, right in nodes:
+                ((k0, _),), ((k1, _),) = node.sets[0].entries, node.sets[1].entries
+                out = _binary("and", (k0, out), (k1, rebuild(right)))
+            return out
+        sets = [
+            PairSet._sorted(tuple([(k, rebuild(c)) for k, c in ps.entries]))
+            for ps in n.sets
+        ]
+        return GApply._of(n.quantifier, tuple(sets))
 
     return ReductResult(rebuild(g), replaced)
 

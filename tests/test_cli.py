@@ -324,6 +324,23 @@ def test_long_bodies_solve_on_the_operator_route(run, tmp_path, literals):
     assert out.endswith("difference: none\nagreement violated: no\n")
 
 
+@pytest.mark.parametrize("literals", [1_200, 10_000])
+def test_long_bodies_solve_on_the_reduct_route(run, tmp_path, literals):
+    p = tmp_path / "long_body.gq"
+    p.write_text("#universe {1}.\np :- " + ", ".join(["not q"] * literals) + ".\n")
+    code, out, err = run("solve", str(p), "--route", "reduct")
+    assert (code, out, err) == (0, "Answer 1: p\n", "")
+    code, out, err = run("solve", str(p), "--semantics", "both", "--route", "both")
+    assert (code, err) == (0, "")
+    assert out == (
+        "== sm route=reduct\nAnswer 1: p\n"
+        "== sm route=operator\nAnswer 1: p\n"
+        "== flp route=reduct\nskipped: the flp semantics has no reduct route\n"
+        "== flp route=operator\nAnswer 1: p\n"
+        "== agreement\nall computed model sets agree: yes\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["default_closure.gq", "sum_threshold.gq"])
 def test_json_candidates_count_the_head_bounded_base(run, name):
     # default_closure.gq has six ground atoms; the three of p, which

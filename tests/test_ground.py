@@ -301,6 +301,30 @@ def test_eval_flp_transform_only_tests_rules_with_satisfied_bodies(registry):
     assert not eval_flp_transform(prog, i1, {ga("p", -1)}, registry)
 
 
+@pytest.mark.parametrize(
+    "smaller, message",
+    [
+        ({"p(1)"}, "not a ground atom: 'p(1)'"),
+        (
+            {ga("q", 1)},
+            "atom q(1) is not intensional; the smaller valuation may only "
+            "mention intensional predicates",
+        ),
+        ({ga("p", 9)}, "atom p(9) mentions 9, not a universe element"),
+    ],
+    ids=["non-atom", "extensional", "outside-the-universe"],
+)
+def test_eval_flp_transform_checks_the_smaller_valuation_of_a_program(
+    registry, smaller, message
+):
+    prog = parse_program("#universe {1, 2}.\n#intensional p.\np(X) :- q(X).\n", registry)
+    i = interp({1, 2}, ga("p", 1), ga("q", 1))
+    for fired in (None, flp_reduct(prog, i, registry)):
+        with pytest.raises(GqError) as raised:
+            eval_flp_transform(prog, i, smaller, registry, fired=fired)
+        assert str(raised.value) == message
+
+
 def test_eval_flp_transform_validates_inputs(registry):
     prog = parse_program(SUM_THRESHOLD, registry)
     i1 = interp({-1, 1, 2}, ga("p", -1), ga("p", 1))
