@@ -21,14 +21,15 @@ table per argument position.  On top of that live:
 the test suite exercises that equivalence heavily.
 
 ``satisfies`` and the reduct (``reduct.reduct``) walk ground formulas
-node by node, on every candidate.  They read the built-in connectives
-and binders, ``and``, ``or``, ``impl``, ``forall`` and ``exists``, by
-their shape, which the registry cannot shadow; only a generalized
-quantifier, or a misshapen built-in, is looked up in the registry.
-Grounding runs once per solve and checks every application against the
-registry.  All three walk a left-deep ``and`` spine in a loop.
-Grounding and the reduct build their pair-sets sorted and with unique
-keys, so they skip the checks of the public constructors.
+node by node; the solver's reduct route calls them once per projection
+of a candidate onto a rule's atoms (``_read_set``).  They read the
+built-in connectives and binders, ``and``, ``or``, ``impl``, ``forall``
+and ``exists``, by their shape, which the registry cannot shadow; only
+a generalized quantifier, or a misshapen built-in, is looked up in the
+registry.  Grounding runs once per solve and checks every application
+against the registry.  All three walk a left-deep ``and`` spine in a
+loop.  Grounding and the reduct build their pair-sets sorted and with
+unique keys, so they skip the checks of the public constructors.
 
 The last three, and ``satisfies_program``, read a compiled form: a
 sentence compiled by ``_compile_sentence``, or a program's rule
@@ -358,11 +359,30 @@ def _and_spine(g: GroundFormula):
 
 
 def iter_ground_subformulas(g: GroundFormula):
-    yield g
-    if isinstance(g, GApply):
-        for ps in g.sets:
-            for _, child in ps.entries:
-                yield from iter_ground_subformulas(child)
+    """Every node of ``g`` in pre-order: a node, then its children left
+    to right, pair-set by pair-set.  The walk keeps its own stack, so a
+    formula of any depth is fine."""
+    stack = [g]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, GApply):
+            stack += [c for ps in reversed(g.sets) for _, c in reversed(ps.entries)]
+
+
+def _read_set(g: GroundFormula) -> frozenset:
+    """The atoms ``g`` mentions, those inside quantifier arguments
+    included, as ``(pred, args)`` pairs.  ``_gsat`` and ``reduct.reduct``
+    read an atom set only by asking whether one of these is in it, so on
+    ``g`` a set and its intersection with the read set give the same
+    answers."""
+    return frozenset(
+        [
+            (n.pred, n.args)
+            for n in iter_ground_subformulas(g)
+            if isinstance(n, GroundAtomNode)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -755,13 +775,15 @@ class _Sentence:
 class _Rules:
     """A program compiled by ``_compile_program``: its intensional
     predicates, and the plain readings ``(body, head)`` of its rule
-    instances in the order of ``_instances``."""
+    instances in the order of ``_instances``.  ``frozen`` keeps the last
+    atom set ``eval_flp_transform`` read and its non-intensional part."""
 
-    __slots__ = ("intensional", "instances")
+    __slots__ = ("intensional", "instances", "frozen")
 
     def __init__(self, intensional, instances: tuple):
         self.intensional = intensional
         self.instances = instances
+        self.frozen = (None, frozenset())
 
 
 def _compile_sentence(
@@ -1115,14 +1137,20 @@ def eval_flp_transform(
     checked here atom by atom, with ``fired`` from ``flp_reduct``; or a
     ``_Rules``, with ``fired`` filled by ``satisfies_program``.  Only the
     solver builds a ``_Rules``, and its u are subsets of a checked
-    candidate, so they are not checked again.
+    candidate, so they are not checked again, and the non-intensional
+    part of ``interp`` is kept from one u to the next.
     """
     preds = program.intensional
     smaller = frozenset(smaller)
-    frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
     if type(program) is _Rules:
-        subst = frozen | smaller
+        atoms, frozen = program.frozen
+        if atoms is not interp.atoms:
+            atoms = interp.atoms
+            frozen = frozenset([a for a in atoms if a.pred not in preds])
+            program.frozen = (atoms, frozen)
+        subst = frozen | smaller if frozen else smaller
     else:
+        frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
         for a in smaller:
             if not isinstance(a, GroundAtom):
                 raise GqError(f"not a ground atom: {a!r}")

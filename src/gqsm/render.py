@@ -39,6 +39,7 @@ from .ground import (
     GroundFormula,
     GTop,
     PairSet,
+    _and_spine,
 )
 from .reduct import ReductResult
 
@@ -233,6 +234,21 @@ def _plain_sides(g: GroundFormula):
     return None
 
 
+def _plain_and_spine(g: GApply):
+    """The plain ``and`` spine from ``g``, itself one of its nodes: the
+    operand at its bottom and the right operands, left to right.
+    ``ground._and_spine`` walks it in a loop; only its outer run of
+    nodes keyed ``()`` is a spine of ``&``, and the first node out of
+    that run is the bottom."""
+    bottom, nodes = _and_spine(g)
+    i = len(nodes)
+    while i and _plain_sides(nodes[i - 1][0]) is not None:
+        i -= 1
+    if i:
+        bottom = nodes[i - 1][0]
+    return bottom, [right for _, right in nodes[i:]]
+
+
 def _render_ground(g: GroundFormula, min_level: int) -> str:
     text, level = _ground_node(g)
     if level < min_level:
@@ -257,7 +273,10 @@ def _ground_node(g: GroundFormula) -> tuple[str, int]:
                     return f"not {_render_ground(a, 4)}", 4
                 return f"{_render_ground(a, 2)} -> {_render_ground(b, 1)}", 1
             if name == "and":
-                return f"{_render_ground(a, 3)} & {_render_ground(b, 4)}", 3
+                bottom, rights = _plain_and_spine(g)
+                parts = [_render_ground(bottom, 3)]
+                parts += [_render_ground(right, 4) for right in rights]
+                return " & ".join(parts), 3
             return f"{_render_ground(a, 2)} | {_render_ground(b, 3)}", 2
         agg = _ground_aggregate_parts(g)
         if agg is not None:
@@ -288,13 +307,25 @@ def simplify_ground(g: GroundFormula) -> GroundFormula:
     Only ``and``, ``or``, and ``impl`` nodes are touched; quantifier
     applications proper (aggregates included) are kept exactly as they
     are, so the pair-sets a reduct produced stay visible.  A negated
-    formula ``F -> bot`` is kept when F does not fold away.
+    formula ``F -> bot`` is kept when F does not fold away.  A left-deep
+    ``and`` spine is folded in a loop, from its bottom up.
     """
     sides = _plain_sides(g)
     if sides is None:
         return g
-    a, b = map(simplify_ground, sides)
     name = g.quantifier
+    if name == "and":
+        bottom, rights = _plain_and_spine(g)
+        a = simplify_ground(bottom)
+        for right in rights:
+            a = _fold("and", a, simplify_ground(right))
+        return a
+    return _fold(name, *map(simplify_ground, sides))
+
+
+def _fold(name: str, a: GroundFormula, b: GroundFormula) -> GroundFormula:
+    """The connective ``name`` of the simplified sides ``a`` and ``b``,
+    with truth constants folded away."""
     if name == "impl":
         if isinstance(a, GBot):
             return G_TOP

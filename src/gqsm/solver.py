@@ -11,8 +11,9 @@ witness tests:
 
 * ``stable_models_reduct``    grounds once; I is a model of the ground
   rules, and J is a model of their reduct relative to I, so a kept I is
-  a minimal model of its reduct.  Sound only when every predicate is
-  intensional.
+  a minimal model of its reduct.  Each rule is read once per projection
+  of I onto its atoms, and each reduced rule once per projection of J.
+  Sound only when every predicate is intensional.
 * ``stable_models_operator``  I satisfies the program's sentence F, and
   J satisfies F*(J), the stability transformation.  F is compiled once
   per solve.
@@ -52,6 +53,7 @@ from .ground import (
     _compile_sentence,
     _eval,
     _gsat,
+    _read_set,
     atom_set_key,
     atom_strings,
     eval_flp_transform,
@@ -207,17 +209,47 @@ def stable_models_reduct(
     base = _checked_base(program, cap)
     universe = program.universe
     rules = ground_program(program, registry)
+    # A rule reads only the atoms it mentions, so its truth and its
+    # reduct are kept per projection of the candidate onto them, and a
+    # reduced formula's truth per projection of J onto its own atoms.
+    # A projection is read the first time it is met, which is where an
+    # unmemoised scan first reads it, so errors surface there too.
+    reads = [_read_set(g) for g in rules]
+    truths = [{} for _ in rules]
+    reducts = [{} for _ in rules]
 
-    # Each candidate s, and each J as a set, is a new object, which is
-    # how a tracer wrapping _gsat tells one test from the next.
     def model_test(s):
-        if not all(_gsat(g, s, universe, registry) for g in rules):
-            return None
-        reduced = tuple(reduct(g, s, universe, registry).formula for g in rules)
+        keys = []
+        for g, read, memo in zip(rules, reads, truths):
+            k = s & read
+            v = memo.get(k)
+            if v is None:
+                v = memo[k] = _gsat(g, k, universe, registry)
+            if not v:
+                return None
+            keys.append(k)
+        reduced = []
+        for g, k, memo in zip(rules, keys, reducts):
+            entry = memo.get(k)
+            if entry is None:
+                f = reduct(g, k, universe, registry).formula
+                entry = memo[k] = (f, _read_set(f), {})
+            _, read, held = entry
+            # A reduced rule that reads no atom, once known to hold,
+            # holds for every J.
+            if read or held.get(read) is not True:
+                reduced.append(entry)
 
         def witness(j):
             j = frozenset(j)
-            return all(_gsat(g, j, universe, registry) for g in reduced)
+            for f, read, memo in reduced:
+                k = read & j
+                v = memo.get(k)
+                if v is None:
+                    v = memo[k] = _gsat(f, k, universe, registry)
+                if not v:
+                    return False
+            return True
 
         return witness
 

@@ -341,6 +341,19 @@ def test_long_bodies_solve_on_the_reduct_route(run, tmp_path, literals):
     )
 
 
+@pytest.mark.parametrize("literals", [1_200, 10_000])
+def test_long_bodies_print_on_ground_and_reduct(run, tmp_path, literals):
+    p = tmp_path / "long_body.gq"
+    p.write_text("#universe {1}.\np :- " + ", ".join(["not q"] * literals) + ".\n")
+    code, out, err = run("ground", str(p))
+    assert (code, out, err) == (0, " & ".join(["not q"] * literals) + " -> p\n", "")
+    code, out, err = run("reduct", str(p), "--model", "p")
+    assert (code, out, err) == (0, "top -> p\n", "")
+    code, out, err = run("reduct", str(p), "--model", "p", "--no-simplify")
+    assert (code, err) == (0, "")
+    assert out == " & ".join(["(bot -> bot)"] * literals) + " -> p\n"
+
+
 @pytest.mark.parametrize("name", ["default_closure.gq", "sum_threshold.gq"])
 def test_json_candidates_count_the_head_bounded_base(run, name):
     # default_closure.gq has six ground atoms; the three of p, which

@@ -16,6 +16,7 @@ from gqsm.ground import (
     GroundingError,
     Interpretation,
     PairSet,
+    _compile_program,
     _compile_sentence,
     _eval,
     atom_set_key,
@@ -34,6 +35,7 @@ from gqsm.ground import (
     satisfies_program,
 )
 from gqsm.parser import parse_formula, parse_program
+from gqsm.reduct import _subsets_ascending
 from gqsm.syntax import GqError, impl
 
 from conftest import SUM_THRESHOLD
@@ -187,6 +189,40 @@ def test_iter_ground_subformulas(registry, i_empty):
     assert names.count("GroundAtomNode") == 2
 
 
+def _recursive_subformulas(g):
+    yield g
+    if isinstance(g, GApply):
+        for ps in g.sets:
+            for _, child in ps.entries:
+                yield from _recursive_subformulas(child)
+
+
+def test_iter_ground_subformulas_is_a_pre_order_walk(registry, i_empty):
+    g = ground(
+        parse_formula("p(1) & (sum{X : p(X)} > 1 | not q(2)) -> forall X (q(X))", registry),
+        i_empty,
+        registry,
+    )
+    got = list(iter_ground_subformulas(g))
+    assert [id(n) for n in got] == [id(n) for n in _recursive_subformulas(g)]
+    assert len(got) == 18
+    for rule in ground_program(parse_program(SUM_THRESHOLD, registry), registry):
+        want = list(_recursive_subformulas(rule))
+        assert [id(n) for n in iter_ground_subformulas(rule)] == [id(n) for n in want]
+
+
+@pytest.mark.parametrize("literals", [1_200, 10_000])
+def test_iter_ground_subformulas_walks_a_long_body(registry, literals):
+    prog = parse_program(
+        "#universe {1}.\np :- " + ", ".join(["not q"] * literals) + ".\n", registry
+    )
+    (rule,) = ground_program(prog, registry)
+    nodes = list(iter_ground_subformulas(rule))
+    # the arrow, the and spine, each literal's q -> bot, and the head
+    assert len(nodes) == 1 + (literals - 1) + 3 * literals + 1
+    assert [str(n) for n in nodes[-4:]] == ["not q", "q", "bot", "p"]
+
+
 def test_two_satisfaction_routes_agree_on_hand_cases(registry):
     cases = [
         ("p(1) | p(2)", {1, 2}, [ga("p", 2)], True),
@@ -323,6 +359,35 @@ def test_eval_flp_transform_checks_the_smaller_valuation_of_a_program(
         with pytest.raises(GqError) as raised:
             eval_flp_transform(prog, i, smaller, registry, fired=fired)
         assert str(raised.value) == message
+
+
+def test_a_compiled_program_reads_each_interpretation_s_own_frozen_part(registry):
+    # e is extensional, so the frozen part of I is its e atoms; the
+    # compiled program keeps it from one J to the next, and must not
+    # keep it from one I to the next
+    prog = parse_program(
+        "#universe {1, 2}.\n#intensional p, q.\n"
+        "p(X) :- e(X), not q(X).\nq(X) :- e(X), not p(X).\n",
+        registry,
+    )
+    rules = _compile_program(prog, interp({1, 2}), registry)
+    base = sorted(herbrand_base(prog), key=GroundAtom.sort_key)
+    pairs = []
+    for combo in _subsets_ascending(base):
+        i = interp({1, 2}, *combo)
+        fired = []
+        if satisfies_program(i, rules, registry, fired=fired):
+            pool = [a for a in combo if a.pred != "e"]
+            pairs += [(i, fired, j) for j in _subsets_ascending(pool)]
+    # alternate the interpretations from one J to the next
+    pairs = pairs[::2] + pairs[1::2]
+    seen = set()
+    for i, fired, j in pairs:
+        got = eval_flp_transform(rules, i, j, registry, fired=fired)
+        want = eval_flp_transform(prog, i, j, registry)
+        assert got == want, (i.atoms, j)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_eval_flp_transform_validates_inputs(registry):

@@ -5,19 +5,26 @@ import random
 import pytest
 
 from gqsm.ground import (
+    G_BOT,
     G_TOP,
     GApply,
     GBot,
     GroundAtom,
+    GroundAtomNode,
+    GTop,
     Interpretation,
     PairSet,
     ground,
     ground_program,
+    herbrand_base,
 )
 from gqsm.parser import parse_formula, parse_program
 from gqsm.quantifiers import Registry
 from gqsm.reduct import reduct
 from gqsm.render import (
+    _ground_aggregate_parts,
+    _key_str,
+    _plain_sides,
     render,
     render_ground_rule,
     simplify_ground,
@@ -222,3 +229,143 @@ def test_connectives_without_two_plain_sets_use_the_generic_form(g):
     assert render_ground_rule(g) == text
     assert simplify_ground(g) is g
     assert simplify_rule_sides(g) is g
+
+
+# ---------------------------------------------------------------------------
+# Long ``and`` spines: the ground printers against their recursive form
+#
+# ``_render_ground`` and ``simplify_ground`` walk a left-deep spine of
+# plain ``and`` nodes in a loop.  The oracles below are the two as they
+# were, one recursive call per node; text and trees must be the same.
+
+
+def oracle_render_ground(g, min_level):
+    text, level = oracle_ground_node(g)
+    return f"({text})" if level < min_level else text
+
+
+def oracle_set_body(ps):
+    parts = []
+    for key, child in ps.entries:
+        child_str = oracle_render_ground(child, 1)
+        parts.append(f"{_key_str(key)} : {child_str}" if key else child_str)
+    return "; ".join(parts)
+
+
+def oracle_ground_node(g):
+    if isinstance(g, GroundAtomNode):
+        return str(g), 5
+    if isinstance(g, GTop):
+        return "top", 5
+    if isinstance(g, GBot):
+        return "bot", 5
+    name = g.quantifier
+    sides = _plain_sides(g)
+    if sides is not None:
+        a, b = sides
+        if name == "impl":
+            if isinstance(b, GBot) and not isinstance(a, (GTop, GBot)):
+                return f"not {oracle_render_ground(a, 4)}", 4
+            return f"{oracle_render_ground(a, 2)} -> {oracle_render_ground(b, 1)}", 1
+        if name == "and":
+            return f"{oracle_render_ground(a, 3)} & {oracle_render_ground(b, 4)}", 3
+        return f"{oracle_render_ground(a, 2)} | {oracle_render_ground(b, 3)}", 2
+    agg = _ground_aggregate_parts(g)
+    if agg is not None:
+        family, sym, bound = agg
+        return f"{family}{{ {oracle_set_body(g.sets[0])} }} {sym} {bound}", 5
+    return name + "".join(f"{{ {oracle_set_body(s)} }}" for s in g.sets), 5
+
+
+def oracle_simplify(g):
+    sides = _plain_sides(g)
+    if sides is None:
+        return g
+    a, b = map(oracle_simplify, sides)
+    name = g.quantifier
+    if name == "impl":
+        if isinstance(a, GBot) or isinstance(b, GTop):
+            return G_TOP
+        if isinstance(a, GTop):
+            return b
+    elif name == "and":
+        if isinstance(a, GBot) or isinstance(b, GBot):
+            return G_BOT
+        if isinstance(a, GTop):
+            return b
+        if isinstance(b, GTop):
+            return a
+    else:
+        if isinstance(a, GTop) or isinstance(b, GTop):
+            return G_TOP
+        if isinstance(a, GBot):
+            return b
+        if isinstance(b, GBot):
+            return a
+    return GApply(name, (PairSet((((), a),)), PairSet((((), b),))))
+
+
+def check_printers(g):
+    assert render(g) == oracle_render_ground(g, 1)
+    want = oracle_simplify(g)
+    got = simplify_ground(g)
+    assert got == want and render(got) == oracle_render_ground(want, 1)
+
+
+def _and(a, b, keys=((), ())):
+    return GApply("and", (PairSet(((keys[0], a),)), PairSet(((keys[1], b),))))
+
+
+P1, P2, Q1 = (GroundAtomNode(p, (v,)) for p, v in (("p", 1), ("p", 2), ("q", 1)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # top and bot operands fold anywhere along the spine
+        _and(_and(_and(P1, G_TOP), Q1), P2),
+        _and(_and(_and(G_TOP, G_TOP), G_TOP), P1),
+        _and(_and(_and(P1, G_BOT), Q1), P2),
+        # a keyed node cuts the spine of & and prints in the generic form
+        _and(_and(_and(P1, Q1), P2, keys=((1,), (2,))), Q1),
+        _and(_and(_and(P1, Q1, keys=((1,), ())), P2), G_TOP),
+        _and(_and(P1, G_TOP, keys=((), (2,))), P2, keys=((1,), ())),
+        # a spine as the right operand, and under a negation
+        _and(P1, _and(_and(Q1, P2), G_TOP)),
+        GApply("impl", (PairSet((((), _and(_and(P1, Q1), P2)),)), PairSet((((), G_BOT),)))),
+    ],
+)
+def test_and_spines_print_as_they_did(g):
+    check_printers(g)
+
+
+def test_ground_rules_and_their_reducts_print_as_they_did():
+    reg = Registry()
+    rng = random.Random(4711)
+    sources = [SUM_THRESHOLD] + [randprog.random_wild_program(rng) for _ in range(60)]
+    sources.append("#universe {1}.\np :- " + ", ".join(["not q", "q", "top"] * 20) + ".\n")
+    for src in sources:
+        prog = parse_program(src, reg)
+        atoms = sorted(herbrand_base(prog), key=GroundAtom.sort_key)
+        for g in ground_program(prog, reg):
+            check_printers(g)
+            for cut in range(0, len(atoms) + 1, 2):
+                try:
+                    r = reduct(g, atoms[:cut], prog.universe, reg)
+                except Exception:  # a truth function may raise; not ours
+                    continue
+                check_printers(r.formula)
+
+
+@pytest.mark.parametrize("literals", [1_200, 10_000])
+def test_a_long_body_prints_and_simplifies(literals):
+    reg = Registry()
+    prog = parse_program(
+        "#universe {1}.\np :- " + ", ".join(["not q"] * literals) + ".\n", reg
+    )
+    (g,) = ground_program(prog, reg)
+    assert render_ground_rule(g) == " & ".join(["not q"] * literals) + " -> p"
+    r = reduct(g, [GroundAtom("p")], prog.universe, reg).formula
+    assert render_ground_rule(r) == " & ".join(["(bot -> bot)"] * literals) + " -> p"
+    assert render_ground_rule(simplify_rule_sides(r)) == "top -> p"
+    assert render_ground_rule(simplify_rule_sides(g)) == render_ground_rule(g)
