@@ -175,9 +175,17 @@ def _run_solve(args, program: Program, registry: Registry) -> int:
 def _run_ground(args, program: Program, registry: Registry) -> int:
     rules = ground_program(program, registry)
     if args.format == "json":
-        _emit_json(
-            {"results": [{"command": "ground", "rules": [ground_to_json(g) for g in rules]}]}
-        )
+        # A rule's JSON nests as deep as the rule, and ground_to_json and
+        # the indenting encoder recurse once per level.
+        try:
+            _emit_json(
+                {"results": [{"command": "ground", "rules": [ground_to_json(g) for g in rules]}]}
+            )
+        except RecursionError:
+            raise GqError(
+                "the ground rules nest too deeply for JSON output; "
+                "the text format prints them"
+            ) from None
         return 0
     _emit(render_ground_rule(g) for g in rules)
     return 0

@@ -393,7 +393,8 @@ def _read_set(g: GroundFormula) -> frozenset:
 # unrolled over the sorted universe, so every variable and constant is
 # read, every spine flattened, every quantifier resolved and its shape
 # checked at compile time.  What remains is one node per ground
-# occurrence, a pair of closures:
+# occurrence, a pair of closures (the arguments of a quantifier
+# application are read apart, below):
 #
 # * ``plain(atoms)``   the truth of the node when ``atoms`` are the true
 #   atoms;
@@ -407,6 +408,24 @@ def _read_set(g: GroundFormula) -> frozenset:
 # A node with children keeps its last plain answer per atom set (a
 # negation through its child's), so the plain readings of a candidate are
 # computed once, and each j after that reads only star readings.
+#
+# A quantifier application reads each argument position as a relation,
+# the tuples of universe elements at which the argument holds, and the
+# compiler picks the reader of each position from the argument's shape:
+#
+# * an atom, ``p(Y)`` in ``sum{Y : p(Y)}``, is the set of atoms it names,
+#   each with the tuples that name it; a relation is the tuples of the
+#   named atoms in ``atoms`` (in the star reading, in ``j`` when the
+#   predicate is intensional), so no node is built per tuple;
+# * an equality, the bound ``Y0 = 2`` of every aggregate, holds at the
+#   same tuples in every reading, so its relation is fixed at compile
+#   time;
+# * any other argument, or an atom or equality whose terms have no value
+#   at some tuple, is its node per tuple, read in tuple order, so a read
+#   that raises does so where it did.
+#
+# The truth function gets the same relations either way, as many times
+# and in the same order.
 #
 # A read that fails at compile time (an unbound variable, a constant with
 # no value, an unknown quantifier, a misshapen application) becomes a node
@@ -595,34 +614,62 @@ def _impl_node(a: tuple, b: tuple) -> tuple:
     return plain, star
 
 
-def _apply_node(truth, universe: frozenset, positions: list) -> tuple:
-    """A quantifier application; ``positions`` holds, per argument
-    position, the element tuples and the node of the argument at each.
-    Every argument instance is read.  One node may serve several
-    occurrences (see ``_Compiler``): a truth function gives the same
-    answer for the same relations, so they share its kept plain answer.
+def _atom_reader(named: dict, intensional: bool) -> tuple:
+    """The relation of an atom argument; ``named`` maps each atom it
+    names to the list of tuples that name it, several when the argument
+    skips a bound variable, as ``majority{W : p(X)}`` does."""
+    keys = frozenset(named)
+    tuples = named.__getitem__
+    chain = itertools.chain.from_iterable
+
+    def plain(atoms):
+        return frozenset(chain(map(tuples, keys & atoms)))
+
+    def star(atoms, j):
+        return frozenset(chain(map(tuples, keys & (j if intensional else atoms))))
+
+    return plain, star
+
+
+def _fixed_reader(rel: frozenset) -> tuple:
+    """The relation of an argument whose truth no atom set changes."""
+    return (lambda atoms: rel), (lambda atoms, j: rel)
+
+
+def _rows_reader(rows: list) -> tuple:
+    """The relation of any other argument: its node at each tuple, read
+    in the order of the tuples."""
+    combos, nodes = zip(*rows)
+    plains = tuple(p for p, _ in nodes)
+    stars = tuple(s for _, s in nodes)
+
+    def plain(atoms):
+        return frozenset([c for c, p in zip(combos, plains) if p(atoms)])
+
+    def star(atoms, j):
+        return frozenset([c for c, s in zip(combos, stars) if s(atoms, j)])
+
+    return plain, star
+
+
+def _apply_node(truth, universe: frozenset, readers: list) -> tuple:
+    """A quantifier application; ``readers`` holds, per argument
+    position, the plain and star readings of its relation, read in
+    position order.  One node may serve several occurrences (see
+    ``_Compiler``): a truth function gives the same answer for the same
+    relations, so they share its kept plain answer.
     """
-    table = []
-    for rows in positions:
-        combos, nodes = zip(*rows)
-        table.append((combos, tuple(p for p, _ in nodes), tuple(s for _, s in nodes)))
+    plains = tuple(p for p, _ in readers)
+    stars = tuple(s for _, s in readers)
 
     @_kept
     def plain(atoms):
-        rels = tuple(
-            frozenset(c for c, p in zip(combos, plains) if p(atoms))
-            for combos, plains, _ in table
-        )
-        return bool(truth(universe, rels))
+        return bool(truth(universe, tuple([p(atoms) for p in plains])))
 
     def star(atoms, j):
         if not plain(atoms):
             return False
-        rels = tuple(
-            frozenset(c for c, s in zip(combos, stars) if s(atoms, j))
-            for combos, _, stars in table
-        )
-        return bool(truth(universe, rels))
+        return bool(truth(universe, tuple([s(atoms, j) for s in stars])))
 
     return plain, star
 
@@ -725,17 +772,41 @@ class _Compiler:
             self.reads[id(f)] = _read_names(f)
         key = (id(f),) + tuple(env.get(x, _MISSING) for x in self.reads[id(f)])
         if key not in self.shared:
-            positions = []
-            u_sorted = self.interp.universe_sorted
-            for xs, arg in zip(f.var_lists, f.args):
-                rows = []
-                for combo in itertools.product(u_sorted, repeat=len(xs)):
-                    inner = dict(env)
-                    inner.update(zip(xs, combo))
-                    rows.append((combo, self.node(arg, inner)))
-                positions.append(rows)
-            self.shared[key] = _apply_node(qdef.truth, self.interp.universe, positions)
+            readers = [self.argument(xs, arg, env) for xs, arg in zip(f.var_lists, f.args)]
+            self.shared[key] = _apply_node(qdef.truth, self.interp.universe, readers)
         return self.shared[key]
+
+    def argument(self, xs: tuple, arg: Formula, env: dict) -> tuple:
+        """The reader of the argument ``arg`` of an application that binds
+        ``xs`` under ``env``, picked by its shape (see above)."""
+        envs = []
+        for combo in itertools.product(self.interp.universe_sorted, repeat=len(xs)):
+            inner = dict(env)
+            inner.update(zip(xs, combo))
+            envs.append((combo, inner))
+        t = type(arg)
+        interp = self.interp
+        try:
+            if t is Atom:
+                named = {}
+                for combo, inner in envs:
+                    vals = tuple([_term_value(a, interp, inner) for a in arg.args])
+                    named.setdefault((arg.pred, vals), []).append(combo)
+                return _atom_reader(named, arg.pred in self.intensional)
+            if t is Equality:
+                return _fixed_reader(
+                    frozenset(
+                        [
+                            combo
+                            for combo, inner in envs
+                            if _term_value(arg.left, interp, inner)
+                            == _term_value(arg.right, interp, inner)
+                        ]
+                    )
+                )
+        except Exception:
+            pass  # the rows below raise it where a read reaches them
+        return _rows_reader([(combo, self.node(arg, inner)) for combo, inner in envs])
 
 
 def _read_names(f: Formula) -> tuple:

@@ -354,6 +354,18 @@ def test_long_bodies_print_on_ground_and_reduct(run, tmp_path, literals):
     assert out == " & ".join(["(bot -> bot)"] * literals) + " -> p\n"
 
 
+@pytest.mark.parametrize("literals", [250, 1_200, 10_000])
+def test_ground_json_refuses_long_bodies_with_one_error_line(run, tmp_path, literals):
+    p = tmp_path / "long_body.gq"
+    p.write_text("#universe {1}.\np :- " + ", ".join(["not q"] * literals) + ".\n")
+    code, out, err = run("ground", str(p), "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the ground rules nest too deeply for JSON output; "
+        "the text format prints them\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["default_closure.gq", "sum_threshold.gq"])
 def test_json_candidates_count_the_head_bounded_base(run, name):
     # default_closure.gq has six ground atoms; the three of p, which

@@ -300,9 +300,37 @@ def check_program(program, registry, frame=None):
 # Parsed programs
 
 
+# Argument shapes the compiler reads without a node per tuple
+KERNEL_SHAPES = {
+    # an argument that skips its bound variable names one atom for every
+    # tuple
+    "skipped binder": (
+        "#universe {1, 2}.\n"
+        "p(1) :- not p(2).\n"
+        "p(2) :- not p(1), count{W : q(1)} < 1.\n"
+        "q(X) :- majority{W : p(X)}.\n"
+    ),
+    # extensional atoms inside count and majority arguments keep their
+    # value in the star reading
+    "extensional count and majority": (
+        "#universe {1, 2}.\n"
+        "#intensional p.\n"
+        "p(X) :- e(X), not majority{Y : p(Y)}.\n"
+        "p(2) :- count{Y : e(Y)} >= 2, majority{Y : e(Y)}.\n"
+    ),
+    "extensional count under negation": (
+        "#universe {1, 2}.\n"
+        "#intensional q.\n"
+        "q(1) :- not count{Y : e(Y)} < 1, not q(2).\n"
+        "q(2) :- majority{Y : q(Y)}, e(1).\n"
+    ),
+}
+
+
 def _program_sources():
     for path in PROGRAMS:
         yield path.name, path.read_text()
+    yield from KERNEL_SHAPES.items()
     rng = random.Random(7117)
     for i in range(120):
         gen = randprog.random_wild_program if i % 2 else randprog.random_in_class_program
@@ -326,12 +354,22 @@ def test_programs_match_the_oracle():
 
 # frob is registered nowhere, so resolving it fails
 FROB = Apply("frob", (("Z",),), (atom("p", "Z"),))
-X, W = Variable("X"), Variable("W")
+X, Y, W, Z = Variable("X"), Variable("Y"), Variable("W"), Variable("Z")
+# holds of a binary relation with at least two pairs
+PAIRS = QuantifierDef("pairs", (2,), lambda u, rels: len(rels[0]) >= 2, (Mono.MONOTONE,))
 
 
 def count_ge(x, arg, bound):
     """``count{x : arg} >= bound`` in the application form."""
     return Apply("count_ge", ((x,), ("W",)), (arg, Equality(W, bound)))
+
+
+def majority(x, arg):
+    return Apply("majority", ((x,),), (arg,))
+
+
+def pairs(arg):
+    return Apply("pairs", (("X", "Y"),), (arg,))
 
 
 @pytest.mark.parametrize(
@@ -369,12 +407,28 @@ SENTENCES = [
         "X",
         conj(Apply("count_ge", (("X",), ("W",)), (atom("q", "X"), Top())), neg(atom("q", "X"))),
     ),
+    # an argument that skips its bound variable
+    forall("X", impl(atom("q", "X"), majority("W", atom("p", "X")))),
+    neg(majority("W", atom("q", 1))),
+    # two variables bound at once: p(X) names two pairs, q(Y) two, and
+    # X = Y is fixed at compile time
+    pairs(atom("p", "X")),
+    disj(neg(pairs(atom("q", "Y"))), pairs(Equality(X, Y))),
+    # equality arguments that read a constant
+    conj(atom("p", 1), count_ge("X", atom("p", "X"), Constant(2))),
+    neg(majority("W", Equality(Constant(1), W))),
+    # atom and equality arguments whose terms have no value: their rows
+    # raise where a read reaches them
+    disj(atom("q", 1), majority("W", atom("p", "Z"))),
+    disj(atom("q", 2), count_ge("X", atom("p", "X"), Z)),
+    forall("Z", disj(atom("q", "Z"), count_ge("X", atom("q", "X"), Z))),
 ]
 
 
 @pytest.mark.parametrize("sentence", SENTENCES, ids=[str(s) for s in SENTENCES])
 def test_sentences_with_raising_or_shadowed_nodes_match_the_oracle(sentence):
     reg = _raising_registry()
+    reg.register(PAIRS)
     frame = Interpretation(frozenset({1, 2}))
     atoms = [GroundAtom(p, (v,)) for p in ("p", "q") for v in (1, 2)]
     js = list(subsets(atoms))
@@ -400,6 +454,11 @@ def test_a_constant_valuation_is_read_at_compile_time():
         Rule(Atom("q", (a,)), conj(Atom("p", (b,)), neg(Atom("q", (b,))))),
         Rule(Atom("q", (b,)), conj(Atom("q", (a,)), Atom("p", (a,)), Atom("q", (c,)))),
         Rule(atom("p", "X"), conj(atom("q", "X"), Equality(X, a))),
+        # an equality argument reads a's value; c's has none, nor has an
+        # atom argument's q(c)
+        Rule(atom("q", "X"), conj(atom("p", "X"), count_ge("Y", atom("p", "Y"), a))),
+        Rule(Atom("p", (a,)), conj(atom("q", 2), count_ge("Y", atom("q", "Y"), c))),
+        Rule(Atom("q", (b,)), conj(atom("p", 1), majority("Y", Atom("q", (c,))))),
     )
     prog = Program(rules, frozenset({1, 2, "a", "b", "c"}))
     frame = Interpretation(frozenset({1, 2}), constants={"a": 1, "b": 2})

@@ -42,6 +42,7 @@ from gqsm.syntax import Apply, Atom, Bot, Equality, GqError, Top
 
 from test_compiled_oracle import (
     _MISSING,
+    PAIRS,
     SENTENCES,
     _check_shape,
     _program_sources,
@@ -375,6 +376,7 @@ MISSHAPEN = [
 )
 def test_grounding_matches_the_oracle(f):
     reg = _raising_registry()
+    reg.register(PAIRS)
     frame = Interpretation(UNIVERSE)
     for env in ({}, {"X": 1}, {"X": 2, "V": 1}):
         want = outcome(lambda: oracle_ground(f, frame, reg, dict(env)))
