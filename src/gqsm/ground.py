@@ -420,19 +420,19 @@ def _read_set(g: GroundFormula) -> frozenset:
 # * an equality, the bound ``Y0 = 2`` of every aggregate, holds at the
 #   same tuples in every reading, so its relation is fixed at compile
 #   time;
-# * any other argument, or an atom or equality whose terms have no value
-#   at some tuple, is its node per tuple, read in tuple order, so a read
-#   that raises does so where it did.
+# * any other argument is its node per tuple, read in tuple order.
 #
 # The truth function gets the same relations either way, as many times
 # and in the same order.
 #
 # A read that fails at compile time (an unbound variable, a constant with
-# no value, an unknown quantifier, a misshapen application) becomes a node
-# that raises that error when it is visited, so a program fails exactly
-# where, and only when, an evaluation reaches the failing node.  A
-# compiled form is built per solve (or per call of the public readers)
-# and never cached past it, so a registry change is seen by the next one.
+# no value, an unknown quantifier, a misshapen application, a non-formula)
+# raises there, in the order in which grounding meets the same nodes, so
+# every route reports a program's first such failure, with grounding's
+# message, before any candidate is read.  Only a truth function can fail
+# after that.  A compiled form is built per solve (or per call of the
+# public readers) and never cached past it, so a registry change is seen
+# by the next one.
 
 
 def _term_value(t, interp: Interpretation, env: dict) -> Element:
@@ -497,13 +497,6 @@ def _kept(read):
 
 _TOP_NODE = (lambda atoms: True, lambda atoms, j: True)
 _BOT_NODE = (lambda atoms: False, lambda atoms, j: False)
-
-
-def _raising_node(error: Exception) -> tuple:
-    def read(*_):
-        raise error.with_traceback(None)
-
-    return read, read
 
 
 def _atom_node(key: tuple, intensional: bool, negated: bool) -> tuple:
@@ -688,26 +681,17 @@ class _Compiler:
         self.interp = interp
         self.registry = registry
         self.intensional = frozenset(intensional)
-        self.resolved = {}  # name -> (qdef, None) or (None, the error)
+        self.resolved = {}  # name -> its definition
         self.reads = {}  # id of an application -> _read_names of it
         self.shared = {}  # (id, the values of what it reads) -> its node
 
     def resolve(self, name: str):
         if name not in self.resolved:
-            try:
-                self.resolved[name] = (self.registry.resolve(name), None)
-            except Exception as e:
-                self.resolved[name] = (None, e)
-        qdef, error = self.resolved[name]
-        if error is not None:
-            raise error
-        return qdef
+            self.resolved[name] = self.registry.resolve(name)
+        return self.resolved[name]
 
     def atom(self, f: Atom, env: dict, negated: bool = False) -> tuple:
-        try:
-            vals = tuple(_term_value(a, self.interp, env) for a in f.args)
-        except Exception as e:
-            return _raising_node(e)
+        vals = tuple(_term_value(a, self.interp, env) for a in f.args)
         return _atom_node((f.pred, vals), f.pred in self.intensional, negated)
 
     def conjuncts(self, f: Formula, env: dict, out: list) -> list:
@@ -730,18 +714,15 @@ class _Compiler:
         if t is Atom:
             return self.atom(f, env)
         if t is Equality:
-            try:
-                left = _term_value(f.left, self.interp, env)
-                same = left == _term_value(f.right, self.interp, env)
-            except Exception as e:
-                return _raising_node(e)
+            left = _term_value(f.left, self.interp, env)
+            same = left == _term_value(f.right, self.interp, env)
             return _TOP_NODE if same else _BOT_NODE
         if t is Top:
             return _TOP_NODE
         if t is Bot:
             return _BOT_NODE
         if t is not Apply:
-            return _raising_node(GqError(f"not a formula: {f!r}"))
+            raise GqError(f"not a formula: {f!r}")
         # The five built-in connectives are dispatched by name, their shape
         # checked structurally; the registry cannot shadow them.  A
         # misshapen one falls through to _check_shape, which reports it.
@@ -763,11 +744,8 @@ class _Compiler:
             x = f.var_lists[0][0]
             u_sorted = self.interp.universe_sorted
             return _any_node([self.node(f.args[0], {**env, x: v}) for v in u_sorted])
-        try:
-            qdef = self.resolve(name)
-            _check_shape(f, qdef)
-        except Exception as e:
-            return _raising_node(e)
+        qdef = self.resolve(name)
+        _check_shape(f, qdef)
         if id(f) not in self.reads:
             self.reads[id(f)] = _read_names(f)
         key = (id(f),) + tuple(env.get(x, _MISSING) for x in self.reads[id(f)])
@@ -786,26 +764,23 @@ class _Compiler:
             envs.append((combo, inner))
         t = type(arg)
         interp = self.interp
-        try:
-            if t is Atom:
-                named = {}
-                for combo, inner in envs:
-                    vals = tuple([_term_value(a, interp, inner) for a in arg.args])
-                    named.setdefault((arg.pred, vals), []).append(combo)
-                return _atom_reader(named, arg.pred in self.intensional)
-            if t is Equality:
-                return _fixed_reader(
-                    frozenset(
-                        [
-                            combo
-                            for combo, inner in envs
-                            if _term_value(arg.left, interp, inner)
-                            == _term_value(arg.right, interp, inner)
-                        ]
-                    )
+        if t is Atom:
+            named = {}
+            for combo, inner in envs:
+                vals = tuple([_term_value(a, interp, inner) for a in arg.args])
+                named.setdefault((arg.pred, vals), []).append(combo)
+            return _atom_reader(named, arg.pred in self.intensional)
+        if t is Equality:
+            return _fixed_reader(
+                frozenset(
+                    [
+                        combo
+                        for combo, inner in envs
+                        if _term_value(arg.left, interp, inner)
+                        == _term_value(arg.right, interp, inner)
+                    ]
                 )
-        except Exception:
-            pass  # the rows below raise it where a read reaches them
+            )
         return _rows_reader([(combo, self.node(arg, inner)) for combo, inner in envs])
 
 
@@ -952,12 +927,12 @@ def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> 
     tests many smaller valuations against one interpretation computes
     the reduct once and passes it as ``fired``.
     """
-    node = _Compiler(interp, registry, ()).node
+    rules = _compile_program(program, interp, registry)
     atoms = interp.atoms
     return tuple(
-        (rule, env)
-        for rule, env in _instances(program, interp)
-        if node(rule.body, env)[0](atoms)
+        instance
+        for instance, (body, _) in zip(_instances(program, interp), rules.instances)
+        if body(atoms)
     )
 
 
@@ -1151,8 +1126,11 @@ def eval_star(
     still read from ``interp``.  A quantifier application, connectives
     included, is true only when it holds under the plain reading in
     ``interp`` and then under the recursive star reading, read in that
-    order, so evaluation visits what the definition visits and fails
-    exactly where it does, whether or not u is below ``interp``.
+    order, so evaluation visits what the definition visits, and a truth
+    function that raises does so where the definition's reading would,
+    whether or not u is below ``interp``.  A static failure, such as an
+    unbound variable, raises when ``sentence`` is compiled, before any
+    reading.
 
     ``sentence`` is a formula, compiled per call, whose ``smaller`` is
     checked here atom by atom; or a ``_Sentence`` compiled for
@@ -1200,11 +1178,12 @@ def eval_flp_transform(
     on u, only the instances of the FLP reduct can fail; ``fired`` is
     that reduct, computed once per interpretation by the caller, or read
     here as it goes when absent.  Either way each instance is read in
-    ``interp`` at most once, and an instance whose body raises in
-    ``interp`` raises only after the instances before it have been
-    tested, as the instance-by-instance definition does.
+    ``interp`` at most once, and an instance whose body's truth function
+    raises in ``interp`` raises only after the instances before it have
+    been tested, as the instance-by-instance definition does.
 
-    ``program`` is a ``Program``, compiled per call, whose ``smaller`` is
+    ``program`` is a ``Program``, compiled whole per call, so its first
+    static failure raises before any reading, and its ``smaller`` is
     checked here atom by atom, with ``fired`` from ``flp_reduct``; or a
     ``_Rules``, with ``fired`` filled by ``satisfies_program``.  Only the
     solver builds a ``_Rules``, and its u are subsets of a checked
@@ -1231,16 +1210,16 @@ def eval_flp_transform(
                     "only mention intensional predicates"
                 )
         subst = _checked_atoms(frozen | smaller, interp.universe)
+        compiled = _compile_program(program, interp, registry)
+        if fired is not None:
+            node = _Compiler(interp, registry, ()).node
+            fired = (
+                (node(rule.body, env)[0], node(rule.head, env)[0]) for rule, env in fired
+            )
+        program = compiled
     if fired is None:
-        if type(program) is not _Rules:
-            program = _compile_program(program, interp, registry)
         atoms = interp.atoms
         fired = (inst for inst in program.instances if inst[0](atoms))
-    elif type(program) is not _Rules:
-        node = _Compiler(interp, registry, ()).node
-        fired = (
-            (node(rule.body, env)[0], node(rule.head, env)[0]) for rule, env in fired
-        )
     for body, head in fired:
         if body(subst) and not head(subst):
             return False

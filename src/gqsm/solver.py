@@ -213,7 +213,8 @@ def stable_models_reduct(
     # reduct are kept per projection of the candidate onto them, and a
     # reduced formula's truth per projection of J onto its own atoms.
     # A projection is read the first time it is met, which is where an
-    # unmemoised scan first reads it, so errors surface there too.
+    # unmemoised scan first reads it, so a truth function's error
+    # surfaces there too.
     reads = [_read_set(g) for g in rules]
     truths = [{} for _ in rules]
     reducts = [{} for _ in rules]

@@ -283,9 +283,9 @@ def free_variables(f: Formula) -> frozenset[str]:
     Any variable listed in any binder list of an application is treated
     as bound throughout that application, including in argument
     positions other than its own.  A variable that escapes its binder
-    list that way has no value at evaluation time and triggers an
-    unbound-variable error there.  The walk keeps its own stack, so a
-    formula of any depth is fine.
+    list that way has no value there, and grounding or compiling the
+    formula reports it as an unbound free variable.  The walk keeps its
+    own stack, so a formula of any depth is fine.
     """
     out: set[str] = set()
     stack = [(f, frozenset())]

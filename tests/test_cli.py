@@ -431,10 +431,24 @@ def test_the_cap_is_checked_before_grounding_or_the_sentence(run, tmp_path, args
     )
 
 
-def test_without_the_cap_the_reduct_route_fails_at_grounding(run, tmp_path):
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "--route", "reduct"),
+        ("solve", "--route", "operator"),
+        ("solve", "--semantics", "flp"),
+        ("solve", "--semantics", "both", "--route", "both"),
+        ("compare",),
+        ("ground",),
+        ("reduct", "--model", ""),
+    ],
+)
+def test_without_the_cap_the_reduct_route_fails_at_grounding(run, tmp_path, args):
+    # every command compiles or grounds the whole program before it reads
+    # a candidate, so none skips the node that no candidate reaches
     p = tmp_path / "escaping.gq"
     p.write_text(ESCAPING_BINDER)
-    assert run("solve", str(p), "--route", "reduct") == (
+    assert run(args[0], str(p), *args[1:]) == (
         1,
         "",
         "error: unbound free variable V\n",

@@ -8,10 +8,13 @@ checking shapes and reading variables at every visit.  The star reading
 is held to the two-pass definition, ``oracle_star`` of
 ``test_star_oracle``.  On every (I, J) pair the compiled form must give
 the oracles' plain value, F*(J) value and FLP checks, or raise the
-oracles' exception type with its text, which shows that a compiled node
-fails only where, and when, a visit of the formula fails.
+oracles' exception type with its text where a truth function raises.  A
+formula that grounding rejects (an unbound variable, an unknown or
+misshapen quantifier) fails to compile with grounding's first error,
+and the last section holds every entry point to that before any read.
 """
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -46,7 +49,11 @@ from gqsm.ground import (
     _eval,
     eval_flp_transform,
     eval_star,
+    flp_reduct,
+    ground,
+    ground_program,
     herbrand_base,
+    satisfies_direct,
     satisfies_program,
 )
 from gqsm.parser import parse_program
@@ -56,6 +63,7 @@ from gqsm.solver import (
     flp_stable_models,
     program_to_sentence,
     stable_models_operator,
+    stable_models_reduct,
 )
 from gqsm.syntax import Bot, GqError, Top, exists, flatten_spine, forall
 
@@ -237,8 +245,14 @@ def subsets(items):
 def check_sentence(f, frame, atoms, js, intensional, registry):
     """Compile ``f`` once over ``frame`` (an interpretation giving the
     universe and constants) and compare every I made of ``atoms`` and
-    every J in ``js`` with the oracle.  Returns the outcome kinds seen."""
+    every J in ``js`` with the oracle.  Returns the outcome kinds seen.
+    A formula that grounding rejects must fail to compile with the same
+    error, and is read no further."""
     intensional = frozenset(intensional)
+    static = outcome(lambda: ground(f, frame, registry))
+    if static[0] != "value":
+        assert outcome(lambda: _compile_sentence(f, frame, registry, intensional)) == static
+        return {static[0]}
     compiled = _compile_sentence(f, frame, registry, intensional)
     kinds = set()
     for i_atoms in subsets(atoms):
@@ -264,7 +278,8 @@ def check_sentence(f, frame, atoms, js, intensional, registry):
 def check_program(program, registry, frame=None):
     """The sentence of ``program`` under every I over its base and every
     intensional J, then its FLP checks: the model check with its reduct,
-    and the transformation with and without that reduct."""
+    and the transformation with and without that reduct.  A program that
+    grounding rejects must fail to compile with the same error."""
     frame = frame or Interpretation(program.universe)
     base = herbrand_base(program)
     slice_ = [a for a in base if a.pred in program.intensional]
@@ -272,6 +287,10 @@ def check_program(program, registry, frame=None):
     kinds = check_sentence(
         program_to_sentence(program), frame, base, js, program.intensional, registry
     )
+    static = outcome(lambda: ground_program(program, registry, frame))
+    if static[0] != "value":
+        assert outcome(lambda: _compile_program(program, frame, registry)) == static
+        return kinds
     rules = _compile_program(program, frame, registry)
     for i_atoms in subsets(base):
         interp = frame.with_atoms(i_atoms)
@@ -350,7 +369,8 @@ def test_programs_match_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Nodes that raise when visited
+# Nodes that raise: a truth function when read, any other failure when
+# compiled
 
 # frob is registered nowhere, so resolving it fails
 FROB = Apply("frob", (("Z",),), (atom("p", "Z"),))
@@ -373,21 +393,24 @@ def pairs(arg):
 
 
 @pytest.mark.parametrize(
-    "risky, error",
+    "risky, kinds",
     [
-        (ESCAPING, "GroundingError"),
-        (MISSHAPEN_AND, "GroundingError"),
-        (BOOM, "ValueError"),
-        (FROB, "UnknownQuantifierError"),
+        (ESCAPING, {"GroundingError"}),
+        (MISSHAPEN_AND, {"GroundingError"}),
+        (BOOM, {"value", "ValueError"}),
+        (FROB, {"UnknownQuantifierError"}),
     ],
     ids=["escaping-binder", "misshapen-and", "raising-truth", "unknown-quantifier"],
 )
-def test_programs_whose_bodies_raise_match_the_oracle(risky, error):
-    # the risky body is read only where r(X) and p(2) hold in I
-    kinds = check_program(_raising_program(risky), _raising_registry())
-    assert kinds == {"value", error}
+def test_programs_whose_bodies_raise_match_the_oracle(risky, kinds):
+    # the risky body is read only where r(X) and p(2) hold in I, so only
+    # a truth function raises at some (I, J) and not at others; a static
+    # failure raises at compile time
+    assert check_program(_raising_program(risky), _raising_registry()) == kinds
 
 
+# ESCAPING, MISSHAPEN_AND, FROB, the binder variables read after their
+# binder and the arguments whose terms have no value fail to compile
 SENTENCES = [
     ESCAPING,
     MISSHAPEN_AND,
@@ -417,8 +440,7 @@ SENTENCES = [
     # equality arguments that read a constant
     conj(atom("p", 1), count_ge("X", atom("p", "X"), Constant(2))),
     neg(majority("W", Equality(Constant(1), W))),
-    # atom and equality arguments whose terms have no value: their rows
-    # raise where a read reaches them
+    # atom and equality arguments whose terms have no value
     disj(atom("q", 1), majority("W", atom("p", "Z"))),
     disj(atom("q", 2), count_ge("X", atom("p", "X"), Z)),
     forall("Z", disj(atom("q", "Z"), count_ge("X", atom("q", "X"), Z))),
@@ -446,27 +468,22 @@ def test_shadowed_rule_variables_match_the_oracle():
 
 
 def test_a_constant_valuation_is_read_at_compile_time():
-    # a and b have values, c has none: reading q(c) fails, and only the
-    # I that reach it fail
-    a, b, c = Constant("a"), Constant("b"), Constant("c")
+    # a and b name 1 and 2 in atoms, in an equality and in an equality
+    # argument
+    a, b = Constant("a"), Constant("b")
     rules = (
         Rule(Atom("p", (b,)), Atom("p", (a,))),
         Rule(Atom("q", (a,)), conj(Atom("p", (b,)), neg(Atom("q", (b,))))),
-        Rule(Atom("q", (b,)), conj(Atom("q", (a,)), Atom("p", (a,)), Atom("q", (c,)))),
         Rule(atom("p", "X"), conj(atom("q", "X"), Equality(X, a))),
-        # an equality argument reads a's value; c's has none, nor has an
-        # atom argument's q(c)
         Rule(atom("q", "X"), conj(atom("p", "X"), count_ge("Y", atom("p", "Y"), a))),
-        Rule(Atom("p", (a,)), conj(atom("q", 2), count_ge("Y", atom("q", "Y"), c))),
-        Rule(Atom("q", (b,)), conj(atom("p", 1), majority("Y", Atom("q", (c,))))),
     )
-    prog = Program(rules, frozenset({1, 2, "a", "b", "c"}))
+    prog = Program(rules, frozenset({1, 2, "a", "b"}))
     frame = Interpretation(frozenset({1, 2}), constants={"a": 1, "b": 2})
     base = [GroundAtom(p, (v,)) for p in ("p", "q") for v in (1, 2)]
     js = list(subsets(base))
     sentence = program_to_sentence(prog)
     kinds = check_sentence(sentence, frame, base, js, {"p", "q"}, Registry())
-    assert kinds == {"value", "GroundingError"}
+    assert kinds == {"value"}
 
 
 def test_a_long_body_matches_the_oracle():
@@ -480,13 +497,23 @@ def test_a_long_body_matches_the_oracle():
 
 
 class CountingRegistry(Registry):
+    """Counts the lookups of each name, and the calls of every truth
+    function it hands out."""
+
     def __init__(self):
         super().__init__()
         self.calls = Counter()
+        self.truth_calls = 0
 
     def resolve(self, name):
         self.calls[name] += 1
-        return super().resolve(name)
+        qdef = super().resolve(name)
+
+        def truth(universe, rels):
+            self.truth_calls += 1
+            return qdef.truth(universe, rels)
+
+        return dataclasses.replace(qdef, truth=truth)
 
 
 def _guarded_choice(n):
@@ -548,3 +575,93 @@ def test_no_compiled_form_outlives_its_solve(route):
     # r and p(1) only support each other, so the empty set is the one model
     models = result.models if route is not compare_semantics else result.sm.models
     assert models == (frozenset(),)
+
+
+# ---------------------------------------------------------------------------
+# Static failures: every entry point raises grounding's first error before
+# it reads anything
+
+
+class OddAtom(Atom):
+    """Passes the checks of ``Rule``, but grounding and the compiler read
+    only the five formula types themselves."""
+
+
+ODD = OddAtom("p", (1,))
+UNBOUND = ("GroundingError", "unbound free variable V")
+UNKNOWN = ("UnknownQuantifierError", "unknown quantifier 'frob'")
+
+# kind: (the failing conjunct, the head of its rule, the error)
+STATIC = {
+    "unbound-variable": (ESCAPING, atom("p", 1), UNBOUND),
+    "constant-without-value": (
+        Atom("p", (Constant("c"),)),
+        atom("p", 1),
+        ("GroundingError", "constant 'c' has no value"),
+    ),
+    "unknown-quantifier": (FROB, atom("p", 1), UNKNOWN),
+    "misshapen-application": (
+        MISSHAPEN_AND,
+        atom("p", 1),
+        (
+            "GroundingError",
+            "quantifier 'and' binds 0 variable(s) per argument in this position, got 1",
+        ),
+    ),
+    "non-formula": (ODD, atom("p", 1), ("GqError", f"not a formula: {ODD!r}")),
+    # two failures: the first in grounding order wins
+    "unknown-before-unbound": (conj(FROB, ESCAPING), atom("p", 1), UNKNOWN),
+    "body-before-head": (ESCAPING, MISSHAPEN_AND, UNBOUND),
+}
+
+ENTRY_POINTS = {
+    "reduct": lambda prog, reg, frame: stable_models_reduct(prog, reg),
+    "operator": lambda prog, reg, frame: stable_models_operator(prog, reg),
+    "flp": lambda prog, reg, frame: flp_stable_models(prog, reg),
+    "compare": lambda prog, reg, frame: compare_semantics(prog, reg),
+    "satisfies_direct": lambda prog, reg, frame: satisfies_direct(
+        frame, program_to_sentence(prog), reg
+    ),
+    "eval_star": lambda prog, reg, frame: eval_star(
+        program_to_sentence(prog), frame, (), prog.intensional, reg
+    ),
+    "satisfies_program": lambda prog, reg, frame: satisfies_program(frame, prog, reg),
+    "eval_flp_transform": lambda prog, reg, frame: eval_flp_transform(
+        prog, frame, (), reg
+    ),
+    "flp_reduct": lambda prog, reg, frame: flp_reduct(prog, frame, reg),
+}
+
+# A route reads its program under the identity valuation, in which every
+# constant of a Program names a universe element, so only a reader given
+# a valuation meets a constant without a value.
+STATIC_CASES = [
+    (kind, entry)
+    for kind in STATIC
+    for entry in ENTRY_POINTS
+    if kind != "constant-without-value" or entry not in ("reduct", "operator", "flp", "compare")
+]
+
+
+@pytest.mark.parametrize(
+    "kind, entry", STATIC_CASES, ids=[f"{k}-{e}" for k, e in STATIC_CASES]
+)
+def test_a_static_failure_raises_before_any_read(kind, entry):
+    # h heads no rule, so no candidate of the head-bounded base, and not
+    # the empty interpretation, reaches the failing conjunct; the count
+    # rule before it is read by every candidate and every reader
+    risky, head, want = STATIC[kind]
+    universe = frozenset({1, 2, "c"})
+    prog = Program(
+        (
+            Rule(atom("q"), count_ge("X", atom("p", "X"), Constant(1))),
+            Rule(head, conj(atom("h", 1), risky)),
+            Rule(atom("p", 2), atom("q")),
+        ),
+        universe,
+    )
+    frame = Interpretation(universe, constants={1: 1, 2: 2})
+    reg = CountingRegistry()
+    assert outcome(lambda: ground_program(prog, reg, frame)) == want
+    assert outcome(lambda: ENTRY_POINTS[entry](prog, reg, frame)) == want
+    assert reg.truth_calls == 0

@@ -212,26 +212,3 @@ def test_the_cap_counts_the_bounded_base():
     # the full base would have been refused at the same cap
     for name, result in oracle_solve_all(prog, reg, 3).items():
         assert result[0] == "EnumerationCapError", name
-
-
-# ---------------------------------------------------------------------------
-# An evaluation error that only a skipped candidate raised
-
-
-def test_an_error_only_a_skipped_candidate_raised_is_gone():
-    # V escapes into the second argument, so reading the quantifier
-    # raises; the body reaches it only when h(1) holds, and h heads no
-    # rule, so no candidate of the bounded base holds h(1)
-    reg = Registry()
-    prog = parse_program(
-        "#universe {1, 2}.\n"
-        "q :- h(1), count_ge[V][W](p(V); W = V).\n"
-        "p(1) :- q.\n",
-        reg,
-    )
-    unbound = ("GroundingError", "unbound free variable V")
-    for route in (stable_models_operator, flp_stable_models):
-        assert [set(m) for m in route(prog, reg).models] == [set()]
-        assert oracle_solve_all(prog, reg)[route.__name__] == unbound
-    # grounding reads every argument whatever the candidate
-    assert outcome(lambda: stable_models_reduct(prog, reg)) == unbound
