@@ -901,12 +901,19 @@ def satisfies_program(
     ``program`` is a ``Program``, compiled per call, or a ``_Rules``.
     Each instance's body is read once, and its head only where the body
     holds; the first violated instance ends the pass.  When ``fired`` is
-    a list, the compiled instances whose body holds are appended to it,
-    so after a true answer it is the FLP reduct that
-    ``eval_flp_transform`` takes with the same ``_Rules``.
+    a list, the instances whose body holds are appended to it: compiled
+    ones for a ``_Rules``, and ``(rule, env)`` pairs for a ``Program``, as
+    ``flp_reduct`` returns them.  After a true answer it is the FLP
+    reduct that ``eval_flp_transform`` takes with the same program.
     """
     if type(program) is not _Rules:
-        program = _compile_program(program, interp, registry)
+        compiled = _compile_program(program, interp, registry)
+        held = None if fired is None else []
+        answer = satisfies_program(interp, compiled, registry, fired=held)
+        if held:
+            named = dict(zip(map(id, compiled.instances), _instances(program, interp)))
+            fired.extend(named[id(instance)] for instance in held)
+        return answer
     atoms = interp.atoms
     for instance in program.instances:
         body, head = instance
