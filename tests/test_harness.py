@@ -280,20 +280,39 @@ def check_models(target, label, program, registry):
 
 
 @pytest.mark.parametrize("target", ROUTES)
-@pytest.mark.parametrize("name", SUITES)
+@pytest.mark.parametrize("name", ("examples", "random", "api"))
 def test_routes_and_compare_match_the_reference(name, target):
-    kinds = set()
-    for label, program, registry, cap in suite(name):
-        if name == "raising":
-            kinds |= check_scans(target, program, registry, cap)
-        else:
-            check_models(target, label, program, registry)
-    if name == "raising":
-        # every way to fail is met: each static failure, a truth function,
-        # the cap, and the reduct route's refusal
-        want = {"value", "GroundingError", "UnknownQuantifierError", "ValueError",
-                "EnumerationCapError"} | ({"ReductRouteError"} if target == "reduct" else set())
-        assert kinds == want, kinds
+    for label, program, registry, _ in suite(name):
+        check_models(target, label, program, registry)
+
+
+def case(name, label):
+    """The suite entry named ``label``."""
+    (found,) = [entry for entry in suite(name) if entry[0] == label]
+    return found
+
+
+@pytest.mark.parametrize("target", ROUTES)
+@pytest.mark.parametrize("label", [label for label, _, _, _ in suite("raising")])
+def test_routes_and_compare_scan_the_raising_programs_as_the_reference_does(label, target):
+    _, program, registry, cap = case("raising", label)
+    check_scans(target, program, registry, cap)
+
+
+@pytest.mark.parametrize("target", ROUTES)
+def test_the_raising_programs_meet_every_way_to_fail(target):
+    # each static failure, a truth function, the cap, and the reduct
+    # route's refusal, over each base; the test above holds the route to
+    # each of these outcomes
+    _, definitions = ROUTES[target]
+    kinds = {
+        reference_run(definitions, program, registry, cap, base_fn)[0][0]
+        for _, program, registry, cap in suite("raising")
+        for base_fn in (solver._checked_base, full_base)
+    }
+    want = {"value", "GroundingError", "UnknownQuantifierError", "ValueError",
+            "EnumerationCapError"} | ({"ReductRouteError"} if target == "reduct" else set())
+    assert kinds == want, kinds
 
 
 def test_the_reduct_route_scans_the_choice_family_as_the_reference_does():
@@ -402,13 +421,9 @@ def check_pairs(program, registry, deep=False, public=False):
         if is_model:
             assert len(fired) == len(ref.flp_reduct(insts, interp, registry))
         if public:
-            named = []
-            got = outcome(lambda: satisfies_program(interp, program, registry, fired=named))
-            assert got == model
+            assert outcome(lambda: satisfies_program(interp, program, registry)) == model
             reduct_ = outcome(lambda: flp_reduct(program, interp, registry))
             assert reduct_ == outcome(lambda: ref.flp_reduct(insts, interp, registry))
-            # a Program's instances as (rule, env), as flp_reduct gives them
-            assert not is_model or named == list(reduct_[1])
             for g in grounded:
                 want = outcome(lambda: ref.gsat(g, I, universe, registry))
                 assert outcome(lambda: satisfies(I, g, universe, registry)) == want
@@ -424,8 +439,6 @@ def check_pairs(program, registry, deep=False, public=False):
             kinds.add(flp[0])
             if public:
                 assert outcome(lambda: eval_flp_transform(program, interp, j, registry)) == flp
-                for given in (named, reduct_[1]) if is_model else ():
-                    assert eval_flp_transform(program, interp, j, registry, fired=given) == flp[1]
     return kinds
 
 
@@ -439,6 +452,31 @@ def test_readers_match_the_reference_on_every_pair(name):
     if name == "raising":
         want |= {"GroundingError", "UnknownQuantifierError", "ValueError"}
     assert kinds == want, kinds
+
+
+@pytest.mark.parametrize("label", [label for label, _ in ref.example_sources()])
+def test_fired_on_a_program_is_its_flp_reduct(label):
+    # on every model I, satisfies_program collects the instances as
+    # (rule, env), as flp_reduct gives them, and eval_flp_transform reads
+    # either list as the reduct it would take itself
+    _, program, registry, _ = case("examples", label)
+    frame = Interpretation(program.universe)
+    base = ref.herbrand_base(program)
+    js = list(subsets(a for a in base if a.pred in program.intensional))
+    models = 0
+    for I in subsets(base):
+        interp = frame.with_atoms(I)
+        fired = []
+        if not satisfies_program(interp, program, registry, fired=fired):
+            continue
+        models += 1
+        reduct_ = flp_reduct(program, interp, registry)
+        assert fired == list(reduct_)
+        for j in js:
+            want = eval_flp_transform(program, interp, j, registry)
+            for given in (fired, reduct_):
+                assert eval_flp_transform(program, interp, j, registry, fired=given) == want
+    assert models
 
 
 def test_a_long_body_matches_the_reference():
