@@ -37,7 +37,9 @@ instances compiled by ``_compile_program``.  Given a formula or a
 ``Program`` they compile it per call; the solver compiles once per solve
 and reads every candidate and every u off the same compiled nodes.  A
 compiled node keeps its last plain answer, so the plain readings of a
-candidate are computed once however many u are tested against it.
+candidate are computed once however many u are tested against it.  The
+built-in ``sum`` and ``count`` over an atom argument read per-atom
+measures against a bound fixed once per solve (``_aggregate_node``).
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
@@ -72,7 +74,7 @@ from .syntax import (
     impl,
     iter_subformulas,
 )
-from .quantifiers import Registry, _row_key
+from .quantifiers import AGGREGATES, Registry, _row_key, _single_int
 
 _MISSING = object()
 
@@ -423,7 +425,10 @@ def _read_set(g: GroundFormula) -> frozenset:
 # * any other argument is its node per tuple, read in tuple order.
 #
 # The truth function gets the same relations either way, as many times
-# and in the same order.
+# and in the same order.  The one exception, a built-in ``sum`` or
+# ``count`` of an atom against an equality (the shape the parser builds),
+# calls no truth function: it reads per-atom measures against a bound
+# fixed at compile time (``_aggregate_node``).
 #
 # A read that fails at compile time (an unbound variable, a constant with
 # no value, an unknown quantifier, a misshapen application, a non-formula)
@@ -667,6 +672,30 @@ def _apply_node(truth, universe: frozenset, readers: list) -> tuple:
     return plain, star
 
 
+def _aggregate_node(named: dict, intensional: bool, measure, cmp, bound) -> tuple:
+    """A built-in ``sum`` or ``count`` of the atoms in ``named``, as
+    ``_atom_reader`` takes it, against ``bound``, None when the bound
+    relation is not one integer.  Each tuple names one atom, so the
+    measure of a relation is the sum of its atoms' measures; an atom with
+    none, a sum off the integers, makes the aggregate false."""
+    if bound is None:
+        return _BOT_NODE
+    measures = {key: measure(tuples) for key, tuples in named.items()}
+    undefined = frozenset([key for key, m in measures.items() if m is None])
+    keys = frozenset(measures) - undefined
+    of = measures.__getitem__
+
+    def value(present):
+        return undefined.isdisjoint(present) and cmp(sum(map(of, keys & present)), bound)
+
+    plain = _kept(value)
+
+    def star(atoms, j):
+        return plain(atoms) and value(j if intensional else atoms)
+
+    return plain, star
+
+
 class _Compiler:
     """Compiles formulas for interpretations over ``interp``'s universe
     and constants: ``node(f, env)`` is the node of ``f`` under the
@@ -750,38 +779,59 @@ class _Compiler:
             self.reads[id(f)] = _read_names(f)
         key = (id(f),) + tuple(env.get(x, _MISSING) for x in self.reads[id(f)])
         if key not in self.shared:
-            readers = [self.argument(xs, arg, env) for xs, arg in zip(f.var_lists, f.args)]
-            self.shared[key] = _apply_node(qdef.truth, self.interp.universe, readers)
+            args = f.args
+            if name in AGGREGATES and type(args[0]) is Atom and type(args[1]) is Equality:
+                (xs, ys), (arg, eq) = f.var_lists, args
+                node = _aggregate_node(
+                    self.named(xs, arg, env),
+                    arg.pred in self.intensional,
+                    *AGGREGATES[name],
+                    _single_int(self.holds(ys, eq, env)),
+                )
+            else:
+                readers = [self.argument(xs, arg, env) for xs, arg in zip(f.var_lists, args)]
+                node = _apply_node(qdef.truth, self.interp.universe, readers)
+            self.shared[key] = node
         return self.shared[key]
+
+    def bindings(self, xs: tuple, env: dict):
+        """Each tuple of universe elements for ``xs``, with ``env`` binding
+        ``xs`` to it."""
+        for combo in itertools.product(self.interp.universe_sorted, repeat=len(xs)):
+            yield combo, {**env, **dict(zip(xs, combo))}
+
+    def named(self, xs: tuple, arg: Atom, env: dict) -> dict:
+        """Each atom the atom argument ``arg`` names, with the tuples for
+        ``xs`` that name it."""
+        out = {}
+        for combo, inner in self.bindings(xs, env):
+            vals = tuple([_term_value(a, self.interp, inner) for a in arg.args])
+            out.setdefault((arg.pred, vals), []).append(combo)
+        return out
+
+    def holds(self, xs: tuple, arg: Equality, env: dict) -> frozenset:
+        """The tuples for ``xs`` at which the equality ``arg`` holds."""
+        interp = self.interp
+        return frozenset(
+            [
+                combo
+                for combo, inner in self.bindings(xs, env)
+                if _term_value(arg.left, interp, inner)
+                == _term_value(arg.right, interp, inner)
+            ]
+        )
 
     def argument(self, xs: tuple, arg: Formula, env: dict) -> tuple:
         """The reader of the argument ``arg`` of an application that binds
         ``xs`` under ``env``, picked by its shape (see above)."""
-        envs = []
-        for combo in itertools.product(self.interp.universe_sorted, repeat=len(xs)):
-            inner = dict(env)
-            inner.update(zip(xs, combo))
-            envs.append((combo, inner))
         t = type(arg)
-        interp = self.interp
         if t is Atom:
-            named = {}
-            for combo, inner in envs:
-                vals = tuple([_term_value(a, interp, inner) for a in arg.args])
-                named.setdefault((arg.pred, vals), []).append(combo)
-            return _atom_reader(named, arg.pred in self.intensional)
+            return _atom_reader(self.named(xs, arg, env), arg.pred in self.intensional)
         if t is Equality:
-            return _fixed_reader(
-                frozenset(
-                    [
-                        combo
-                        for combo, inner in envs
-                        if _term_value(arg.left, interp, inner)
-                        == _term_value(arg.right, interp, inner)
-                    ]
-                )
-            )
-        return _rows_reader([(combo, self.node(arg, inner)) for combo, inner in envs])
+            return _fixed_reader(self.holds(xs, arg, env))
+        return _rows_reader(
+            [(combo, self.node(arg, inner)) for combo, inner in self.bindings(xs, env)]
+        )
 
 
 def _read_names(f: Formula) -> tuple:

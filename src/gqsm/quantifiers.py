@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -141,20 +142,25 @@ def _single_int(rel) -> int | None:
     return v
 
 
-_CMP = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "ge": lambda a, b: a >= b,
-    "gt": lambda a, b: a > b,
-}
-
 CMP_SYMBOLS = {"lt": "<", "le": "<=", "eq": "=", "ne": "!=", "ge": ">=", "gt": ">"}
 
+_CMP = {key: getattr(operator, key) for key in CMP_SYMBOLS}
 
-def _make_aggregate(measure, cmp_key: str) -> TruthFunction:
-    cmp = _CMP[cmp_key]
+AGGREGATE_FAMILIES = ("sum", "count")
+
+# The built-in aggregates by name, ``sum_lt`` to ``count_gt``: the measure
+# of the first relation, None off the integers, and its comparison with
+# the bound, the one integer of the second.  ``ground`` reads an
+# aggregate over an atom argument off the same table.
+AGGREGATES = {
+    f"{family}_{key}": (measure, cmp)
+    for family, measure in zip(AGGREGATE_FAMILIES, (_sum_of, _count_of))
+    for key, cmp in _CMP.items()
+}
+
+
+def _make_aggregate(name: str) -> TruthFunction:
+    measure, cmp = AGGREGATES[name]
 
     def truth(universe, rels):
         value = measure(rels[0])
@@ -197,24 +203,14 @@ def _builtin_defs() -> dict[str, QuantifierDef]:
     # the comparison's direction.  The bound position must stay a
     # singleton, hence NEITHER there across the board.
     count_first = {"lt": A, "le": A, "eq": N, "ne": N, "ge": M, "gt": M}
-    for key in _CMP:
-        defs.append(
-            QuantifierDef(f"sum_{key}", (1, 1), _make_aggregate(_sum_of, key), (N, N))
-        )
-        defs.append(
-            QuantifierDef(
-                f"count_{key}",
-                (1, 1),
-                _make_aggregate(_count_of, key),
-                (count_first[key], N),
-            )
-        )
+    for name in AGGREGATES:
+        family, key = name.split("_")
+        first = count_first[key] if family == "count" else N
+        defs.append(QuantifierDef(name, (1, 1), _make_aggregate(name), (first, N)))
     return {d.name: d for d in defs}
 
 
 _BUILTINS = _builtin_defs()
-
-AGGREGATE_FAMILIES = ("sum", "count")
 
 
 def _family_instance(name: str) -> QuantifierDef | None:

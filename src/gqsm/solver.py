@@ -47,7 +47,6 @@ from .syntax import (
 )
 from .quantifiers import Registry
 from .ground import (
-    GroundAtom,
     Interpretation,
     _compile_program,
     _compile_sentence,
@@ -179,9 +178,9 @@ def _search(
         witness = model_test(s)
         if witness is None:
             continue
-        pool = sorted(
-            (a for a in s if a.pred in intensional), key=GroundAtom.sort_key
-        )
+        # the base is in atom order, as herbrand_base gives it, and
+        # combinations keeps that order, so the pool needs no sort
+        pool = [a for a in combo if a.pred in intensional]
         if not any(witness(j) for j in _subsets_ascending(pool, len(pool) - 1)):
             models.append(s)
     models.sort(key=atom_set_key)

@@ -596,6 +596,37 @@ KERNEL_SHAPES = {
         "q(1) :- not count{Y : e(Y)} < 1, not q(2).\n"
         "q(2) :- majority{Y : q(Y)}, e(1).\n"
     ),
+    # a sum is false wherever an element off the integers is in its
+    # relation: p(a) p(2) does not sum to 2
+    "sum over a symbol": (
+        "#universe {a, 1, 2}.\n"
+        "q :- sum{Y : p(Y)} >= 2.\n"
+        "p(X) :- not q.\n"
+        "p(1) :- sum{Y : p(Y)} <= 2, not p(2).\n"
+    ),
+    # a bound relation that is not one integer: no tuple, several, or a
+    # symbol
+    "bounds that are not one integer": (
+        "#universe {a, 1, 2}.\n"
+        "q :- sum_lt[Y][W](p(Y); W != 2).\n"
+        "q :- count_ge[Y][W](p(Y); W = W).\n"
+        "q :- count_le[Y][W](p(Y); 1 = 2).\n"
+        "r :- sum{Y : p(Y)} < a.\n"
+        "p(X) :- not q, not r.\n"
+    ),
+    # p(X) is named by every tuple, so it counts as two
+    "count of an atom named by every tuple": (
+        "#universe {1, 2}.\n"
+        "p(1).\n"
+        "q(X) :- count{W : p(X)} >= 2.\n"
+        "p(2) :- not q(1), count{W : p(2)} != 1.\n"
+    ),
+    # a sum of extensional atoms keeps its value in the star reading
+    "extensional sum over a symbol": (
+        "#universe {a, 1, 2}.\n"
+        "#intensional q.\n"
+        "q(X) :- e(X), sum{Y : e(Y)} > 1, not sum{Y : q(Y)} > 2.\n"
+    ),
 }
 
 

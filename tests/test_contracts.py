@@ -150,6 +150,28 @@ def test_compare_resolves_once_per_route():
     assert reg.calls == {"atmost(3)": 2, "atmost(4)": 2}
 
 
+@pytest.mark.parametrize(
+    "route", [stable_models_operator, flp_stable_models], ids=["operator", "flp"]
+)
+def test_sum_and_count_over_an_atom_call_no_truth_function(route):
+    # they read per-atom measures against a bound fixed when the solve
+    # compiles, so only the resolving is counted
+    reg = CountingRegistry()
+    prog = parse_program(
+        "#universe {-1, 1, 2}.\n"
+        "p(X) :- not sum{Y : p(Y)} < 2, X != -1.\n"
+        "p(-1) :- sum{Y : p(Y)} > -1.\n"
+        "p(1) :- p(-1).\n"
+        "q(X) :- not p(X), count{Y : p(Y)} >= 2.\n",
+        reg,
+    )
+    reg.calls.clear()
+    result = route(prog, reg)
+    assert len(result.models) == (2 if route is stable_models_operator else 1)
+    assert reg.calls == {"sum_lt": 1, "sum_gt": 1, "count_ge": 1}
+    assert reg.truth_calls == 0
+
+
 def _frob_program():
     # r :- frob{X : p(X)}. and p(1) :- r.  frob holds of a nonempty set
     body = Apply("frob", (("X",),), (atom("p", "X"),))

@@ -15,8 +15,8 @@ programs whose bodies raise; the targets are the three routes,
   read: the sentence's plain and star readings, the FLP model check,
   its reduct and transformation, and the reduct route's walkers on every
   ground rule.  Ground and reduced trees equal the reference's.  On the
-  example programs the public readers, which compile per call, are read
-  on every pair too.
+  example programs and the kernel shapes the public readers, which
+  compile per call, are read on every pair too.
 
 To add a route or a reader, give it a target here, and a definition in
 ``reference_semantics.py`` if it reads a new one.  A change to which
@@ -145,7 +145,7 @@ def test_the_suites_hold_what_the_seeded_sets_drew():
             seed = int(label.split()[1])
             counts[seed] = counts.get(seed, 0) + 1
     assert counts == {2718: 400, 4242: 179, 5150: 257, 7117: 105, 9090: 400}
-    assert sum(_in_pair_bound(label, p) for label, p, _, _ in suite("random")) == 287
+    assert sum(_in_pair_bound(label, p) for label, p, _, _ in suite("random")) == 291
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,8 @@ def test_readers_match_the_reference_on_every_pair(name):
     kinds = set()
     for label, program, registry, cap in suite(name):
         if _in_pair_bound(label, program) and cap is None:
-            kinds |= check_pairs(program, registry, public=name == "examples")
+            public = name == "examples" or label in ref.KERNEL_SHAPES
+            kinds |= check_pairs(program, registry, public=public)
     want = {"value"}
     if name == "raising":
         want |= {"GroundingError", "UnknownQuantifierError", "ValueError"}
