@@ -31,15 +31,15 @@ against the registry.  All three walk a left-deep ``and`` spine in a
 loop.  Grounding and the reduct build their pair-sets sorted and with
 unique keys, so they skip the checks of the public constructors.
 
-The last three, and ``satisfies_program``, read a compiled form: a
-sentence compiled by ``_compile_sentence``, or a program's rule
-instances compiled by ``_compile_program``.  Given a formula or a
-``Program`` they compile it per call; the solver compiles once per solve
-and reads every candidate and every u off the same compiled nodes.  A
-compiled node keeps its last plain answer, so the plain readings of a
-candidate are computed once however many u are tested against it.  The
-built-in ``sum`` and ``count`` over an atom argument read per-atom
-measures against a bound fixed once per solve (``_aggregate_node``).
+The last three, and ``satisfies_program``, read compiled nodes, and
+compile a formula or a ``Program`` given them per call.  The solver
+compiles its program once per solve (``_compile_program``): the nodes
+of each rule instance's body and head, read by the FLP readers, and the
+sentence over them, read by the others.  A compiled node keeps its last
+plain answer, so the plain readings of a candidate are computed once
+however many u are tested against it.  The built-in ``sum`` and
+``count`` over an atom argument read per-atom measures against a bound
+fixed once per solve (``_aggregate_node``).
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
@@ -390,13 +390,15 @@ def _read_set(g: GroundFormula) -> frozenset:
 # ---------------------------------------------------------------------------
 # Compiled evaluation of formulas in an interpretation
 #
-# A formula is compiled once for an interpretation's universe and constant
-# valuation, a registry and a set of intensional predicates.  Binders are
-# unrolled over the sorted universe, so every variable and constant is
-# read, every spine flattened, every quantifier resolved and its shape
-# checked at compile time.  What remains is one node per ground
-# occurrence, a pair of closures (the arguments of a quantifier
-# application are read apart, below):
+# A formula (``_compile_sentence``), or the body and head of every rule
+# instance of a program (``_compile_program``), is compiled once for an
+# interpretation's universe and constant valuation, a registry and a set
+# of intensional predicates.  Binders are unrolled over the sorted
+# universe, so every variable and constant is read, every spine
+# flattened, every quantifier resolved and its shape checked at compile
+# time.  What remains is one node per ground occurrence, a pair of
+# closures (the arguments of a quantifier application are read apart,
+# below):
 #
 # * ``plain(atoms)``   the truth of the node when ``atoms`` are the true
 #   atoms;
@@ -858,27 +860,21 @@ def _without_gc(build):
         gc.enable()
 
 
-class _Sentence:
-    """A formula compiled by ``_compile_sentence``: the two readings of
-    its root node."""
-
-    __slots__ = ("plain", "star")
-
-    def __init__(self, root: tuple):
-        self.plain, self.star = root
-
-
-class _Rules:
+class _Program:
     """A program compiled by ``_compile_program``: its intensional
-    predicates, and the plain readings ``(body, head)`` of its rule
-    instances in the order of ``_instances``.  ``frozen`` keeps the last
-    atom set ``eval_flp_transform`` read and its non-intensional part."""
+    predicates; its rule instances in the order of ``_instances``, each
+    ``(rule, env, body, head)`` with the nodes of its body and head; and
+    ``sentence``, the node of the conjunction of their ``body -> head``,
+    as ``_compile_sentence`` compiles ``program_to_sentence``.  ``frozen``
+    keeps the last atom set ``eval_flp_transform`` read and its
+    non-intensional part."""
 
-    __slots__ = ("intensional", "instances", "frozen")
+    __slots__ = ("intensional", "instances", "sentence", "frozen")
 
     def __init__(self, intensional, instances: tuple):
         self.intensional = intensional
         self.instances = instances
+        self.sentence = _all_node([_impl_node(body, head) for *_, body, head in instances])
         self.frozen = (None, frozenset())
 
 
@@ -888,36 +884,41 @@ def _compile_sentence(
     registry: Registry,
     intensional=(),
     env: Optional[Mapping] = None,
-) -> _Sentence:
-    """``f`` compiled for interpretations over ``interp``'s universe and
-    constants, with ``intensional`` read from the smaller valuation in
-    the star reading and ``env`` binding its free variables."""
+) -> tuple:
+    """The node of ``f``, compiled for interpretations over ``interp``'s
+    universe and constants, with ``intensional`` read from the smaller
+    valuation in the star reading and ``env`` binding its free variables."""
     node = _Compiler(interp, registry, intensional).node
-    return _without_gc(lambda: _Sentence(node(f, dict(env or {}))))
+    return _without_gc(lambda: node(f, dict(env or {})))
+
+
+def _compiled_instances(pairs, compiler: _Compiler):
+    """Each rule instance ``(rule, env)`` of ``pairs`` with the nodes of
+    its body and head, compiled as they are met."""
+    node = compiler.node
+    for rule, env in pairs:
+        yield rule, env, node(rule.body, env), node(rule.head, env)
 
 
 def _compile_program(
     program: Program, interp: Interpretation, registry: Registry
-) -> _Rules:
+) -> _Program:
     """Every rule instance of ``program``, compiled for interpretations
     over ``interp``'s universe and constants."""
-    node = _Compiler(interp, registry, ()).node
-    instances = _without_gc(
-        lambda: tuple(
-            (node(rule.body, env)[0], node(rule.head, env)[0])
-            for rule, env in _instances(program, interp)
-        )
-    )
-    return _Rules(program.intensional, instances)
+    compiler = _Compiler(interp, registry, program.intensional)
+    instances = _compiled_instances(_instances(program, interp), compiler)
+    return _without_gc(lambda: _Program(program.intensional, tuple(instances)))
 
 
 def _eval(f, interp: Interpretation, registry: Registry, env: dict) -> bool:
     """Truth of ``f`` in ``interp`` under the bindings ``env``.  ``f`` is a
-    formula, compiled here, or a ``_Sentence`` compiled for ``interp``'s
-    universe and constants, whose bindings were fixed then."""
-    if type(f) is not _Sentence:
-        f = _compile_sentence(f, interp, registry, (), env)
-    return f.plain(interp.atoms)
+    formula, compiled here, or a ``_Program`` compiled for ``interp``'s
+    universe and constants, read as its sentence."""
+    if type(f) is _Program:
+        plain = f.sentence[0]
+    else:
+        plain = _compile_sentence(f, interp, registry, (), env)[0]
+    return plain(interp.atoms)
 
 
 def satisfies_direct(
@@ -948,30 +949,25 @@ def satisfies_program(
 ) -> bool:
     """Does the interpretation satisfy every rule's universal closure?
 
-    ``program`` is a ``Program``, compiled per call, or a ``_Rules``.
+    ``program`` is a ``Program``, compiled per call, or a ``_Program``.
     Each instance's body is read once, and its head only where the body
     holds; the first violated instance ends the pass.  When ``fired`` is
     a list, the instances whose body holds are appended to it: compiled
-    ones for a ``_Rules``, and ``(rule, env)`` pairs for a ``Program``, as
-    ``flp_reduct`` returns them.  After a true answer it is the FLP
+    ones for a ``_Program``, and ``(rule, env)`` pairs for a ``Program``,
+    as ``flp_reduct`` returns them.  After a true answer it is the FLP
     reduct that ``eval_flp_transform`` takes with the same program.
     """
-    if type(program) is not _Rules:
+    compiled = program
+    if type(program) is not _Program:
         compiled = _compile_program(program, interp, registry)
-        held = None if fired is None else []
-        answer = satisfies_program(interp, compiled, registry, fired=held)
-        if held:
-            named = dict(zip(map(id, compiled.instances), _instances(program, interp)))
-            fired.extend(named[id(instance)] for instance in held)
-        return answer
     atoms = interp.atoms
-    for instance in program.instances:
-        body, head = instance
+    for instance in compiled.instances:
+        rule, env, (body, _), (head, _) = instance
         if body(atoms):
             if not head(atoms):
                 return False
             if fired is not None:
-                fired.append(instance)
+                fired.append(instance if compiled is program else (rule, env))
     return True
 
 
@@ -984,11 +980,10 @@ def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> 
     tests many smaller valuations against one interpretation computes
     the reduct once and passes it as ``fired``.
     """
-    rules = _compile_program(program, interp, registry)
     atoms = interp.atoms
     return tuple(
-        instance
-        for instance, (body, _) in zip(_instances(program, interp), rules.instances)
+        (rule, env)
+        for rule, env, (body, _), _ in _compile_program(program, interp, registry).instances
         if body(atoms)
     )
 
@@ -1169,6 +1164,24 @@ def _gsat(g, atoms, universe, registry) -> bool:
 # The stability transformation F*(u)
 
 
+def _checked_smaller(smaller: AtomSet, preds: frozenset, universe, frozen=None) -> AtomSet:
+    """``smaller`` once each atom is known to be a ground atom of one of
+    ``preds`` over ``universe``, checked atom by atom (the star reader);
+    or, given ``frozen``, ``frozen | smaller`` once the predicates are
+    checked and then the universe over the union (the FLP reader)."""
+    for a in smaller:
+        if not isinstance(a, GroundAtom):
+            raise GqError(f"not a ground atom: {a!r}")
+        if a.pred not in preds:
+            raise GqError(
+                f"atom {a} is not intensional; the smaller valuation may "
+                "only mention intensional predicates"
+            )
+        if frozen is None:
+            _checked_atoms((a,), universe)
+    return smaller if frozen is None else _checked_atoms(frozen | smaller, universe)
+
+
 def eval_star(
     sentence,
     interp: Interpretation,
@@ -1190,28 +1203,21 @@ def eval_star(
     reading.
 
     ``sentence`` is a formula, compiled per call, whose ``smaller`` is
-    checked here atom by atom; or a ``_Sentence`` compiled for
-    ``interp``'s universe and constants and these intensional
-    predicates.  Only the solver builds a ``_Sentence``, and its u are
-    subsets of a checked candidate, so they are not checked again.  The
-    plain readings of ``interp`` are kept from one u to the next.
+    checked here atom by atom; or a ``_Program`` compiled for
+    ``interp``'s universe and constants, read as its sentence with its
+    own intensional predicates.  Only the solver builds a ``_Program``,
+    and its u are subsets of a checked candidate, so they are not
+    checked again.  The plain readings of ``interp`` are kept from one u
+    to the next.
     """
     smaller = frozenset(smaller)
-    if type(sentence) is not _Sentence:
+    if type(sentence) is _Program:
+        star = sentence.sentence[1]
+    else:
         preds = frozenset(intensional)
-        for a in smaller:
-            if not isinstance(a, GroundAtom):
-                raise GqError(f"not a ground atom: {a!r}")
-            if a.pred not in preds:
-                raise GqError(
-                    f"atom {a} is not intensional; the smaller valuation may "
-                    "only mention intensional predicates"
-                )
-            for v in a.args:
-                if v not in interp.universe:
-                    raise GqError(f"atom {a} mentions {v!r}, not a universe element")
-        sentence = _compile_sentence(sentence, interp, registry, preds)
-    return sentence.star(interp.atoms, smaller)
+        _checked_smaller(smaller, preds, interp.universe)
+        star = _compile_sentence(sentence, interp, registry, preds)[1]
+    return star(interp.atoms, smaller)
 
 
 # ---------------------------------------------------------------------------
@@ -1242,14 +1248,14 @@ def eval_flp_transform(
     ``program`` is a ``Program``, compiled whole per call, so its first
     static failure raises before any reading, and its ``smaller`` is
     checked here atom by atom, with ``fired`` from ``flp_reduct``; or a
-    ``_Rules``, with ``fired`` filled by ``satisfies_program``.  Only the
-    solver builds a ``_Rules``, and its u are subsets of a checked
+    ``_Program``, with ``fired`` filled by ``satisfies_program``.  Only
+    the solver builds a ``_Program``, and its u are subsets of a checked
     candidate, so they are not checked again, and the non-intensional
     part of ``interp`` is kept from one u to the next.
     """
     preds = program.intensional
     smaller = frozenset(smaller)
-    if type(program) is _Rules:
+    if type(program) is _Program:
         atoms, frozen = program.frozen
         if atoms is not interp.atoms:
             atoms = interp.atoms
@@ -1258,26 +1264,15 @@ def eval_flp_transform(
         subst = frozen | smaller if frozen else smaller
     else:
         frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
-        for a in smaller:
-            if not isinstance(a, GroundAtom):
-                raise GqError(f"not a ground atom: {a!r}")
-            if a.pred not in preds:
-                raise GqError(
-                    f"atom {a} is not intensional; the smaller valuation may "
-                    "only mention intensional predicates"
-                )
-        subst = _checked_atoms(frozen | smaller, interp.universe)
+        subst = _checked_smaller(smaller, preds, interp.universe, frozen)
         compiled = _compile_program(program, interp, registry)
         if fired is not None:
-            node = _Compiler(interp, registry, ()).node
-            fired = (
-                (node(rule.body, env)[0], node(rule.head, env)[0]) for rule, env in fired
-            )
+            fired = _compiled_instances(fired, _Compiler(interp, registry, preds))
         program = compiled
     if fired is None:
         atoms = interp.atoms
-        fired = (inst for inst in program.instances if inst[0](atoms))
-    for body, head in fired:
+        fired = (inst for inst in program.instances if inst[2][0](atoms))
+    for _, _, (body, _), (head, _) in fired:
         if body(subst) and not head(subst):
             return False
     return True

@@ -15,12 +15,14 @@ witness tests:
   of I onto its atoms, and each reduced rule once per projection of J.
   Sound only when every predicate is intensional.
 * ``stable_models_operator``  I satisfies the program's sentence F, and
-  J satisfies F*(J), the stability transformation.  F is compiled once
-  per solve.
+  J satisfies F*(J), the stability transformation.
 * ``flp_stable_models``       I satisfies every rule instance, and J
   satisfies the rule-wise transformation ``B and B(u) -> H(u)``, read
-  over the FLP reduct of I, which the model check collects.  The rule
-  instances are compiled once per solve.
+  over the FLP reduct of I, which the model check collects.
+
+Both read one compiled program (``ground._compile_program``), built once
+per solve: the nodes of every rule instance's body and head, with F read
+as the conjunction of their implications.
 
 ``compare_semantics`` runs the last two and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
@@ -49,7 +51,6 @@ from .quantifiers import Registry
 from .ground import (
     Interpretation,
     _compile_program,
-    _compile_sentence,
     _eval,
     _gsat,
     _read_set,
@@ -266,15 +267,13 @@ def stable_models_operator(
     base = _checked_base(program, cap)
     empty = Interpretation(program.universe)
     intensional = program.intensional
-    sentence = _compile_sentence(
-        program_to_sentence(program), empty, registry, intensional
-    )
+    compiled = _compile_program(program, empty, registry)
 
     def model_test(s):
         interp = empty.with_atoms(s)
-        if not _eval(sentence, interp, registry, {}):
+        if not _eval(compiled, interp, registry, {}):
             return None
-        return lambda j: eval_star(sentence, interp, j, intensional, registry)
+        return lambda j: eval_star(compiled, interp, j, intensional, registry)
 
     return _search("sm", "operator", t0, base, intensional, model_test)
 
@@ -288,14 +287,14 @@ def flp_stable_models(
     t0 = time.perf_counter()
     base = _checked_base(program, cap)
     empty = Interpretation(program.universe)
-    rules = _compile_program(program, empty, registry)
+    compiled = _compile_program(program, empty, registry)
 
     def model_test(s):
         interp = empty.with_atoms(s)
         fired = []
-        if not satisfies_program(interp, rules, registry, fired=fired):
+        if not satisfies_program(interp, compiled, registry, fired=fired):
             return None
-        return lambda j: eval_flp_transform(rules, interp, j, registry, fired=fired)
+        return lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired)
 
     return _search("flp", "operator", t0, base, program.intensional, model_test)
 

@@ -462,7 +462,7 @@ def test_a_read_that_raises_mid_binder_leaves_the_env_unchanged(registry, read):
     env = {"X": 2, "W": 2, "Z": 1}
     calls = {
         "eval": lambda: _eval(f, i, registry, env),
-        "eval_both": lambda: _compile_sentence(f, i, registry, {"p"}, env).star(
+        "eval_both": lambda: _compile_sentence(f, i, registry, {"p"}, env)[1](
             i.atoms, frozenset()
         ),
         "ground": lambda: ground(f, i, registry, env),
