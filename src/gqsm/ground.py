@@ -10,7 +10,8 @@ table per argument position.  On top of that live:
 * ``eval_star``        truth of the stability transformation F*(u),
   where u is a second, smaller valuation of the intensional predicates,
   read by its definition: every application is its plain reading and
-  the application over its starred arguments,
+  the application over its starred arguments; below a model, only its
+  rule instances whose body the model satisfies can fail,
 * ``eval_flp_transform``  truth of the rule-wise transformation
   B and B(u) implies H(u) used by the FLP semantics.  B is read in the
   interpretation alone, so for a fixed interpretation the test only
@@ -33,9 +34,9 @@ unique keys, so they skip the checks of the public constructors.
 
 The last three, and ``satisfies_program``, read compiled nodes, and
 compile a formula or a ``Program`` given them per call.  The solver
-compiles its program once per solve (``_compile_program``): the nodes
-of each rule instance's body and head, read by the FLP readers, and the
-sentence over them, read by the others.  A compiled node keeps its last
+compiles its program once per solve, or once per compare
+(``_compile_program``): the nodes of each rule instance's body and
+head, and the sentence over them.  A compiled node keeps its last
 plain answer, so the plain readings of a candidate are computed once
 however many u are tested against it.  The built-in ``sum`` and
 ``count`` over an atom argument read per-atom measures against a bound
@@ -45,7 +46,7 @@ A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
 ``(pred, args)`` is in it.  ``Interpretation.with_atoms`` derives an
 interpretation over the same universe and constants, and checks only
-the new atoms.
+the new atoms, unless the solver says its base was checked.
 """
 from __future__ import annotations
 
@@ -185,14 +186,14 @@ class Interpretation:
             )
         return constant
 
-    def with_atoms(self, atoms: Iterable[GroundAtom]) -> "Interpretation":
+    def with_atoms(self, atoms: Iterable[GroundAtom], checked=False) -> "Interpretation":
         """This interpretation with another atom set.  The universe, its
         sorted order and the constants were checked already; only the
-        atoms are checked here."""
+        atoms are checked here, unless ``checked`` says they were: the
+        solver's candidates are subsets of a base it checks once."""
         new = object.__new__(Interpretation)
-        new.__dict__.update(
-            self.__dict__, atoms=_checked_atoms(atoms, self.universe)
-        )
+        atoms = frozenset(atoms) if checked else _checked_atoms(atoms, self.universe)
+        new.__dict__.update(self.__dict__, atoms=atoms)
         return new
 
     def intensional_slice(self, intensional: Iterable[str]) -> AtomSet:
@@ -1188,6 +1189,8 @@ def eval_star(
     smaller: Iterable[GroundAtom],
     intensional: Iterable[str],
     registry: Registry,
+    *,
+    fired: Optional[Iterable] = None,
 ) -> bool:
     """Truth of F*(u) where u is the valuation given by ``smaller``.
 
@@ -1205,19 +1208,30 @@ def eval_star(
     ``sentence`` is a formula, compiled per call, whose ``smaller`` is
     checked here atom by atom; or a ``_Program`` compiled for
     ``interp``'s universe and constants, read as its sentence with its
-    own intensional predicates.  Only the solver builds a ``_Program``,
-    and its u are subsets of a checked candidate, so they are not
-    checked again.  The plain readings of ``interp`` are kept from one u
-    to the next.
+    own intensional predicates.  The solver builds one per solve, or per
+    compare, and its u are subsets of a checked candidate, so they are
+    not checked again.  The plain readings of ``interp`` are kept from
+    one u to the next.
+
+    With a ``_Program``, ``fired`` may be the instances whose body holds
+    in ``interp``, as ``satisfies_program`` collects them when it
+    answers true; then only their starred ``body -> head`` is read.
+    That is exact only when u is below ``interp``: there a starred
+    reading implies the plain one, so an instance whose body is false
+    in ``interp`` holds, and its star reading calls no truth function.
     """
     smaller = frozenset(smaller)
-    if type(sentence) is _Program:
-        star = sentence.sentence[1]
-    else:
+    if type(sentence) is not _Program:
         preds = frozenset(intensional)
         _checked_smaller(smaller, preds, interp.universe)
-        star = _compile_sentence(sentence, interp, registry, preds)[1]
-    return star(interp.atoms, smaller)
+        return _compile_sentence(sentence, interp, registry, preds)[1](interp.atoms, smaller)
+    atoms = interp.atoms
+    if fired is None:
+        return sentence.sentence[1](atoms, smaller)
+    for _, _, (_, body), (_, head) in fired:
+        if body(atoms, smaller) and not head(atoms, smaller):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

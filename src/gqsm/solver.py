@@ -15,14 +15,17 @@ witness tests:
   of I onto its atoms, and each reduced rule once per projection of J.
   Sound only when every predicate is intensional.
 * ``stable_models_operator``  I satisfies the program's sentence F, and
-  J satisfies F*(J), the stability transformation.
+  J satisfies F*(J), the stability transformation, read over the
+  instances whose body holds in I: J is below I, where B*(J) implies
+  B, so every other instance holds starred.
 * ``flp_stable_models``       I satisfies every rule instance, and J
   satisfies the rule-wise transformation ``B and B(u) -> H(u)``, read
   over the FLP reduct of I, which the model check collects.
 
-Both read one compiled program (``ground._compile_program``), built once
-per solve: the nodes of every rule instance's body and head, with F read
-as the conjunction of their implications.
+Both read one compiled program (``ground._compile_program``), built with
+the checked base once per solve, or once for both in a compare
+(``_setup``): the nodes of every rule instance's body and head, with F
+read as the conjunction of their implications.
 
 ``compare_semantics`` runs the last two and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
@@ -50,6 +53,7 @@ from .syntax import (
 from .quantifiers import Registry
 from .ground import (
     Interpretation,
+    _checked_atoms,
     _compile_program,
     _eval,
     _gsat,
@@ -161,6 +165,16 @@ def _checked_base(program: Program, cap: Optional[int]) -> tuple:
     return base
 
 
+def _setup(program: Program, registry: Registry, cap: Optional[int]) -> tuple:
+    """When an operator or FLP solve started, its head-bounded base, checked
+    once here, the interpretation with no atoms, and the compiled program."""
+    t0 = time.perf_counter()
+    base = _checked_base(program, cap)
+    empty = Interpretation(program.universe)
+    _checked_atoms(base, empty.universe)
+    return t0, base, empty, _compile_program(program, empty, registry)
+
+
 def _search(
     semantics: str, route: str, t0: float, base: tuple, intensional, model_test
 ) -> SolveResult:
@@ -171,7 +185,8 @@ def _search(
     test ``witness(J)`` that is true when J rules I out.  The J tried are
     the proper subsets of I's intensional atoms, as tuples, smallest
     first; a model that none rules out is kept.  ``t0`` is when the
-    route started, so the elapsed time covers its setup.
+    route started, so the elapsed time covers its setup; in a compare,
+    the FLP scan's starts after the shared setup.
     """
     models = []
     for combo in _subsets_ascending(base):
@@ -258,39 +273,36 @@ def stable_models_reduct(
 
 
 def stable_models_operator(
-    program: Program, registry: Registry, cap: Optional[int] = None
+    program: Program, registry: Registry, cap: Optional[int] = None, *, setup=None
 ) -> SolveResult:
     """Stable models via the stability transformation: a model is stable
     when no proper subvaluation of its intensional slice satisfies the
-    starred sentence."""
-    t0 = time.perf_counter()
-    base = _checked_base(program, cap)
-    empty = Interpretation(program.universe)
+    starred sentence, read over the instances whose body the model
+    satisfies.  ``setup`` is ``_setup``'s, when a compare shares it."""
+    t0, base, empty, compiled = setup or _setup(program, registry, cap)
     intensional = program.intensional
-    compiled = _compile_program(program, empty, registry)
 
     def model_test(s):
-        interp = empty.with_atoms(s)
+        interp = empty.with_atoms(s, checked=True)
         if not _eval(compiled, interp, registry, {}):
             return None
-        return lambda j: eval_star(compiled, interp, j, intensional, registry)
+        # the model test kept each body's plain answer
+        fired = [inst for inst in compiled.instances if inst[2][0](interp.atoms)]
+        return lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired)
 
     return _search("sm", "operator", t0, base, intensional, model_test)
 
 
 def flp_stable_models(
-    program: Program, registry: Registry, cap: Optional[int] = None
+    program: Program, registry: Registry, cap: Optional[int] = None, *, setup=None
 ) -> SolveResult:
     """Stable models in the FLP sense: a model is stable when no proper
     subvaluation of its intensional slice satisfies every rule instance
-    read as ``B and B(u) -> H(u)``."""
-    t0 = time.perf_counter()
-    base = _checked_base(program, cap)
-    empty = Interpretation(program.universe)
-    compiled = _compile_program(program, empty, registry)
+    read as ``B and B(u) -> H(u)``.  ``setup`` is as above."""
+    t0, base, empty, compiled = setup or _setup(program, registry, cap)
 
     def model_test(s):
-        interp = empty.with_atoms(s)
+        interp = empty.with_atoms(s, checked=True)
         fired = []
         if not satisfies_program(interp, compiled, registry, fired=fired):
             return None
@@ -398,8 +410,12 @@ class ComparisonReport:
 def compare_semantics(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> ComparisonReport:
-    sm = stable_models_operator(program, registry, cap)
-    flp = flp_stable_models(program, registry, cap)
+    """Both scans, SM first, over one check of the base and one compile;
+    the FLP result's elapsed time starts after them."""
+    setup = _setup(program, registry, cap)
+    sm = stable_models_operator(program, registry, cap, setup=setup)
+    flp_setup = (time.perf_counter(),) + setup[1:]
+    flp = flp_stable_models(program, registry, cap, setup=flp_setup)
     diff = set(sm.models) ^ set(flp.models)
     difference = tuple(sorted(diff, key=atom_set_key))
     report = monotone_class_report(program, registry)

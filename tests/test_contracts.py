@@ -140,14 +140,33 @@ def test_one_solve_resolves_each_quantifier_a_bounded_number_of_times(route):
     assert seen == [{"atmost(3)": 1, "atmost(4)": 1}] * 3
 
 
-def test_compare_resolves_once_per_route():
+def test_compare_resolves_once_per_compare():
     reg = CountingRegistry()
     prog = parse_program(_guarded_choice(3), reg)
     reg.calls.clear()
     report = compare_semantics(prog, reg)
     assert len(report.sm.models) == len(report.flp.models) == 8
-    # once per route
-    assert reg.calls == {"atmost(3)": 2, "atmost(4)": 2}
+    # one compile serves both scans
+    assert reg.calls == {"atmost(3)": 1, "atmost(4)": 1}
+
+
+@pytest.mark.parametrize("source", [ref.choice_text(3), _guarded_choice(2)])
+def test_the_operator_route_reads_only_the_instances_that_fired(source, monkeypatch):
+    # each witness reads the instances whose body holds in the model: the
+    # FLP reduct, by rule and env
+    reg = Registry()
+    prog = parse_program(source, reg)
+    read = []
+
+    def spy(compiled, interp, smaller, intensional, registry, *, fired):
+        got = [(rule, env) for rule, env, _, _ in fired]
+        assert got == list(flp_reduct(prog, interp, registry))
+        read.append(len(got) < len(compiled.instances))
+        return eval_star(compiled, interp, smaller, intensional, registry, fired=fired)
+
+    monkeypatch.setattr(solver, "eval_star", spy)
+    assert stable_models_operator(prog, reg).models == flp_stable_models(prog, reg).models
+    assert read and all(read)
 
 
 @pytest.mark.parametrize(

@@ -12,11 +12,12 @@ programs whose bodies raise; the targets are the three routes,
   reference's run over the route's own base, head-bounded or full.
 * **Readers.**  A program is compiled once, as a solve compiles it, and
   every I over the full base and every intensional J, below I or not, is
-  read: the sentence's plain and star readings, the FLP model check,
-  its reduct and transformation, and the reduct route's walkers on every
-  ground rule.  Ground and reduced trees equal the reference's.  On the
-  example programs and the kernel shapes the public readers, which
-  compile per call, are read on every pair too.
+  read: the sentence's plain and star readings, the star reading over
+  the instances that fired where I is a model and J is below it, the
+  FLP model check, its reduct and transformation, and the reduct route's
+  walkers on every ground rule.  Ground and reduced trees equal the
+  reference's.  On the example programs and the kernel shapes the public
+  readers, which compile per call, are read on every pair too.
 
 To add a route or a reader, give it a target here, and a definition in
 ``reference_semantics.py`` if it reads a new one.  A change to which
@@ -439,6 +440,12 @@ def check_pairs(program, registry, deep=False, public=False):
         for j in js:
             want = outcome(lambda: ref.star(sentence, interp, j, intensional, registry, {}))
             assert outcome(lambda: eval_star(rules, interp, j, intensional, registry)) == want
+            if is_model and j <= I:
+                # below a model, the instances that fired are read alone
+                got = outcome(
+                    lambda: eval_star(rules, interp, j, intensional, registry, fired=fired)
+                )
+                assert got == want
             flp = outcome(lambda: ref.flp_transform(insts, intensional, interp, j, registry))
             assert outcome(lambda: eval_flp_transform(rules, interp, j, registry)) == flp
             if is_model:
