@@ -36,17 +36,19 @@ The last three, and ``satisfies_program``, read compiled nodes, and
 compile a formula or a ``Program`` given them per call.  The solver
 compiles its program once per solve, or once per compare
 (``_compile_program``): the nodes of each rule instance's body and
-head, and the sentence over them.  A compiled node keeps its last
-plain answer, so the plain readings of a candidate are computed once
-however many u are tested against it.  The built-in ``sum`` and
-``count`` over an atom argument read per-atom measures against a bound
-fixed once per solve (``_aggregate_node``).
+head, whose implications, read one by one, are its sentence.  A
+compiled node keeps its last plain answer, so the plain readings of a
+candidate are computed once however many u are tested against it.  The
+built-in ``sum`` and ``count`` over an atom argument read per-atom
+measures against a bound fixed once per solve (``_aggregate_node``).
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
-``(pred, args)`` is in it.  ``Interpretation.with_atoms`` derives an
-interpretation over the same universe and constants, and checks only
-the new atoms, unless the solver says its base was checked.
+``(pred, args)`` is in it.  It is also the leaf of a ground formula, so
+``satisfies`` and the reduct ask whether the leaf itself is in a set,
+and ``_read_set`` collects the leaves.  ``Interpretation.with_atoms``
+derives an interpretation over the same universe and constants, and
+checks only the new atoms, unless the solver says its base was checked.
 """
 from __future__ import annotations
 
@@ -88,8 +90,20 @@ class GroundingError(GqError):
 # Ground atoms and interpretations
 
 
-class GroundAtom(namedtuple("GroundAtom", "pred args")):
-    """A predicate applied to universe elements, e.g. ``p(-1)``.
+class GroundFormula:
+    """Base class of the ground formula algebra."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        from .render import render
+
+        return render(self)
+
+
+class GroundAtom(namedtuple("GroundAtom", "pred args"), GroundFormula):
+    """A predicate applied to universe elements, e.g. ``p(-1)``, and the
+    leaf of a ground formula.
 
     An atom is the pair ``(pred, args)`` itself: it equals that plain
     tuple and hashes like it, so a set of atoms is its own lookup index.
@@ -216,15 +230,6 @@ def herbrand_base(program: Program) -> tuple[GroundAtom, ...]:
 # Ground formulas
 
 
-class GroundFormula:
-    """Base class of the ground formula algebra."""
-
-    def __str__(self):
-        from .render import render
-
-        return render(self)
-
-
 @dataclass(frozen=True)
 class GTop(GroundFormula):
     def __str__(self):
@@ -239,23 +244,6 @@ class GBot(GroundFormula):
 
 G_TOP = GTop()
 G_BOT = GBot()
-
-
-@dataclass(frozen=True)
-class GroundAtomNode(GroundFormula):
-    """A ground atom used as a leaf of a ground formula."""
-
-    pred: str
-    args: tuple[Element, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
-    def to_atom(self) -> GroundAtom:
-        return GroundAtom(self.pred, self.args)
-
-    def __str__(self):
-        return str(self.to_atom())
 
 
 @dataclass(frozen=True)
@@ -375,17 +363,11 @@ def iter_ground_subformulas(g: GroundFormula):
 
 def _read_set(g: GroundFormula) -> frozenset:
     """The atoms ``g`` mentions, those inside quantifier arguments
-    included, as ``(pred, args)`` pairs.  ``_gsat`` and ``reduct.reduct``
-    read an atom set only by asking whether one of these is in it, so on
-    ``g`` a set and its intersection with the read set give the same
-    answers."""
-    return frozenset(
-        [
-            (n.pred, n.args)
-            for n in iter_ground_subformulas(g)
-            if isinstance(n, GroundAtomNode)
-        ]
-    )
+    included: its ``GroundAtom`` leaves themselves.  ``_gsat`` and
+    ``reduct.reduct`` read an atom set only by asking whether one of
+    these is in it, so on ``g`` a set and its intersection with the read
+    set give the same answers."""
+    return frozenset([n for n in iter_ground_subformulas(g) if type(n) is GroundAtom])
 
 
 # ---------------------------------------------------------------------------
@@ -863,19 +845,18 @@ def _without_gc(build):
 
 class _Program:
     """A program compiled by ``_compile_program``: its intensional
-    predicates; its rule instances in the order of ``_instances``, each
-    ``(rule, env, body, head)`` with the nodes of its body and head; and
-    ``sentence``, the node of the conjunction of their ``body -> head``,
-    as ``_compile_sentence`` compiles ``program_to_sentence``.  ``frozen``
+    predicates, and its rule instances in the order of ``_instances``,
+    each ``(rule, env, body, head)`` with the nodes of its body and head.
+    Its sentence, the conjunction of their ``body -> head``, is read off
+    the instances (``satisfies_program``, ``eval_star``).  ``frozen``
     keeps the last atom set ``eval_flp_transform`` read and its
     non-intensional part."""
 
-    __slots__ = ("intensional", "instances", "sentence", "frozen")
+    __slots__ = ("intensional", "instances", "frozen")
 
     def __init__(self, intensional, instances: tuple):
         self.intensional = intensional
         self.instances = instances
-        self.sentence = _all_node([_impl_node(body, head) for *_, body, head in instances])
         self.frozen = (None, frozenset())
 
 
@@ -914,12 +895,10 @@ def _compile_program(
 def _eval(f, interp: Interpretation, registry: Registry, env: dict) -> bool:
     """Truth of ``f`` in ``interp`` under the bindings ``env``.  ``f`` is a
     formula, compiled here, or a ``_Program`` compiled for ``interp``'s
-    universe and constants, read as its sentence."""
+    universe and constants, read as its sentence by ``satisfies_program``."""
     if type(f) is _Program:
-        plain = f.sentence[0]
-    else:
-        plain = _compile_sentence(f, interp, registry, (), env)[0]
-    return plain(interp.atoms)
+        return satisfies_program(interp, f, registry)
+    return _compile_sentence(f, interp, registry, (), env)[0](interp.atoms)
 
 
 def satisfies_direct(
@@ -1014,8 +993,7 @@ def ground(
 def _ground(f, interp, registry, env) -> GroundFormula:
     t = type(f)
     if t is Atom:
-        vals = tuple(_term_value(a, interp, env) for a in f.args)
-        return GroundAtomNode(f.pred, vals)
+        return GroundAtom(f.pred, [_term_value(a, interp, env) for a in f.args])
     if t is Equality:
         lv = _term_value(f.left, interp, env)
         rv = _term_value(f.right, interp, env)
@@ -1112,8 +1090,8 @@ def _gsat(g, atoms, universe, registry) -> bool:
     function does.
     """
     t = type(g)
-    if t is GroundAtomNode:
-        return (g.pred, g.args) in atoms
+    if t is GroundAtom:
+        return g in atoms
     if t is GTop:
         return True
     if t is GBot:
@@ -1213,12 +1191,16 @@ def eval_star(
     not checked again.  The plain readings of ``interp`` are kept from
     one u to the next.
 
-    With a ``_Program``, ``fired`` may be the instances whose body holds
-    in ``interp``, as ``satisfies_program`` collects them when it
-    answers true; then only their starred ``body -> head`` is read.
-    That is exact only when u is below ``interp``: there a starred
-    reading implies the plain one, so an instance whose body is false
-    in ``interp`` holds, and its star reading calls no truth function.
+    A ``_Program``'s F*(u) is its plain reading in ``interp`` and then
+    each instance's starred ``body -> head``.  So the plain reading is
+    ``satisfies_program``'s model check, whose answers the starred
+    readings keep, and, when it holds, every instance is read starred.
+    That is exact for any u.  ``fired`` may instead be the instances
+    whose body holds in ``interp``, as ``satisfies_program`` collects
+    them when it answers true; then only those are read.  That is exact
+    only when u is below ``interp``: there a starred reading implies the
+    plain one, so an instance whose body is false in ``interp`` holds,
+    and its star reading calls no truth function.
     """
     smaller = frozenset(smaller)
     if type(sentence) is not _Program:
@@ -1227,7 +1209,9 @@ def eval_star(
         return _compile_sentence(sentence, interp, registry, preds)[1](interp.atoms, smaller)
     atoms = interp.atoms
     if fired is None:
-        return sentence.sentence[1](atoms, smaller)
+        if not satisfies_program(interp, sentence, registry):
+            return False
+        fired = sentence.instances
     for _, _, (_, body), (_, head) in fired:
         if body(atoms, smaller) and not head(atoms, smaller):
             return False
@@ -1303,7 +1287,7 @@ def ground_to_json(g: GroundFormula) -> dict:
         return {"kind": "top"}
     if t is GBot:
         return {"kind": "bot"}
-    if t is GroundAtomNode:
+    if t is GroundAtom:
         return {"kind": "atom", "pred": g.pred, "args": list(g.args)}
     if t is GApply:
         return {

@@ -77,6 +77,10 @@ class Token:
     line: int
     col: int
 
+    def __str__(self):
+        """The token as an error message names it."""
+        return "end of input" if self.kind == "EOF" else f"'{self.value}'"
+
 
 _PUNCT = {
     "{": "LBRACE",
@@ -207,8 +211,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            got = f"'{tok.value}'" if tok.kind != "EOF" else "end of input"
-            self.error(f"expected {what}, got {got}", tok)
+            self.error(f"expected {what}, got {tok}", tok)
         return self.take()
 
     # -- bookkeeping
@@ -246,8 +249,7 @@ class _Parser:
             return Constant(tok.value)
         if tok.kind == "VAR":
             return Variable(tok.value)
-        got = f"'{tok.value}'" if tok.kind != "EOF" else "end of input"
-        self.error(f"expected a term, got {got}", tok)
+        self.error(f"expected a term, got {tok}", tok)
 
     # -- formulas
 
@@ -306,14 +308,12 @@ class _Parser:
             return self.comparison(self.term())
         if tok.kind == "IDENT":
             return self.ident_formula()
-        got = f"'{tok.value}'" if tok.kind != "EOF" else "end of input"
-        self.error(f"expected a formula, got {got}", tok)
+        self.error(f"expected a formula, got {tok}", tok)
 
     def comparison(self, left) -> Formula:
         op = self.peek()
         if op.kind not in _CMP_KINDS:
-            got = f"'{op.value}'" if op.kind != "EOF" else "end of input"
-            self.error(f"expected a comparison operator, got {got}", op)
+            self.error(f"expected a comparison operator, got {op}", op)
         self.take()
         right = self.term()
         if op.kind == "EQ":
@@ -523,8 +523,7 @@ class _Parser:
                 elif tok.kind == "IDENT":
                     elems.add(tok.value)
                 else:
-                    got = f"'{tok.value}'" if tok.kind != "EOF" else "end of input"
-                    self.error(f"expected a universe element, got {got}", tok)
+                    self.error(f"expected a universe element, got {tok}", tok)
                 if self.peek().kind == "COMMA":
                     self.take()
                     continue
@@ -616,7 +615,7 @@ def parse_model(text: str, program: Program, origin: str = "<model>") -> frozens
             i += 1
             continue
         if tok.kind != "IDENT":
-            err(f"expected a ground atom, got '{tok.value}'", tok)
+            err(f"expected a ground atom, got {tok}", tok)
         pred = tok.value
         i += 1
         args: list[Element] = []
@@ -629,14 +628,14 @@ def parse_model(text: str, program: Program, origin: str = "<model>") -> frozens
                 elif t.kind == "IDENT":
                     args.append(t.value)
                 else:
-                    err(f"expected a universe element, got '{t.value}'", t)
+                    err(f"expected a universe element, got {t}", t)
                 i += 1
                 if tokens[i].kind == "COMMA":
                     i += 1
                     continue
                 break
             if tokens[i].kind != "RPAREN":
-                err("expected ')'", tokens[i])
+                err(f"expected ')', got {tokens[i]}", tokens[i])
             i += 1
         if pred not in program.signature:
             err(f"no predicate named {pred!r} in the program", tok)

@@ -24,7 +24,6 @@ from .ground import (
     GApply,
     GBot,
     GroundAtom,
-    GroundAtomNode,
     GroundFormula,
     GTop,
     PairSet,
@@ -99,8 +98,8 @@ def reduct(
             v = True
         elif t is GBot:
             v = False
-        elif t is GroundAtomNode:
-            v = (n.pred, n.args) in atoms
+        elif t is GroundAtom:
+            v = n in atoms
         elif t is GApply:
             v = sat_apply(n)
         else:
@@ -143,7 +142,7 @@ def reduct(
         if not sat(n):
             replaced += 1
             return G_BOT
-        if t is GroundAtomNode:
+        if t is GroundAtom:
             return n
         # A true and holds on both sides, so its whole spine is kept.
         bottom, nodes = _and_spine(n)

@@ -35,7 +35,6 @@ from .ground import (
     GApply,
     GBot,
     GroundAtom,
-    GroundAtomNode,
     GroundFormula,
     GTop,
     PairSet,
@@ -58,8 +57,6 @@ def render(x) -> str:
         return _render_program(x)
     if isinstance(x, GroundFormula):
         return _render_ground(x, 1)
-    if isinstance(x, GroundAtom):
-        return str(x)
     if isinstance(x, ReductResult):
         return _render_ground(x.formula, 1)
     if isinstance(x, (list, tuple)):
@@ -257,7 +254,7 @@ def _render_ground(g: GroundFormula, min_level: int) -> str:
 
 
 def _ground_node(g: GroundFormula) -> tuple[str, int]:
-    if isinstance(g, GroundAtomNode):
+    if isinstance(g, GroundAtom):
         return str(g), 5
     if isinstance(g, GTop):
         return "top", 5

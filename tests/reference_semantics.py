@@ -43,7 +43,7 @@ from gqsm import (
     conj, disj, impl, neg,
 )
 from gqsm.ground import (
-    GApply, GBot, GroundAtom, GroundAtomNode, GroundingError, GTop, Interpretation,
+    GApply, GBot, GroundAtom, GroundingError, GTop, Interpretation,
     PairSet, _check_shape, _term_value,
 )
 from gqsm.syntax import Bot, GqError, Top
@@ -231,7 +231,7 @@ def ground(f, interp, registry, env):
     """``f`` grounded under ``env``, built by the public constructors."""
     t = type(f)
     if t is Atom:
-        return GroundAtomNode(f.pred, tuple(_term_value(a, interp, env) for a in f.args))
+        return GroundAtom(f.pred, tuple(_term_value(a, interp, env) for a in f.args))
     if t is Equality:
         same = _term_value(f.left, interp, env) == _term_value(f.right, interp, env)
         return GTop() if same else GBot()
@@ -320,7 +320,7 @@ def gsat(g, atoms, universe, registry):
     connectives stop at the first side that decides them, and ``exists``
     at its first true instance."""
     t = type(g)
-    if t is GroundAtomNode:
+    if t is GroundAtom:
         return (g.pred, g.args) in atoms
     if t is GTop or t is GBot:
         return t is GTop
@@ -366,7 +366,7 @@ def _reduct(g, atoms, universe, registry):
     t = type(g)
     if t is GTop or t is GBot:
         return t is GTop, g, 0
-    if t is GroundAtomNode:
+    if t is GroundAtom:
         held = (g.pred, g.args) in atoms
         return (True, g, 0) if held else (False, GBot(), 1)
     if t is not GApply:

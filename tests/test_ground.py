@@ -12,13 +12,13 @@ from gqsm.ground import (
     GBot,
     GTop,
     GroundAtom,
-    GroundAtomNode,
     GroundingError,
     Interpretation,
     PairSet,
     _compile_program,
     _compile_sentence,
     _eval,
+    _read_set,
     atom_set_key,
     eval_flp_transform,
     eval_star,
@@ -147,8 +147,11 @@ def test_pair_set_sorts_and_rejects_duplicate_keys():
 
 def test_grounding_an_atom(registry, i_empty):
     g = ground(parse_formula("p(1)", registry), i_empty, registry)
-    assert isinstance(g, GroundAtomNode)
-    assert g.to_atom() == ga("p", 1)
+    assert type(g) is GroundAtom
+    assert g == GroundAtom("p", (1,))
+    assert hash(g) == hash(GroundAtom("p", (1,)))
+    assert g in i_empty.with_atoms([ga("p", 1)]).atoms
+    assert g not in i_empty.atoms
 
 
 def test_grounding_equality_collapses_to_truth_values(registry, i_empty):
@@ -184,9 +187,14 @@ def test_connectives_ground_through_epsilon_pair_sets(registry, i_empty):
 
 def test_iter_ground_subformulas(registry, i_empty):
     g = ground(parse_formula("p(1) & q(2)", registry), i_empty, registry)
-    names = [type(x).__name__ for x in iter_ground_subformulas(g)]
-    assert names.count("GApply") == 1
-    assert names.count("GroundAtomNode") == 2
+    nodes = list(iter_ground_subformulas(g))
+    assert [type(x) for x in nodes] == [GApply, GroundAtom, GroundAtom]
+    leaves = nodes[1:]
+    assert leaves == [ga("p", 1), ga("q", 2)]
+    # the read set holds the leaf objects themselves, not copies
+    read = _read_set(g)
+    assert read == frozenset(leaves)
+    assert {id(a) for a in read} == {id(a) for a in leaves}
 
 
 def _recursive_subformulas(g):

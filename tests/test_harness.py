@@ -39,7 +39,7 @@ from gqsm import (
 )
 from gqsm import solver
 from gqsm.ground import (
-    GApply, GroundAtom, GroundAtomNode, Interpretation, PairSet, _compile_program,
+    GApply, GroundAtom, Interpretation, PairSet, _compile_program,
     _compile_sentence, _eval, _gsat, eval_flp_transform, eval_star, flp_reduct, ground,
     ground_program, ground_to_json, satisfies, satisfies_direct, satisfies_program,
 )
@@ -741,7 +741,7 @@ def test_random_closed_sentences_match_the_reference():
 # ---------------------------------------------------------------------------
 # Readers: ground formulas built through the API
 
-P1, P2, Q1, Q2 = (GroundAtomNode(p, (v,)) for p in ("p", "q") for v in (1, 2))
+P1, P2, Q1, Q2 = (GroundAtom(p, (v,)) for p in ("p", "q") for v in (1, 2))
 
 
 def one(child, key=()):

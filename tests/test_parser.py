@@ -243,3 +243,6 @@ def test_parse_model_rejects_bad_atoms(registry):
     assert "takes 1 argument" in e.message
     e = perr(parse_model, "p(9)", prog)
     assert "not a universe element" in e.message
+    for text in ("p(", "p(1,"):
+        e = perr(parse_model, text, prog)
+        assert e.message == "expected a universe element, got end of input"

@@ -10,7 +10,6 @@ from gqsm.ground import (
     GApply,
     GBot,
     GroundAtom,
-    GroundAtomNode,
     GTop,
     Interpretation,
     PairSet,
@@ -253,7 +252,7 @@ def oracle_set_body(ps):
 
 
 def oracle_ground_node(g):
-    if isinstance(g, GroundAtomNode):
+    if isinstance(g, GroundAtom):
         return str(g), 5
     if isinstance(g, GTop):
         return "top", 5
@@ -316,7 +315,7 @@ def _and(a, b, keys=((), ())):
     return GApply("and", (PairSet(((keys[0], a),)), PairSet(((keys[1], b),))))
 
 
-P1, P2, Q1 = (GroundAtomNode(p, (v,)) for p, v in (("p", 1), ("p", 2), ("q", 1)))
+P1, P2, Q1 = (GroundAtom(p, (v,)) for p, v in (("p", 1), ("p", 2), ("q", 1)))
 
 
 @pytest.mark.parametrize(
