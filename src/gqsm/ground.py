@@ -42,6 +42,13 @@ candidate are computed once however many u are tested against it.  The
 built-in ``sum`` and ``count`` over an atom argument read per-atom
 measures against a bound fixed once per solve (``_aggregate_node``).
 
+Grounding (``_ground``, ``ground_rule``), compiling (``_Compiler``) and
+the rule instances (``_instances``) all enumerate the bindings of
+variables through one generator, ``_bindings``: the tuples of the sorted
+universe in product order, each with an env of its own, so no walk
+changes an env in place.  That shared enumeration is why a compile meets
+a program's static failures in the order grounding meets them.
+
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
 ``(pred, args)`` is in it.  It is also the leaf of a ground formula, so
@@ -62,7 +69,6 @@ from .syntax import (
     Apply,
     Atom,
     Bot,
-    Constant,
     Element,
     Equality,
     Formula,
@@ -216,14 +222,15 @@ class Interpretation:
 
 
 def herbrand_base(program: Program) -> tuple[GroundAtom, ...]:
-    """All ground atoms over the program's signature, sorted."""
+    """All ground atoms over the program's signature, in ``sort_key``
+    order: the predicates sorted, and each one's tuples in product order
+    over the sorted universe."""
     u_sorted = program.universe_sorted()
-    out = []
-    for pred in sorted(program.signature):
-        arity = program.signature[pred]
-        for combo in itertools.product(u_sorted, repeat=arity):
-            out.append(GroundAtom(pred, combo))
-    return tuple(sorted(out, key=GroundAtom.sort_key))
+    return tuple(
+        GroundAtom(pred, combo)
+        for pred in sorted(program.signature)
+        for combo in itertools.product(u_sorted, repeat=program.signature[pred])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +384,11 @@ def _read_set(g: GroundFormula) -> frozenset:
 # instance of a program (``_compile_program``), is compiled once for an
 # interpretation's universe and constant valuation, a registry and a set
 # of intensional predicates.  Binders are unrolled over the sorted
-# universe, so every variable and constant is read, every spine
-# flattened, every quantifier resolved and its shape checked at compile
-# time.  What remains is one node per ground occurrence, a pair of
-# closures (the arguments of a quantifier application are read apart,
-# below):
+# universe by ``_bindings``, as grounding unrolls them, so every variable
+# and constant is read, every spine flattened, every quantifier resolved
+# and its shape checked at compile time.  What remains is one node per
+# ground occurrence, a pair of closures (the arguments of a quantifier
+# application are read apart, below):
 #
 # * ``plain(atoms)``   the truth of the node when ``atoms`` are the true
 #   atoms;
@@ -417,8 +424,9 @@ def _read_set(g: GroundFormula) -> frozenset:
 #
 # A read that fails at compile time (an unbound variable, a constant with
 # no value, an unknown quantifier, a misshapen application, a non-formula)
-# raises there, in the order in which grounding meets the same nodes, so
-# every route reports a program's first such failure, with grounding's
+# raises there, in the order in which grounding meets the same nodes,
+# since both take their bindings from ``_bindings`` in one order, so every
+# route reports a program's first such failure, with grounding's
 # message, before any candidate is read.  Only a truth function can fail
 # after that.  A compiled form is built per solve (or per call of the
 # public readers) and never cached past it, so a registry change is seen
@@ -456,16 +464,12 @@ def _one_binder(f: Apply) -> bool:
     return len(f.var_lists) == 1 and len(f.var_lists[0]) == 1
 
 
-def _restore(env: dict, x: str, old) -> None:
-    if old is _MISSING:
-        del env[x]
-    else:
-        env[x] = old
-
-
-def _restore_all(env: dict, xs, saved) -> None:
-    for x, old in zip(xs, saved):
-        _restore(env, x, old)
+def _bindings(u_sorted: tuple, xs: tuple, env: dict):
+    """Each tuple of elements of the sorted universe ``u_sorted`` for the
+    variables ``xs``, in product order, with a new env that extends
+    ``env`` by binding ``xs`` to it; ``env`` itself is never changed."""
+    for combo in itertools.product(u_sorted, repeat=len(xs)):
+        yield combo, {**env, **dict(zip(xs, combo))}
 
 
 def _kept(read):
@@ -693,6 +697,7 @@ class _Compiler:
 
     def __init__(self, interp: Interpretation, registry: Registry, intensional):
         self.interp = interp
+        self.u_sorted = interp.universe_sorted
         self.registry = registry
         self.intensional = frozenset(intensional)
         self.resolved = {}  # name -> its definition
@@ -716,9 +721,8 @@ class _Compiler:
         may go."""
         for g in flatten_spine(f, "and"):
             if type(g) is Apply and g.quantifier == "forall" and _one_binder(g):
-                x = g.var_lists[0][0]
-                for v in self.interp.universe_sorted:
-                    self.conjuncts(g.args[0], {**env, x: v}, out)
+                for _, inner in _bindings(self.u_sorted, g.var_lists[0], env):
+                    self.conjuncts(g.args[0], inner, out)
             else:
                 out.append(self.node(g, env))
         return out
@@ -755,9 +759,8 @@ class _Compiler:
         elif name == "forall" and _one_binder(f):
             return _all_node(self.conjuncts(f, env, []))
         elif name == "exists" and _one_binder(f):
-            x = f.var_lists[0][0]
-            u_sorted = self.interp.universe_sorted
-            return _any_node([self.node(f.args[0], {**env, x: v}) for v in u_sorted])
+            pairs = _bindings(self.u_sorted, f.var_lists[0], env)
+            return _any_node([self.node(f.args[0], inner) for _, inner in pairs])
         qdef = self.resolve(name)
         _check_shape(f, qdef)
         if id(f) not in self.reads:
@@ -779,17 +782,11 @@ class _Compiler:
             self.shared[key] = node
         return self.shared[key]
 
-    def bindings(self, xs: tuple, env: dict):
-        """Each tuple of universe elements for ``xs``, with ``env`` binding
-        ``xs`` to it."""
-        for combo in itertools.product(self.interp.universe_sorted, repeat=len(xs)):
-            yield combo, {**env, **dict(zip(xs, combo))}
-
     def named(self, xs: tuple, arg: Atom, env: dict) -> dict:
         """Each atom the atom argument ``arg`` names, with the tuples for
         ``xs`` that name it."""
         out = {}
-        for combo, inner in self.bindings(xs, env):
+        for combo, inner in _bindings(self.u_sorted, xs, env):
             vals = tuple([_term_value(a, self.interp, inner) for a in arg.args])
             out.setdefault((arg.pred, vals), []).append(combo)
         return out
@@ -800,7 +797,7 @@ class _Compiler:
         return frozenset(
             [
                 combo
-                for combo, inner in self.bindings(xs, env)
+                for combo, inner in _bindings(self.u_sorted, xs, env)
                 if _term_value(arg.left, interp, inner)
                 == _term_value(arg.right, interp, inner)
             ]
@@ -814,9 +811,8 @@ class _Compiler:
             return _atom_reader(self.named(xs, arg, env), arg.pred in self.intensional)
         if t is Equality:
             return _fixed_reader(self.holds(xs, arg, env))
-        return _rows_reader(
-            [(combo, self.node(arg, inner)) for combo, inner in self.bindings(xs, env)]
-        )
+        pairs = _bindings(self.u_sorted, xs, env)
+        return _rows_reader([(combo, self.node(arg, inner)) for combo, inner in pairs])
 
 
 def _read_names(f: Formula) -> tuple:
@@ -915,9 +911,8 @@ def _instances(program: Program, interp: Interpretation):
     order of ``ground_rule``), each with its own env dict."""
     u_sorted = interp.universe_sorted
     for rule in program.rules:
-        fvs = rule.variables
-        for combo in itertools.product(u_sorted, repeat=len(fvs)):
-            yield rule, dict(zip(fvs, combo))
+        for _, env in _bindings(u_sorted, rule.variables, {}):
+            yield rule, env
 
 
 def satisfies_program(
@@ -1018,16 +1013,8 @@ def _ground(f, interp, registry, env) -> GroundFormula:
     # sorted and its keys unique as built.
     sets = []
     for xs, arg in zip(f.var_lists, f.args):
-        n = len(xs)
-        entries = []
-        saved = [env.get(x, _MISSING) for x in xs]
-        try:
-            for combo in itertools.product(interp.universe_sorted, repeat=n):
-                for x, v in zip(xs, combo):
-                    env[x] = v
-                entries.append((combo, _ground(arg, interp, registry, env)))
-        finally:
-            _restore_all(env, xs, saved)
+        pairs = _bindings(interp.universe_sorted, xs, env) if xs else (((), env),)
+        entries = [(combo, _ground(arg, interp, registry, inner)) for combo, inner in pairs]
         sets.append(PairSet._sorted(tuple(entries)))
     return GApply._of(name, tuple(sets))
 
@@ -1035,13 +1022,9 @@ def _ground(f, interp, registry, env) -> GroundFormula:
 def ground_rule(rule: Rule, interp: Interpretation, registry: Registry) -> tuple:
     """Ground instances of one rule, one implication per assignment of
     the rule's free variables, in sorted assignment order."""
-    fvs = rule.variables
     formula = impl(rule.body, rule.head)
-    out = []
-    for combo in itertools.product(interp.universe_sorted, repeat=len(fvs)):
-        env = dict(zip(fvs, combo))
-        out.append(_ground(formula, interp, registry, env))
-    return tuple(out)
+    pairs = _bindings(interp.universe_sorted, rule.variables, {})
+    return tuple([_ground(formula, interp, registry, env) for _, env in pairs])
 
 
 def ground_program(

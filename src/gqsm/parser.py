@@ -397,6 +397,24 @@ class _Parser:
         self.expect(close_kind, close_text)
         return tuple(names)
 
+    def elements(self, close_kind: str, close_text: str) -> list:
+        """Universe elements separated by commas, up to ``close_text``: the
+        ``#universe`` list, or the arguments of a model's atom."""
+        out = []
+        while True:
+            tok = self.take()
+            if tok.kind == "INT":
+                out.append(int(tok.value))
+            elif tok.kind == "IDENT":
+                out.append(tok.value)
+            else:
+                self.error(f"expected a universe element, got {tok}", tok)
+            if self.peek().kind != "COMMA":
+                break
+            self.take()
+        self.expect(close_kind, close_text)
+        return out
+
     def braces_application(self, name: str, name_tok: Token) -> Formula:
         self.expect("LBRACE", "'{'")
         first = self.expect("VAR", "a bound variable")
@@ -515,22 +533,9 @@ class _Parser:
             self.expect("LBRACE", "'{'")
             if self.peek().kind == "RBRACE":
                 self.error("the universe must not be empty")
-            elems = set()
-            while True:
-                tok = self.take()
-                if tok.kind == "INT":
-                    elems.add(int(tok.value))
-                elif tok.kind == "IDENT":
-                    elems.add(tok.value)
-                else:
-                    self.error(f"expected a universe element, got {tok}", tok)
-                if self.peek().kind == "COMMA":
-                    self.take()
-                    continue
-                break
-            self.expect("RBRACE", "'}'")
+            elems = frozenset(self.elements("RBRACE", "'}'"))
             self.expect("DOT", "'.'")
-            return frozenset(elems), intensional
+            return elems, intensional
         if name_tok.value == "intensional":
             if intensional is not None:
                 self.error("duplicate #intensional directive", hash_tok)
@@ -602,51 +607,26 @@ def parse_program(text: str, registry: Registry, origin: str = "<string>") -> Pr
 def parse_model(text: str, program: Program, origin: str = "<model>") -> frozenset:
     """Parse a comma- or space-separated list of ground atoms and check
     it against the program's signature and universe."""
-    tokens = tokenize(text, origin)
-    i = 0
-
-    def err(message: str, tok: Token):
-        raise ParseError(message, origin, tok.line, tok.col)
-
+    p = _Parser(tokenize(text, origin), origin, None)
     atoms = set()
-    while tokens[i].kind != "EOF":
-        tok = tokens[i]
+    while p.peek().kind != "EOF":
+        tok = p.take()
         if tok.kind == "COMMA":
-            i += 1
             continue
         if tok.kind != "IDENT":
-            err(f"expected a ground atom, got {tok}", tok)
+            p.error(f"expected a ground atom, got {tok}", tok)
         pred = tok.value
-        i += 1
-        args: list[Element] = []
-        if tokens[i].kind == "LPAREN":
-            i += 1
-            while True:
-                t = tokens[i]
-                if t.kind == "INT":
-                    args.append(int(t.value))
-                elif t.kind == "IDENT":
-                    args.append(t.value)
-                else:
-                    err(f"expected a universe element, got {t}", t)
-                i += 1
-                if tokens[i].kind == "COMMA":
-                    i += 1
-                    continue
-                break
-            if tokens[i].kind != "RPAREN":
-                err(f"expected ')', got {tokens[i]}", tokens[i])
-            i += 1
+        args = []
+        if p.peek().kind == "LPAREN":
+            p.take()
+            args = p.elements("RPAREN", "')'")
         if pred not in program.signature:
-            err(f"no predicate named {pred!r} in the program", tok)
+            p.error(f"no predicate named {pred!r} in the program", tok)
         want = program.signature[pred]
         if len(args) != want:
-            err(
-                f"predicate {pred!r} takes {want} argument(s), got {len(args)}",
-                tok,
-            )
+            p.error(f"predicate {pred!r} takes {want} argument(s), got {len(args)}", tok)
         for v in args:
             if v not in program.universe:
-                err(f"{v!r} is not a universe element", tok)
-        atoms.add(GroundAtom(pred, tuple(args)))
+                p.error(f"{v!r} is not a universe element", tok)
+        atoms.add(GroundAtom(pred, args))
     return frozenset(atoms)

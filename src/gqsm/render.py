@@ -11,8 +11,6 @@ and have no parser.
 """
 from __future__ import annotations
 
-import re
-
 from .syntax import (
     Apply,
     Atom,
@@ -23,12 +21,11 @@ from .syntax import (
     Program,
     Rule,
     Top,
-    element_key,
     flatten_spine,
     free_variables,
     term_variables,
 )
-from .quantifiers import AGGREGATE_FAMILIES, CMP_SYMBOLS
+from .quantifiers import AGGREGATES, CMP_SYMBOLS
 from .ground import (
     G_BOT,
     G_TOP,
@@ -44,8 +41,6 @@ from .reduct import ReductResult
 
 # Precedence levels: "->" 1 (right associative), "|" 2, "&" 3, "not" 4,
 # everything else is primary at 5.
-
-_AGG_RE = re.compile(r"(sum|count)_(lt|le|eq|ne|ge|gt)\Z")
 
 
 def render(x) -> str:
@@ -82,8 +77,7 @@ def _is_plain_pair(f: Apply) -> bool:
 def _aggregate_parts(f: Apply):
     """If ``f`` is a desugared aggregate, return (family, symbol, var,
     body, bound term); otherwise None."""
-    m = _AGG_RE.match(f.quantifier)
-    if not m:
+    if f.quantifier not in AGGREGATES:
         return None
     if len(f.var_lists) != 2 or len(f.args) != 2:
         return None
@@ -100,7 +94,8 @@ def _aggregate_parts(f: Apply):
         return None
     if y == x or y in free_variables(body) or y in term_variables(eq.right):
         return None
-    return m.group(1), CMP_SYMBOLS[m.group(2)], x, body, eq.right
+    family, key = f.quantifier.split("_")
+    return family, CMP_SYMBOLS[key], x, body, eq.right
 
 
 def _node(f: Formula) -> tuple[str, int]:
@@ -201,8 +196,7 @@ def _set_body(ps: PairSet) -> str:
 def _ground_aggregate_parts(g: GApply):
     """If the second pair-set marks exactly one key true, the
     application prints as an aggregate with that key as its bound."""
-    m = _AGG_RE.match(g.quantifier)
-    if not m or len(g.sets) != 2:
+    if g.quantifier not in AGGREGATES or len(g.sets) != 2:
         return None
     bound = None
     for key, child in g.sets[1].entries:
@@ -216,7 +210,8 @@ def _ground_aggregate_parts(g: GApply):
             return None
     if bound is None:
         return None
-    return m.group(1), CMP_SYMBOLS[m.group(2)], bound
+    family, key = g.quantifier.split("_")
+    return family, CMP_SYMBOLS[key], bound
 
 
 def _plain_sides(g: GroundFormula):

@@ -53,7 +53,6 @@ from .syntax import (
 from .quantifiers import Registry
 from .ground import (
     Interpretation,
-    _checked_atoms,
     _compile_program,
     _eval,
     _gsat,
@@ -166,12 +165,12 @@ def _checked_base(program: Program, cap: Optional[int]) -> tuple:
 
 
 def _setup(program: Program, registry: Registry, cap: Optional[int]) -> tuple:
-    """When an operator or FLP solve started, its head-bounded base, checked
-    once here, the interpretation with no atoms, and the compiled program."""
+    """When an operator or FLP solve started, its head-bounded base, the
+    interpretation with no atoms, and the compiled program.  The base's
+    atoms need no check: ``herbrand_base`` built them over this universe."""
     t0 = time.perf_counter()
     base = _checked_base(program, cap)
     empty = Interpretation(program.universe)
-    _checked_atoms(base, empty.universe)
     return t0, base, empty, _compile_program(program, empty, registry)
 
 

@@ -12,7 +12,7 @@ argument with a single bound variable.  ``not F`` abbreviates
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 Element = Union[int, str]

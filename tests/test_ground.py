@@ -34,6 +34,7 @@ from gqsm.ground import (
     satisfies_direct,
     satisfies_program,
 )
+from gqsm import solver
 from gqsm.parser import parse_formula, parse_program
 from gqsm.reduct import _subsets_ascending
 from gqsm.syntax import GqError, impl
@@ -136,6 +137,19 @@ def test_intensional_slice():
 def test_herbrand_base_is_sorted(registry):
     prog = parse_program("#universe {2, 1}.\np(1).\nq :- p(X).", registry)
     assert [str(a) for a in herbrand_base(prog)] == ["p(1)", "p(2)", "q"]
+    # built in sort_key order, not sorted after: _search takes each
+    # model's witness pool from the base without sorting
+    mixed = parse_program(
+        "#universe {b, 2, -3, a, 10, -1}.\n"
+        "e(X, Y) :- p(X), not r.\np(X) :- not h(X).\nr :- e(a, -3), not s.",
+        registry,
+    )
+    base = herbrand_base(mixed)
+    assert {a.pred: len(a.args) for a in base} == {"e": 2, "h": 1, "p": 1, "r": 0, "s": 0}
+    assert [str(a) for a in base[:3]] == ["e(-3, -3)", "e(-3, -1)", "e(-3, 2)"]
+    assert list(base) == sorted(base, key=GroundAtom.sort_key)
+    kept = solver._checked_base(mixed, len(base))
+    assert list(kept) == [a for a in base if a.pred not in ("h", "s")]
 
 
 def test_pair_set_sorts_and_rejects_duplicate_keys():
