@@ -87,7 +87,9 @@ def _read_program(args, registry: Registry) -> Program:
         text = sys.stdin.read()
         origin = "<stdin>"
     else:
-        with open(args.path, encoding="utf-8") as fh:
+        # undecodable bytes reach the parser, which reports where they
+        # are, as it does for bytes on stdin
+        with open(args.path, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
         origin = args.path
     return parse_program(text, registry, origin)
@@ -187,7 +189,9 @@ def _run_ground(args, program: Program, registry: Registry) -> int:
                 "the text format prints them"
             ) from None
         return 0
-    _emit(render_ground_rule(g) for g in rules)
+    # every rule is rendered before any is printed, so a rule that
+    # cannot be rendered leaves stdout empty
+    _emit([render_ground_rule(g) for g in rules])
     return 0
 
 
@@ -275,8 +279,14 @@ def main(argv: Optional[list] = None) -> int:
     except ParseError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (GqError, OSError) as e:
+    except (GqError, OSError, UnicodeDecodeError) as e:
+        # a stdin whose error handler is strict cannot decode a non-UTF-8
+        # byte; a program file hands it on to the parser
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # every command computes its whole output before printing it
+        print("error: the program nests too deeply to read", file=sys.stderr)
         return 1
 
 

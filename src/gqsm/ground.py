@@ -38,9 +38,12 @@ compiles its program once per solve, or once per compare
 (``_compile_program``): the nodes of each rule instance's body and
 head, whose implications, read one by one, are its sentence.  A
 compiled node keeps its last plain answer, so the plain readings of a
-candidate are computed once however many u are tested against it.  The
-built-in ``sum`` and ``count`` over an atom argument read per-atom
-measures against a bound fixed once per solve (``_aggregate_node``).
+candidate are computed once however many u are tested against it.  An
+application reads an atom argument as the atoms it names, and any other
+argument by its node per tuple, with the tuples whose node is ``top`` or
+``bot`` fixed at compile time.  The built-in ``sum`` and ``count`` over
+an atom argument read per-atom measures against a bound fixed once per
+solve (``_aggregate_node``).
 
 Grounding (``_ground``, ``ground_rule``), compiling (``_Compiler``) and
 the rule instances (``_instances``) all enumerate the bindings of
@@ -401,7 +404,10 @@ def _read_set(g: GroundFormula) -> frozenset:
 #
 # A node with children keeps its last plain answer per atom set (a
 # negation through its child's), so the plain readings of a candidate are
-# computed once, and each j after that reads only star readings.
+# computed once, and each j after that reads only star readings.  A
+# conjunction and ``forall``, and a disjunction and ``exists``, are one
+# junction node (``_junction_node``), which differ only in the answer that
+# stops their left-to-right scan.
 #
 # A quantifier application reads each argument position as a relation,
 # the tuples of universe elements at which the argument holds, and the
@@ -411,16 +417,18 @@ def _read_set(g: GroundFormula) -> frozenset:
 #   each with the tuples that name it; a relation is the tuples of the
 #   named atoms in ``atoms`` (in the star reading, in ``j`` when the
 #   predicate is intensional), so no node is built per tuple;
-# * an equality, the bound ``Y0 = 2`` of every aggregate, holds at the
-#   same tuples in every reading, so its relation is fixed at compile
-#   time;
-# * any other argument is its node per tuple, read in tuple order.
+# * any other argument is its node per tuple.  A tuple whose node is
+#   ``top`` or ``bot`` is in or out of every relation, so it is fixed at
+#   compile time; only the other tuples are read, in tuple order.  An
+#   equality, the bound ``Y0 = 2`` of every aggregate, is fixed at every
+#   tuple.
 #
 # The truth function gets the same relations either way, as many times
 # and in the same order.  The one exception, a built-in ``sum`` or
 # ``count`` of an atom against an equality (the shape the parser builds),
 # calls no truth function: it reads per-atom measures against a bound
-# fixed at compile time (``_aggregate_node``).
+# fixed at compile time, the ``top`` tuples of the equality
+# (``_aggregate_node``).
 #
 # A read that fails at compile time (an unbound variable, a constant with
 # no value, an unknown quantifier, a misshapen application, a non-formula)
@@ -515,57 +523,38 @@ def _atom_node(key: tuple, intensional: bool, negated: bool) -> tuple:
     return plain, star
 
 
-def _all_node(kids: list) -> tuple:
-    """A conjunction spine, or ``forall`` over its instances, read left
-    to right; the plain reading stops at the first false child.  The
-    plain reading of the whole implies each child's, so a spine can be
-    flattened, and a ``top`` child dropped."""
-    kids = [k for k in kids if k is not _TOP_NODE]
+def _junction_node(kids: list, stop: bool) -> tuple:
+    """A conjunction spine or ``forall`` over its instances (``stop``
+    False), or a disjunction or ``exists`` over its instances (``stop``
+    True), read left to right; each reading stops at the first child
+    whose answer is ``stop``.  A child that never answers ``stop``,
+    ``top`` in a conjunction and ``bot`` in a disjunction, is dropped.
+    The plain reading of a conjunction implies each child's, so a spine
+    can be flattened; a nested disjunction is not, since a child's star
+    reading may hold where its plain reading does not, and the inner
+    node masks it.  Every reading gives a bool, so answers are compared
+    with ``is``."""
+    idle = _BOT_NODE if stop else _TOP_NODE
+    kids = [k for k in kids if k is not idle]
     if not kids:
-        return _TOP_NODE
+        return idle
     plains = tuple(p for p, _ in kids)
     stars = tuple(s for _, s in kids)
 
     @_kept
     def plain(atoms):
         for p in plains:
-            if not p(atoms):
-                return False
-        return True
+            if p(atoms) is stop:
+                return stop
+        return not stop
 
     def star(atoms, j):
         if not plain(atoms):
             return False
         for s in stars:
-            if not s(atoms, j):
-                return False
-        return True
-
-    return plain, star
-
-
-def _any_node(kids: list) -> tuple:
-    """A disjunction, or ``exists`` over its instances, read left to
-    right; each reading stops at the first true child.  A nested
-    disjunction is not flattened: a child's star reading may hold where
-    its plain reading does not, and the inner node masks it."""
-    plains = tuple(p for p, _ in kids)
-    stars = tuple(s for _, s in kids)
-
-    @_kept
-    def plain(atoms):
-        for p in plains:
-            if p(atoms):
-                return True
-        return False
-
-    def star(atoms, j):
-        if not plain(atoms):
-            return False
-        for s in stars:
-            if s(atoms, j):
-                return True
-        return False
+            if s(atoms, j) is stop:
+                return stop
+        return not stop
 
     return plain, star
 
@@ -618,23 +607,29 @@ def _atom_reader(named: dict, intensional: bool) -> tuple:
     return plain, star
 
 
-def _fixed_reader(rel: frozenset) -> tuple:
-    """The relation of an argument whose truth no atom set changes."""
-    return (lambda atoms: rel), (lambda atoms, j: rel)
+def _top_rows(rows: list) -> frozenset:
+    """The tuples of ``rows`` whose node is ``top``."""
+    return frozenset([c for c, n in rows if n is _TOP_NODE])
 
 
 def _rows_reader(rows: list) -> tuple:
-    """The relation of any other argument: its node at each tuple, read
-    in the order of the tuples."""
-    combos, nodes = zip(*rows)
-    plains = tuple(p for p, _ in nodes)
-    stars = tuple(s for _, s in nodes)
+    """The relation of any other argument: its node at each tuple.  A
+    tuple whose node is ``top`` or ``bot`` is in or out of every
+    relation, fixed here; the others are read in the order of the
+    tuples."""
+    fixed = _top_rows(rows)
+    live = [(c, n) for c, n in rows if n is not _TOP_NODE and n is not _BOT_NODE]
+    if not live:
+        return (lambda atoms: fixed), (lambda atoms, j: fixed)
+    combos = tuple(c for c, _ in live)
+    plains = tuple(p for _, (p, _) in live)
+    stars = tuple(s for _, (_, s) in live)
 
     def plain(atoms):
-        return frozenset([c for c, p in zip(combos, plains) if p(atoms)])
+        return fixed.union([c for c, p in zip(combos, plains) if p(atoms)])
 
     def star(atoms, j):
-        return frozenset([c for c, s in zip(combos, stars) if s(atoms, j)])
+        return fixed.union([c for c, s in zip(combos, stars) if s(atoms, j)])
 
     return plain, star
 
@@ -747,20 +742,20 @@ class _Compiler:
         name = f.quantifier
         if f.var_lists == ((), ()):
             if name == "and":
-                return _all_node(self.conjuncts(f, env, []))
+                return _junction_node(self.conjuncts(f, env, []), False)
             if name == "or":
                 a, b = f.args
-                return _any_node([self.node(a, env), self.node(b, env)])
+                return _junction_node([self.node(a, env), self.node(b, env)], True)
             if name == "impl":
                 a, b = f.args
                 if type(a) is Atom and type(b) is Bot:
                     return self.atom(a, env, negated=True)
                 return _impl_node(self.node(a, env), self.node(b, env))
         elif name == "forall" and _one_binder(f):
-            return _all_node(self.conjuncts(f, env, []))
+            return _junction_node(self.conjuncts(f, env, []), False)
         elif name == "exists" and _one_binder(f):
-            pairs = _bindings(self.u_sorted, f.var_lists[0], env)
-            return _any_node([self.node(f.args[0], inner) for _, inner in pairs])
+            rows = self.rows(f.var_lists[0], f.args[0], env)
+            return _junction_node([n for _, n in rows], True)
         qdef = self.resolve(name)
         _check_shape(f, qdef)
         if id(f) not in self.reads:
@@ -774,7 +769,7 @@ class _Compiler:
                     self.named(xs, arg, env),
                     arg.pred in self.intensional,
                     *AGGREGATES[name],
-                    _single_int(self.holds(ys, eq, env)),
+                    _single_int(_top_rows(self.rows(ys, eq, env))),
                 )
             else:
                 readers = [self.argument(xs, arg, env) for xs, arg in zip(f.var_lists, args)]
@@ -791,28 +786,17 @@ class _Compiler:
             out.setdefault((arg.pred, vals), []).append(combo)
         return out
 
-    def holds(self, xs: tuple, arg: Equality, env: dict) -> frozenset:
-        """The tuples for ``xs`` at which the equality ``arg`` holds."""
-        interp = self.interp
-        return frozenset(
-            [
-                combo
-                for combo, inner in _bindings(self.u_sorted, xs, env)
-                if _term_value(arg.left, interp, inner)
-                == _term_value(arg.right, interp, inner)
-            ]
-        )
+    def rows(self, xs: tuple, arg: Formula, env: dict) -> list:
+        """The node of ``arg`` at each tuple for ``xs``, in tuple order."""
+        pairs = _bindings(self.u_sorted, xs, env)
+        return [(combo, self.node(arg, inner)) for combo, inner in pairs]
 
     def argument(self, xs: tuple, arg: Formula, env: dict) -> tuple:
         """The reader of the argument ``arg`` of an application that binds
         ``xs`` under ``env``, picked by its shape (see above)."""
-        t = type(arg)
-        if t is Atom:
+        if type(arg) is Atom:
             return _atom_reader(self.named(xs, arg, env), arg.pred in self.intensional)
-        if t is Equality:
-            return _fixed_reader(self.holds(xs, arg, env))
-        pairs = _bindings(self.u_sorted, xs, env)
-        return _rows_reader([(combo, self.node(arg, inner)) for combo, inner in pairs])
+        return _rows_reader(self.rows(xs, arg, env))
 
 
 def _read_names(f: Formula) -> tuple:
@@ -1126,11 +1110,10 @@ def _gsat(g, atoms, universe, registry) -> bool:
 # The stability transformation F*(u)
 
 
-def _checked_smaller(smaller: AtomSet, preds: frozenset, universe, frozen=None) -> AtomSet:
+def _checked_smaller(smaller: AtomSet, preds: frozenset) -> AtomSet:
     """``smaller`` once each atom is known to be a ground atom of one of
-    ``preds`` over ``universe``, checked atom by atom (the star reader);
-    or, given ``frozen``, ``frozen | smaller`` once the predicates are
-    checked and then the universe over the union (the FLP reader)."""
+    ``preds``.  Each reader then checks the universe over the whole set
+    it reads, so a predicate fault is reported before a universe fault."""
     for a in smaller:
         if not isinstance(a, GroundAtom):
             raise GqError(f"not a ground atom: {a!r}")
@@ -1139,9 +1122,7 @@ def _checked_smaller(smaller: AtomSet, preds: frozenset, universe, frozen=None) 
                 f"atom {a} is not intensional; the smaller valuation may "
                 "only mention intensional predicates"
             )
-        if frozen is None:
-            _checked_atoms((a,), universe)
-    return smaller if frozen is None else _checked_atoms(frozen | smaller, universe)
+    return smaller
 
 
 def eval_star(
@@ -1167,7 +1148,7 @@ def eval_star(
     reading.
 
     ``sentence`` is a formula, compiled per call, whose ``smaller`` is
-    checked here atom by atom; or a ``_Program`` compiled for
+    checked here (``_checked_smaller``); or a ``_Program`` compiled for
     ``interp``'s universe and constants, read as its sentence with its
     own intensional predicates.  The solver builds one per solve, or per
     compare, and its u are subsets of a checked candidate, so they are
@@ -1188,7 +1169,7 @@ def eval_star(
     smaller = frozenset(smaller)
     if type(sentence) is not _Program:
         preds = frozenset(intensional)
-        _checked_smaller(smaller, preds, interp.universe)
+        _checked_atoms(_checked_smaller(smaller, preds), interp.universe)
         return _compile_sentence(sentence, interp, registry, preds)[1](interp.atoms, smaller)
     atoms = interp.atoms
     if fired is None:
@@ -1228,8 +1209,9 @@ def eval_flp_transform(
 
     ``program`` is a ``Program``, compiled whole per call, so its first
     static failure raises before any reading, and its ``smaller`` is
-    checked here atom by atom, with ``fired`` from ``flp_reduct``; or a
-    ``_Program``, with ``fired`` filled by ``satisfies_program``.  Only
+    checked here (``_checked_smaller``), with ``fired`` from
+    ``flp_reduct``; or a ``_Program``, with ``fired`` filled by
+    ``satisfies_program``.  Only
     the solver builds a ``_Program``, and its u are subsets of a checked
     candidate, so they are not checked again, and the non-intensional
     part of ``interp`` is kept from one u to the next.
@@ -1245,7 +1227,7 @@ def eval_flp_transform(
         subst = frozen | smaller if frozen else smaller
     else:
         frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
-        subst = _checked_smaller(smaller, preds, interp.universe, frozen)
+        subst = _checked_atoms(frozen | _checked_smaller(smaller, preds), interp.universe)
         compiled = _compile_program(program, interp, registry)
         if fired is not None:
             fired = _compiled_instances(fired, _Compiler(interp, registry, preds))

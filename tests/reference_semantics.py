@@ -627,6 +627,22 @@ KERNEL_SHAPES = {
         "#intensional q.\n"
         "q(X) :- e(X), sum{Y : e(Y)} > 1, not sum{Y : q(Y)} > 2.\n"
     ),
+    # arguments whose node is top or bot at some tuples, fixed at compile
+    # time, and live at the others; a bot in a disjunction is dropped
+    "constant and live rows": (
+        "#universe {1, 2}.\n"
+        "p(1) :- not q.\n"
+        "p(2) :- majority{X : X = 1 -> p(X)}.\n"
+        "q :- atleast(2){X : p(X) | X = 2}, not r.\n"
+        "r :- exists{X : X != 1 & p(X)}.\n"
+    ),
+    "aggregates of constant and live rows": (
+        "#universe {1, 2}.\n"
+        "p(X) :- not q(X).\n"
+        "q(X) :- not p(X).\n"
+        "r :- sum{X : p(X) & X != 2} >= 1.\n"
+        "s :- not sum{X : X = 1 -> q(X)} > 2, count{X : X = 1 | q(X)} >= 2.\n"
+    ),
 }
 
 
@@ -733,6 +749,15 @@ CHOICE_BOOM = (
     "p(X) :- not q(X).\n"
     "q(X) :- not p(X).\n"
     "r :- boom{X : p(X)}.\n"
+)
+
+# boom reads a relation that holds 2 at every candidate, fixed at compile
+# time, and 1 where p(1) is read true, so it raises exactly there
+MIXED_BOOM = (
+    "#universe {1, 2}.\n"
+    "p(X) :- not q(X).\n"
+    "q(X) :- not p(X).\n"
+    "r :- boom{X : X = 1 -> p(X)}.\n"
 )
 
 # An unguarded body that fails at every candidate: a route that read a

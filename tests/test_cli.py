@@ -366,6 +366,80 @@ def test_ground_json_refuses_long_bodies_with_one_error_line(run, tmp_path, lite
     )
 
 
+NESTED = {
+    "600 not": "#universe {1}.\np :- " + "not " * 600 + "q.\n",
+    "1,000 not": "#universe {1}.\np :- " + "not " * 1_000 + "q.\n",
+    "200 parentheses": "#universe {1}.\np :- " + "(" * 200 + "q" + ")" * 200 + ".\n",
+}
+COMMANDS = (
+    ("solve", "--route", "reduct"),
+    ("solve", "--route", "operator"),
+    ("solve", "--semantics", "flp"),
+    ("solve", "--semantics", "both", "--route", "both"),
+    ("compare",),
+    ("ground",),
+    ("ground", "--format", "json"),
+    ("reduct", "--model="),
+)
+NESTING_ERROR = "error: the program nests too deeply to read\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("label", NESTED)
+def test_deep_nesting_answers_or_fails_with_one_error_line(run, tmp_path, label, command):
+    p = tmp_path / "nested.gq"
+    p.write_text(NESTED[label])
+    code, out, err = run(command[0], str(p), *command[1:])
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert (code, out, err) == (1, "", NESTING_ERROR)
+
+
+@pytest.mark.parametrize("command", [("ground",), ("ground", "--format", "json")], ids=" ".join)
+def test_grounding_too_deep_a_program_prints_nothing_on_stdout(run, tmp_path, command):
+    # grounding fails before the JSON encoder is reached, so the refusal
+    # is the nesting error, not the JSON one
+    p = tmp_path / "nested.gq"
+    p.write_text(NESTED["600 not"])
+    assert run(command[0], str(p), *command[1:]) == (1, "", NESTING_ERROR)
+
+
+def test_ground_prints_no_rule_when_a_later_one_cannot_be_rendered(
+    run, sum_path, monkeypatch
+):
+    import gqsm.cli
+
+    rendered = []
+
+    def render(g):
+        if rendered:
+            raise RecursionError
+        rendered.append(g)
+        return "first"
+
+    monkeypatch.setattr(gqsm.cli, "render_ground_rule", render)
+    assert run("ground", sum_path) == (1, "", NESTING_ERROR)
+
+
+def test_a_program_file_that_is_not_utf8_fails_as_on_stdin(run, tmp_path, monkeypatch):
+    import io
+
+    data = b"#universe {1}.\np :- q\xff.\n"
+    p = tmp_path / "bad.gq"
+    p.write_bytes(data)
+    assert run("solve", str(p)) == (1, "", f"{p}:2:7: unexpected character '\\udcff'\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("utf-8", "surrogateescape")))
+    assert run("solve", "-") == (1, "", "<stdin>:2:7: unexpected character '\\udcff'\n")
+    # under a UTF-8 locale stdin decodes strictly, and cannot read the byte
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run("solve", "-") == (
+        1,
+        "",
+        "error: 'utf-8' codec can't decode byte 0xff in position 21: invalid start byte\n",
+    )
+
+
 @pytest.mark.parametrize("name", ["default_closure.gq", "sum_threshold.gq"])
 def test_json_candidates_count_the_head_bounded_base(run, name):
     # default_closure.gq has six ground atoms; the three of p, which

@@ -34,7 +34,7 @@ from gqsm.ground import (
     satisfies_direct,
     satisfies_program,
 )
-from gqsm import solver
+from gqsm import Mono, QuantifierDef, Registry, solver
 from gqsm.parser import parse_formula, parse_program
 from gqsm.reduct import _subsets_ascending
 from gqsm.syntax import GqError, impl
@@ -381,6 +381,49 @@ def test_eval_flp_transform_checks_the_smaller_valuation_of_a_program(
         with pytest.raises(GqError) as raised:
             eval_flp_transform(prog, i, smaller, registry, fired=fired)
         assert str(raised.value) == message
+
+
+def test_the_star_and_flp_readers_report_a_predicate_fault_before_a_universe_fault(
+    registry,
+):
+    # the predicates are checked over the whole set first, whatever the
+    # set's order, and the universe only after them
+    prog = parse_program("#universe {1, 2}.\n#intensional p.\np(X) :- q(X).\n", registry)
+    i = interp({1, 2}, ga("p", 1), ga("q", 1))
+    smaller = {ga("p", 5), ga("p", 6), ga("p", 7), ga("p", 8), ga("p", 9), ga("q", 1)}
+    message = (
+        "atom q(1) is not intensional; the smaller valuation may only "
+        "mention intensional predicates"
+    )
+    with pytest.raises(GqError) as raised:
+        eval_star(parse_formula("p(1)", registry), i, smaller, {"p"}, registry)
+    assert str(raised.value) == message
+    with pytest.raises(GqError) as raised:
+        eval_flp_transform(prog, i, smaller, registry)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "top", "bot", "1 = 2", "p(1)", "not p(1)", "p(1) -> q(2)", "not (p(1) & q(2))",
+        "p(1) & q(2)", "p(1) | q(2)", "p(1) | 1 = 2", "forall X (p(X))", "exists X (p(X))",
+        "size{X : p(X)}", "size{X : X = 1 -> p(X)}", "majority{X : X = 1 -> p(X)}",
+        "sum{X : p(X)} > 1", "sum{X : p(X) & X != 2} >= 1",
+    ],
+)
+def test_every_node_reading_is_a_bool(text):
+    # a conjunction or disjunction compares its children's answers with
+    # ``is``, so a reading must give True or False, whatever the truth
+    # function returns: size returns the relation's size
+    registry = Registry()
+    registry.register(QuantifierDef("size", (1,), lambda u, rels: len(rels[0]), (Mono.NEITHER,)))
+    plain, star = _compile_sentence(parse_formula(text, registry), interp({1, 2}), registry, {"p"})
+    base = [ga("p", 1), ga("p", 2), ga("q", 1), ga("q", 2)]
+    for atoms in _subsets_ascending(base):
+        assert type(plain(frozenset(atoms))) is bool
+        for j in _subsets_ascending(base[:2]):
+            assert type(star(frozenset(atoms), frozenset(j))) is bool
 
 
 def test_a_compiled_program_reads_each_interpretation_s_own_frozen_part(registry):

@@ -86,7 +86,11 @@ def suite(name):
         risky = {"escaping": ref.ESCAPING, "misshapen": ref.MISSHAPEN_AND, "boom": ref.BOOM,
                  "frob": ref.FROB}
         cases = [(label, ref._raising_program(f), reg, None) for label, f in risky.items()]
-        for label, src in (("guarded boom", ref.GUARDED_BOOM), ("choice boom", ref.CHOICE_BOOM)):
+        for label, src in (
+            ("guarded boom", ref.GUARDED_BOOM),
+            ("choice boom", ref.CHOICE_BOOM),
+            ("mixed rows boom", ref.MIXED_BOOM),
+        ):
             cases.append((label, parse_program(src, reg), reg, None))
         for cap in (None, 0, 1, 2):
             cases.append((f"unguarded cap={cap}", parse_program(ref.UNGUARDED, reg), reg, cap))
