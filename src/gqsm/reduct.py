@@ -1,9 +1,9 @@
 """Reducts of ground formulas, and minimal models of the result.
 
 The reduct of a ground formula relative to a set of atoms replaces
-every maximal subformula not satisfied by those atoms with ``bot``;
-satisfied parts are kept and rebuilt recursively.  ``top`` and ``bot``
-are left alone and never counted as replacements.
+every maximal subformula not satisfied by those atoms with ``bot``, in
+one walk, children before parent; ``top`` and ``bot`` are left alone
+and never counted as replacements.
 
 Truth here is read on the ground formula, as ``ground._gsat`` reads it:
 the built-in connectives and binders by their shape, and only the
@@ -76,89 +76,64 @@ def reduct(
     that ``atoms`` do not satisfy becomes ``bot``, and ``replaced`` counts
     them.
 
-    Every node's truth is read once, and every instance of every node is
-    read, so an error is raised wherever one is met.  The built-ins are
-    read by their shape, as in ``ground._gsat``, and only a generalized
-    quantifier, or a misshapen built-in, goes through the registry.  A
-    left-deep ``and`` spine is read, and rebuilt, in a loop.  The kept
-    nodes are rebuilt from pair-sets that were checked already, so they
-    are not checked again.
+    One walk returns each node's reduct, its truth in ``atoms`` and the
+    replacements inside it, reading the children left to right before
+    the node, with no short circuit, so an error is raised wherever one
+    is met.  A subtree shared by two parents, which only the API can
+    build (grounding shares no inner node), is read once per occurrence.
+    Built-ins are read by their shape, as in ``ground._gsat``; only a
+    generalized quantifier, or a misshapen built-in, is resolved in the
+    registry, before its arguments are read.  A left-deep ``and`` spine
+    is read in a loop.  Kept nodes reuse checked pair-sets unchecked.
     """
     u = frozenset(universe)
     atoms = frozenset(atoms)
-    memo: dict = {}
 
-    def sat(n) -> bool:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def walk(n):
         t = type(n)
-        if t is GTop:
-            v = True
-        elif t is GBot:
-            v = False
-        elif t is GroundAtom:
-            v = n in atoms
-        elif t is GApply:
-            v = sat_apply(n)
-        else:
-            raise GqError(f"not a ground formula: {n!r}")
-        memo[key] = v
-        return v
-
-    def sat_apply(n) -> bool:
-        # Both sides of a connective are read, the left first, whatever
-        # the left says.
-        name = n.quantifier
-        if name == "and":
-            bottom, nodes = _and_spine(n)
-            if nodes:
-                v = sat(bottom)
-                for node, right in nodes:
-                    v = sat(right) and v
-                    memo[id(node)] = v
-                return v
-        elif name == "or" or name == "impl":
-            sides = _sides(n)
-            if sides is not None:
-                a, b = sat(sides[0]), sat(sides[1])
-                return (a or b) if name == "or" else (not a or b)
-        sets = n.sets
-        if name in _BINDERS and len(sets) == 1:
-            held = [sat(c) for _, c in sets[0].entries]
-            return any(held) if name == "exists" else held.count(True) == len(u)
-        qdef = registry.resolve(name)
-        rels = tuple([frozenset([k for k, c in ps.entries if sat(c)]) for ps in sets])
-        return bool(qdef.truth(u, rels))
-
-    replaced = 0
-
-    def rebuild(n):
-        nonlocal replaced
-        t = type(n)
-        if t is GTop or t is GBot:
-            return n
-        if not sat(n):
-            replaced += 1
-            return G_BOT
         if t is GroundAtom:
-            return n
-        # A true and holds on both sides, so its whole spine is kept.
-        bottom, nodes = _and_spine(n)
+            return (n, True, 0) if n in atoms else (G_BOT, False, 1)
+        if t is GTop or t is GBot:
+            return n, t is GTop, 0
+        if t is not GApply:
+            raise GqError(f"not a ground formula: {n!r}")
+        name, sets = n.quantifier, n.sets
+        bottom, nodes = _and_spine(n) if name == "and" else (n, ())
         if nodes:
-            out = rebuild(bottom)
+            out, v, count = walk(bottom)
             for node, right in nodes:
-                ((k0, _),), ((k1, _),) = node.sets[0].entries, node.sets[1].entries
-                out = _binary("and", (k0, out), (k1, rebuild(right)))
-            return out
-        sets = [
-            PairSet._sorted(tuple([(k, rebuild(c)) for k, c in ps.entries]))
-            for ps in n.sets
-        ]
-        return GApply._of(n.quantifier, tuple(sets))
+                kept, held, inside = walk(right)
+                v, count = held and v, count + inside
+                if v:
+                    ((k0, _),), ((k1, _),) = node.sets[0].entries, node.sets[1].entries
+                    out = _binary("and", (k0, out), (k1, kept))
+            return (out, True, count) if v else (G_BOT, False, 1)
+        connective = (name == "or" or name == "impl") and _sides(n) is not None
+        binder = name in _BINDERS and len(sets) == 1
+        qdef = None if connective or binder else registry.resolve(name)
+        kept_sets, rels, count = [], [], 0
+        for ps in sets:
+            rows, held = [], []
+            for k, c in ps.entries:
+                kept, v, inside = walk(c)
+                rows.append((k, kept))
+                if v:
+                    held.append(k)
+                count += inside
+            kept_sets.append(PairSet._sorted(tuple(rows)))
+            rels.append(frozenset(held))
+        if connective:
+            v = bool(rels[0] or rels[1]) if name == "or" else not rels[0] or bool(rels[1])
+        elif binder:
+            v = bool(rels[0]) if name == "exists" else len(rels[0]) == len(u)
+        else:
+            v = bool(qdef.truth(u, tuple(rels)))
+        if not v:
+            return G_BOT, False, 1
+        return GApply._of(name, tuple(kept_sets)), True, count
 
-    return ReductResult(rebuild(g), replaced)
+    formula, _, replaced = walk(g)
+    return ReductResult(formula, replaced)
 
 
 def reduct_program(

@@ -98,6 +98,15 @@ def _aggregate_parts(f: Apply):
     return family, CMP_SYMBOLS[key], x, body, eq.right
 
 
+def _negand(f: Formula):
+    """The operand of ``f`` when ``f`` prints as ``not F``; None otherwise."""
+    if isinstance(f, Apply) and f.quantifier == "impl" and _is_plain_pair(f):
+        a, b = f.args
+        if isinstance(b, Bot) and not isinstance(a, (Top, Bot, Equality)):
+            return a
+    return None
+
+
 def _node(f: Formula) -> tuple[str, int]:
     if isinstance(f, Atom):
         if not f.args:
@@ -114,10 +123,15 @@ def _node(f: Formula) -> tuple[str, int]:
         if name in ("and", "or", "impl") and _is_plain_pair(f):
             a, b = f.args
             if name == "impl":
-                if isinstance(b, Bot) and not isinstance(a, (Top, Bot)):
-                    if isinstance(a, Equality):
-                        return f"{a.left} != {a.right}", 5
-                    return f"not {_render(a, 4)}", 4
+                if isinstance(b, Bot) and isinstance(a, Equality):
+                    return f"{a.left} != {a.right}", 5
+                # A chain of negations is read in a loop, so its length
+                # costs no stack.
+                nots, inner = 0, _negand(f)
+                while inner is not None:
+                    nots, f, inner = nots + 1, inner, _negand(inner)
+                if nots:
+                    return "not " * nots + _render(f, 4), 4
                 return f"{_render(a, 2)} -> {_render(b, 1)}", 1
             if name == "and":
                 return f"{_render(a, 3)} & {_render(b, 4)}", 3

@@ -42,7 +42,7 @@ from .syntax import (
     Formula,
     GqError,
     Program,
-    TOP,
+    conj,
     flatten_spine,
     forall,
     impl,
@@ -118,20 +118,15 @@ def resolve_cap(cap: Optional[int] = None) -> int:
 
 
 def program_to_sentence(program: Program) -> Formula:
-    """The program as one sentence: the conjunction of the universal
-    closures of ``body -> head``."""
+    """The program as one sentence: the left-nested conjunction of the
+    universal closures of ``body -> head``, ``top`` for no rules."""
     closures = []
     for rule in program.rules:
         f = impl(rule.body, rule.head)
         for x in reversed(rule.variables):
             f = forall(x, f)
         closures.append(f)
-    if not closures:
-        return TOP
-    out = closures[0]
-    for f in closures[1:]:
-        out = Apply("and", ((), ()), (out, f))
-    return out
+    return conj(*closures)
 
 
 def _checked_base(program: Program, cap: Optional[int]) -> tuple:

@@ -396,6 +396,19 @@ def test_deep_nesting_answers_or_fails_with_one_error_line(run, tmp_path, label,
         assert (code, out, err) == (1, "", NESTING_ERROR)
 
 
+def test_compare_answers_600_nots_as_both_of_its_scans_do(run, tmp_path):
+    # the class report renders each body literal, a chain of nots in a loop
+    p = tmp_path / "nested.gq"
+    p.write_text(NESTED["600 not"])
+    code, out, err = run("compare", str(p))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:4] == ["== sm route=operator", "Answer 1:", "== flp route=operator", "Answer 1:"]
+    assert lines[5] == "in class: no"
+    assert lines[6] == "  rule 1: " + "not " * 600 + "q: negated quantifier has a non-atomic argument"
+    assert lines[-1] == "agreement violated: no"
+
+
 @pytest.mark.parametrize("command", [("ground",), ("ground", "--format", "json")], ids=" ".join)
 def test_grounding_too_deep_a_program_prints_nothing_on_stdout(run, tmp_path, command):
     # grounding fails before the JSON encoder is reached, so the refusal

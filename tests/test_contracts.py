@@ -23,11 +23,11 @@ from gqsm import (
 from gqsm import solver
 from gqsm.ground import (
     GroundAtom, Interpretation, _read_set, eval_flp_transform, eval_star, flp_reduct,
-    ground_program, satisfies_direct, satisfies_program,
+    ground_program, herbrand_base, satisfies_direct, satisfies_program,
 )
 from gqsm.parser import parse_program
 from gqsm.quantifiers import UnknownQuantifierError
-from gqsm.reduct import EnumerationCapError
+from gqsm.reduct import EnumerationCapError, reduct
 from gqsm.solver import (
     compare_semantics, flp_stable_models, program_to_sentence, stable_models_operator,
     stable_models_reduct,
@@ -87,6 +87,18 @@ def test_each_rule_and_each_reduced_rule_is_read_once_per_projection(n):
     assert len(rule_reads) <= 4 * 2 * n and len(reducts) <= 4 * 2 * n
     # a reduced rule mentions at most its head, so J is read through it
     assert reduced_reads and all(len(atoms) <= 1 for atoms in reduced_reads)
+
+
+@pytest.mark.parametrize("path", ref.PROGRAMS, ids=lambda p: p.name)
+def test_a_reduct_is_never_the_ground_rule_it_reduces(path):
+    # a reader that tells a witness test from a model check by the
+    # identity of the ground rules needs every reduct to be a new formula
+    reg = Registry()
+    prog = parse_program(path.read_text(), reg)
+    rules = ground_program(prog, reg)
+    for I in ref.subsets(herbrand_base(prog)):
+        for g in rules:
+            assert reduct(g, I, prog.universe, reg).formula is not g
 
 
 # ---------------------------------------------------------------------------

@@ -787,7 +787,7 @@ GROUND_FORMULAS = {
     "and-spine-misshapen": conn(
         "and", conn("and", app("and", one(P1), one(Q2), one(G_FROB)), Q1), P2
     ),
-    # one node under two parents, read once per reduct
+    # one node under two parents, read once per occurrence by the reduct
     "shared-node": conn("and", conn("impl", SHARED, P1), SHARED),
 }
 
