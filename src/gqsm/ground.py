@@ -21,16 +21,21 @@ table per argument position.  On top of that live:
 ``satisfies`` after ``ground`` and ``satisfies_direct`` always agree;
 the test suite exercises that equivalence heavily.
 
+Every route reads one grounding: ``_Grounder`` is the one walk over
+non-ground syntax, whose ground formulas ``ground``, ``ground_rule`` and
+``ground_program`` return and the compiler (``_Compiler``) compiles.  So
+a program's static failures come from grounding alone, with one message
+and in one order on every route.
+
 ``satisfies`` and the reduct (``reduct.reduct``) walk ground formulas
 node by node; the solver's reduct route calls them once per projection
 of a candidate onto a rule's atoms (``_read_set``).  They read the
 built-in connectives and binders, ``and``, ``or``, ``impl``, ``forall``
 and ``exists``, by their shape, which the registry cannot shadow; only
 a generalized quantifier, or a misshapen built-in, is looked up in the
-registry.  Grounding runs once per solve and checks every application
-against the registry.  All three walk a left-deep ``and`` spine in a
-loop.  Grounding and the reduct build their pair-sets sorted and with
-unique keys, so they skip the checks of the public constructors.
+registry.  They and grounding walk a left-deep ``and`` spine in a loop.
+Grounding and the reduct build their pair-sets sorted and with unique
+keys, so they skip the checks of the public constructors.
 
 The last three, and ``satisfies_program``, read compiled nodes, and
 compile a formula or a ``Program`` given them per call.  The solver
@@ -38,19 +43,7 @@ compiles its program once per solve, or once per compare
 (``_compile_program``): the nodes of each rule instance's body and
 head, whose implications, read one by one, are its sentence.  A
 compiled node keeps its last plain answer, so the plain readings of a
-candidate are computed once however many u are tested against it.  An
-application reads an atom argument as the atoms it names, and any other
-argument by its node per tuple, with the tuples whose node is ``top`` or
-``bot`` fixed at compile time.  The built-in ``sum`` and ``count`` over
-an atom argument read per-atom measures against a bound fixed once per
-solve (``_aggregate_node``).
-
-Grounding (``_ground``, ``ground_rule``), compiling (``_Compiler``) and
-the rule instances (``_instances``) all enumerate the bindings of
-variables through one generator, ``_bindings``: the tuples of the sorted
-universe in product order, each with an env of its own, so no walk
-changes an env in place.  That shared enumeration is why a compile meets
-a program's static failures in the order grounding meets them.
+candidate are computed once however many u are tested against it.
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
@@ -62,6 +55,7 @@ checks only the new atoms, unless the solver says its base was checked.
 """
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 from collections import namedtuple
@@ -87,9 +81,6 @@ from .syntax import (
     iter_subformulas,
 )
 from .quantifiers import AGGREGATES, Registry, _row_key, _single_int
-
-_MISSING = object()
-
 
 class GroundingError(GqError):
     pass
@@ -284,10 +275,10 @@ class PairSet:
     def _sorted(cls, entries: tuple) -> "PairSet":
         """A pair-set of ``entries`` that are already sorted by key, with
         unique tuple keys and ground-formula values, so nothing is checked.
-        Only ``_ground`` and ``reduct`` build one, where that holds by
+        Only the grounder and ``reduct`` build one, where that holds by
         construction."""
         ps = object.__new__(cls)
-        object.__setattr__(ps, "entries", entries)
+        ps.__dict__["entries"] = entries
         return ps
 
     def __len__(self):
@@ -314,11 +305,10 @@ class GApply(GroundFormula):
     @classmethod
     def _of(cls, quantifier: str, sets: tuple) -> "GApply":
         """An application of ``sets``, a tuple of pair-sets, unchecked.
-        Only ``_ground`` and ``reduct`` build one, from pair-sets they
+        Only the grounder and ``reduct`` build one, from pair-sets they
         built."""
         g = object.__new__(cls)
-        object.__setattr__(g, "quantifier", quantifier)
-        object.__setattr__(g, "sets", sets)
+        g.__dict__.update(quantifier=quantifier, sets=sets)
         return g
 
     __str__ = GroundFormula.__str__
@@ -384,14 +374,11 @@ def _read_set(g: GroundFormula) -> frozenset:
 # Compiled evaluation of formulas in an interpretation
 #
 # A formula (``_compile_sentence``), or the body and head of every rule
-# instance of a program (``_compile_program``), is compiled once for an
-# interpretation's universe and constant valuation, a registry and a set
-# of intensional predicates.  Binders are unrolled over the sorted
-# universe by ``_bindings``, as grounding unrolls them, so every variable
-# and constant is read, every spine flattened, every quantifier resolved
-# and its shape checked at compile time.  What remains is one node per
-# ground occurrence, a pair of closures (the arguments of a quantifier
-# application are read apart, below):
+# instance of a program (``_compile_program``), is ground for an
+# interpretation's universe and constants and a registry, and compiled
+# for a set of intensional predicates.  The compiler reads only the
+# ground form: one node per ground occurrence, a pair of closures (the
+# arguments of a quantifier application are read apart, below):
 #
 # * ``plain(atoms)``   the truth of the node when ``atoms`` are the true
 #   atoms;
@@ -411,73 +398,32 @@ def _read_set(g: GroundFormula) -> frozenset:
 #
 # A quantifier application reads each argument position as a relation,
 # the tuples of universe elements at which the argument holds, and the
-# compiler picks the reader of each position from the argument's shape:
+# compiler picks the reader of each position from its pair-set:
 #
-# * an atom, ``p(Y)`` in ``sum{Y : p(Y)}``, is the set of atoms it names,
-#   each with the tuples that name it; a relation is the tuples of the
-#   named atoms in ``atoms`` (in the star reading, in ``j`` when the
-#   predicate is intensional), so no node is built per tuple;
+# * an atom argument, whose entries are all atoms, ``p(Y)`` in
+#   ``sum{Y : p(Y)}``, is the set of atoms it names, each with the tuples
+#   that name it; a relation is the tuples of the named atoms in
+#   ``atoms`` (in the star reading, in ``j`` when the predicate is
+#   intensional), so no node is built per tuple;
 # * any other argument is its node per tuple.  A tuple whose node is
 #   ``top`` or ``bot`` is in or out of every relation, so it is fixed at
 #   compile time; only the other tuples are read, in tuple order.  An
-#   equality, the bound ``Y0 = 2`` of every aggregate, is fixed at every
-#   tuple.
+#   equality, the bound ``Y0 = 2`` of every aggregate, is ``top`` or
+#   ``bot`` at every tuple.
 #
 # The truth function gets the same relations either way, as many times
 # and in the same order.  The one exception, a built-in ``sum`` or
-# ``count`` of an atom against an equality (the shape the parser builds),
-# calls no truth function: it reads per-atom measures against a bound
-# fixed at compile time, the ``top`` tuples of the equality
-# (``_aggregate_node``).
+# ``count`` of an atom argument against one whose entries are all ``top``
+# or ``bot`` (the equality the parser builds), calls no truth function:
+# it reads per-atom measures against a bound fixed at compile time, the
+# ``top`` tuples of the second argument (``_aggregate_node``).
 #
-# A read that fails at compile time (an unbound variable, a constant with
-# no value, an unknown quantifier, a misshapen application, a non-formula)
-# raises there, in the order in which grounding meets the same nodes,
-# since both take their bindings from ``_bindings`` in one order, so every
-# route reports a program's first such failure, with grounding's
-# message, before any candidate is read.  Only a truth function can fail
+# A static failure (an unbound variable, a constant with no value, an
+# unknown quantifier, a misshapen application, a non-formula) raises in
+# grounding, before any candidate is read; only a truth function can fail
 # after that.  A compiled form is built per solve (or per call of the
 # public readers) and never cached past it, so a registry change is seen
 # by the next one.
-
-
-def _term_value(t, interp: Interpretation, env: dict) -> Element:
-    if isinstance(t, Variable):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise GroundingError(f"unbound free variable {t.name}") from None
-    return interp.value(t.value)
-
-
-def _check_shape(f: Apply, qdef) -> None:
-    if len(f.var_lists) != len(qdef.arities):
-        raise GroundingError(
-            f"quantifier {f.quantifier!r} takes {len(qdef.arities)} arguments, "
-            f"got {len(f.var_lists)}"
-        )
-    for xs, n in zip(f.var_lists, qdef.arities):
-        if len(xs) != n:
-            raise GroundingError(
-                f"quantifier {f.quantifier!r} binds {n} variable(s) per "
-                f"argument in this position, got {len(xs)}"
-            )
-
-
-_BINDERS = ("forall", "exists")
-
-
-def _one_binder(f: Apply) -> bool:
-    """The fixed shape of ``forall``/``exists``: one variable, one argument."""
-    return len(f.var_lists) == 1 and len(f.var_lists[0]) == 1
-
-
-def _bindings(u_sorted: tuple, xs: tuple, env: dict):
-    """Each tuple of elements of the sorted universe ``u_sorted`` for the
-    variables ``xs``, in product order, with a new env that extends
-    ``env`` by binding ``xs`` to it; ``env`` itself is never changed."""
-    for combo in itertools.product(u_sorted, repeat=len(xs)):
-        yield combo, {**env, **dict(zip(xs, combo))}
 
 
 def _kept(read):
@@ -607,17 +553,12 @@ def _atom_reader(named: dict, intensional: bool) -> tuple:
     return plain, star
 
 
-def _top_rows(rows: list) -> frozenset:
-    """The tuples of ``rows`` whose node is ``top``."""
-    return frozenset([c for c, n in rows if n is _TOP_NODE])
-
-
 def _rows_reader(rows: list) -> tuple:
     """The relation of any other argument: its node at each tuple.  A
     tuple whose node is ``top`` or ``bot`` is in or out of every
     relation, fixed here; the others are read in the order of the
     tuples."""
-    fixed = _top_rows(rows)
+    fixed = frozenset([c for c, n in rows if n is _TOP_NODE])
     live = [(c, n) for c, n in rows if n is not _TOP_NODE and n is not _BOT_NODE]
     if not live:
         return (lambda atoms: fixed), (lambda atoms, j: fixed)
@@ -681,133 +622,94 @@ def _aggregate_node(named: dict, intensional: bool, measure, cmp, bound) -> tupl
 
 
 class _Compiler:
-    """Compiles formulas for interpretations over ``interp``'s universe
-    and constants: ``node(f, env)`` is the node of ``f`` under the
-    bindings ``env``.  Each quantifier name is resolved at most once per
-    compiler, and the occurrences of a quantifier application under
-    bindings that agree on what it reads share one node:
-    ``sum{Y : p(Y)} < 2`` in a rule over X is read in an interpretation
-    once, not once per instance.  A compiler is not kept past its
-    compile."""
+    """Compiles the ground formulas of its one grounder for
+    interpretations over ``interp``'s universe: ``node(g)`` is the node
+    of ``g``.  An application that the grounder shares across instances
+    is one object, with one node: ``sum{Y : p(Y)} < 2`` in a rule over X
+    is read in an interpretation once, not once per instance.  The
+    grounder keeps those objects alive, so their ids stay unique.  A
+    compiler is not kept past its compile."""
 
     def __init__(self, interp: Interpretation, registry: Registry, intensional):
-        self.interp = interp
-        self.u_sorted = interp.universe_sorted
-        self.registry = registry
+        self.grounder = _Grounder(interp, registry)
+        self.universe = interp.universe
         self.intensional = frozenset(intensional)
-        self.resolved = {}  # name -> its definition
-        self.reads = {}  # id of an application -> _read_names of it
-        self.shared = {}  # (id, the values of what it reads) -> its node
+        self.shared = {}  # id of a ground application -> its node
 
-    def resolve(self, name: str):
-        if name not in self.resolved:
-            self.resolved[name] = self.registry.resolve(name)
-        return self.resolved[name]
+    def instance(self, rule: Rule, env: dict) -> tuple:
+        """``(rule, env, body, head)``, the body and head ground apart."""
+        ground = self.grounder.ground
+        return rule, env, self.node(ground(rule.body, env)), self.node(ground(rule.head, env))
 
-    def atom(self, f: Atom, env: dict, negated: bool = False) -> tuple:
-        vals = tuple(_term_value(a, self.interp, env) for a in f.args)
-        return _atom_node((f.pred, vals), f.pred in self.intensional, negated)
-
-    def conjuncts(self, f: Formula, env: dict, out: list) -> list:
-        """Append the nodes of the conjuncts of ``f`` to ``out``: its
-        ``and`` spine, with each ``forall`` unrolled into the instances
-        of its argument.  The plain reading of the whole implies each
-        inner conjunction's, so their plain conjuncts, and the nesting,
-        may go."""
-        for g in flatten_spine(f, "and"):
-            if type(g) is Apply and g.quantifier == "forall" and _one_binder(g):
-                for _, inner in _bindings(self.u_sorted, g.var_lists[0], env):
-                    self.conjuncts(g.args[0], inner, out)
+    def conjuncts(self, g: GroundFormula, out: list) -> list:
+        """Append the nodes of the conjuncts of ``g`` to ``out``: its
+        ``and`` spine, with each ``forall`` unrolled into its instances.
+        The plain reading of the whole implies each inner conjunction's,
+        so their plain conjuncts, and the nesting, may go."""
+        bottom, nodes = _and_spine(g)
+        for c in [bottom] + [right for _, right in nodes]:
+            if type(c) is GApply and c.quantifier == "forall":
+                for _, inner in c.sets[0].entries:
+                    self.conjuncts(inner, out)
             else:
-                out.append(self.node(g, env))
+                out.append(self.node(c))
         return out
 
-    def node(self, f: Formula, env: dict) -> tuple:
-        t = type(f)
-        if t is Atom:
-            return self.atom(f, env)
-        if t is Equality:
-            left = _term_value(f.left, self.interp, env)
-            same = left == _term_value(f.right, self.interp, env)
-            return _TOP_NODE if same else _BOT_NODE
-        if t is Top:
-            return _TOP_NODE
-        if t is Bot:
-            return _BOT_NODE
-        if t is not Apply:
-            raise GqError(f"not a formula: {f!r}")
-        # The five built-in connectives are dispatched by name, their shape
-        # checked structurally; the registry cannot shadow them.  A
-        # misshapen one falls through to _check_shape, which reports it.
-        name = f.quantifier
-        if f.var_lists == ((), ()):
-            if name == "and":
-                return _junction_node(self.conjuncts(f, env, []), False)
-            if name == "or":
-                a, b = f.args
-                return _junction_node([self.node(a, env), self.node(b, env)], True)
-            if name == "impl":
-                a, b = f.args
-                if type(a) is Atom and type(b) is Bot:
-                    return self.atom(a, env, negated=True)
-                return _impl_node(self.node(a, env), self.node(b, env))
-        elif name == "forall" and _one_binder(f):
-            return _junction_node(self.conjuncts(f, env, []), False)
-        elif name == "exists" and _one_binder(f):
-            rows = self.rows(f.var_lists[0], f.args[0], env)
-            return _junction_node([n for _, n in rows], True)
-        qdef = self.resolve(name)
-        _check_shape(f, qdef)
-        if id(f) not in self.reads:
-            self.reads[id(f)] = _read_names(f)
-        key = (id(f),) + tuple(env.get(x, _MISSING) for x in self.reads[id(f)])
-        if key not in self.shared:
-            args = f.args
-            if name in AGGREGATES and type(args[0]) is Atom and type(args[1]) is Equality:
-                (xs, ys), (arg, eq) = f.var_lists, args
-                node = _aggregate_node(
-                    self.named(xs, arg, env),
-                    arg.pred in self.intensional,
-                    *AGGREGATES[name],
-                    _single_int(_top_rows(self.rows(ys, eq, env))),
-                )
-            else:
-                readers = [self.argument(xs, arg, env) for xs, arg in zip(f.var_lists, args)]
-                node = _apply_node(qdef.truth, self.interp.universe, readers)
-            self.shared[key] = node
-        return self.shared[key]
-
-    def named(self, xs: tuple, arg: Atom, env: dict) -> dict:
-        """Each atom the atom argument ``arg`` names, with the tuples for
-        ``xs`` that name it."""
-        out = {}
-        for combo, inner in _bindings(self.u_sorted, xs, env):
-            vals = tuple([_term_value(a, self.interp, inner) for a in arg.args])
-            out.setdefault((arg.pred, vals), []).append(combo)
-        return out
-
-    def rows(self, xs: tuple, arg: Formula, env: dict) -> list:
-        """The node of ``arg`` at each tuple for ``xs``, in tuple order."""
-        pairs = _bindings(self.u_sorted, xs, env)
-        return [(combo, self.node(arg, inner)) for combo, inner in pairs]
-
-    def argument(self, xs: tuple, arg: Formula, env: dict) -> tuple:
-        """The reader of the argument ``arg`` of an application that binds
-        ``xs`` under ``env``, picked by its shape (see above)."""
-        if type(arg) is Atom:
-            return _atom_reader(self.named(xs, arg, env), arg.pred in self.intensional)
-        return _rows_reader(self.rows(xs, arg, env))
-
-
-def _read_names(f: Formula) -> tuple:
-    """The variables that terms in ``f`` read, bound in ``f`` or not: the
-    bindings that a compiled node of ``f`` can depend on."""
-    out = set()
-    for g in iter_subformulas(f):
+    def node(self, g: GroundFormula) -> tuple:
         t = type(g)
-        terms = g.args if t is Atom else (g.left, g.right) if t is Equality else ()
-        out.update(x.name for x in terms if type(x) is Variable)
-    return tuple(sorted(out))
+        if t is GroundAtom:
+            return _atom_node(g, g.pred in self.intensional, False)
+        if t is GTop:
+            return _TOP_NODE
+        if t is GBot:
+            return _BOT_NODE
+        # grounding checked every shape, so a built-in is read by its name
+        name = g.quantifier
+        if name == "and" or name == "forall":
+            return _junction_node(self.conjuncts(g, []), False)
+        if name == "exists":
+            return _junction_node([self.node(c) for _, c in g.sets[0].entries], True)
+        if name == "or" or name == "impl":
+            a, b = _sides(g)
+            if name == "or":
+                return _junction_node([self.node(a), self.node(b)], True)
+            if type(a) is GroundAtom and type(b) is GBot:
+                return _atom_node(a, a.pred in self.intensional, True)
+            return _impl_node(self.node(a), self.node(b))
+        node = self.shared.get(id(g))
+        if node is None:
+            node = self.shared[id(g)] = self.application(g)
+        return node
+
+    def application(self, g: GApply) -> tuple:
+        """A generalized quantifier application, with a reader per
+        pair-set picked by its entries (see above)."""
+        name, sets = g.quantifier, g.sets
+        named = [_named(ps) for ps in sets]
+        if name in AGGREGATES and named[0] is not None and all(
+            [type(c) is GTop or type(c) is GBot for _, c in sets[1].entries]
+        ):
+            bound = frozenset([k for k, c in sets[1].entries if type(c) is GTop])
+            intensional = sets[0].entries[0][1].pred in self.intensional
+            return _aggregate_node(named[0], intensional, *AGGREGATES[name], _single_int(bound))
+        readers = []
+        for ps, atoms in zip(sets, named):
+            if atoms is None:
+                readers.append(_rows_reader([(k, self.node(c)) for k, c in ps.entries]))
+            else:
+                readers.append(_atom_reader(atoms, ps.entries[0][1].pred in self.intensional))
+        return _apply_node(self.grounder.resolved[name].truth, self.universe, readers)
+
+
+def _named(ps: PairSet):
+    """Each atom of an atom argument ``ps`` with the tuples that name it;
+    None when an entry of ``ps`` is not an atom."""
+    named = {}
+    for combo, a in ps.entries:
+        if type(a) is not GroundAtom:
+            return None
+        named.setdefault(a, []).append(combo)
+    return named
 
 
 def _without_gc(build):
@@ -850,16 +752,8 @@ def _compile_sentence(
     """The node of ``f``, compiled for interpretations over ``interp``'s
     universe and constants, with ``intensional`` read from the smaller
     valuation in the star reading and ``env`` binding its free variables."""
-    node = _Compiler(interp, registry, intensional).node
-    return _without_gc(lambda: node(f, dict(env or {})))
-
-
-def _compiled_instances(pairs, compiler: _Compiler):
-    """Each rule instance ``(rule, env)`` of ``pairs`` with the nodes of
-    its body and head, compiled as they are met."""
-    node = compiler.node
-    for rule, env in pairs:
-        yield rule, env, node(rule.body, env), node(rule.head, env)
+    compiler = _Compiler(interp, registry, intensional)
+    return _without_gc(lambda: compiler.node(compiler.grounder.ground(f, dict(env or {}))))
 
 
 def _compile_program(
@@ -868,7 +762,7 @@ def _compile_program(
     """Every rule instance of ``program``, compiled for interpretations
     over ``interp``'s universe and constants."""
     compiler = _Compiler(interp, registry, program.intensional)
-    instances = _compiled_instances(_instances(program, interp), compiler)
+    instances = itertools.starmap(compiler.instance, _instances(program, interp))
     return _without_gc(lambda: _Program(program.intensional, tuple(instances)))
 
 
@@ -884,8 +778,8 @@ def _eval(f, interp: Interpretation, registry: Registry, env: dict) -> bool:
 def satisfies_direct(
     interp: Interpretation, sentence: Formula, registry: Registry
 ) -> bool:
-    """Truth of a sentence in an interpretation, without grounding.  The
-    sentence is compiled per call."""
+    """Truth of a sentence in an interpretation.  The sentence is ground
+    and compiled per call, and read in the interpretation's atoms."""
     return _eval(sentence, interp, registry, {})
 
 
@@ -951,6 +845,123 @@ def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> 
 # Grounding
 
 
+def _term_value(t, interp: Interpretation, env: dict) -> Element:
+    if isinstance(t, Variable):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise GroundingError(f"unbound free variable {t.name}") from None
+    return interp.value(t.value)
+
+
+def _check_shape(f: Apply, qdef) -> None:
+    if len(f.var_lists) != len(qdef.arities):
+        raise GroundingError(
+            f"quantifier {f.quantifier!r} takes {len(qdef.arities)} arguments, "
+            f"got {len(f.var_lists)}"
+        )
+    for xs, n in zip(f.var_lists, qdef.arities):
+        if len(xs) != n:
+            raise GroundingError(
+                f"quantifier {f.quantifier!r} binds {n} variable(s) per "
+                f"argument in this position, got {len(xs)}"
+            )
+
+
+def _bindings(u_sorted: tuple, xs: tuple, env: dict):
+    """Each tuple of elements of the sorted universe ``u_sorted`` for the
+    variables ``xs``, in product order, with a new env that extends
+    ``env`` by binding ``xs`` to it; ``env`` itself is never changed."""
+    for combo in itertools.product(u_sorted, repeat=len(xs)):
+        yield combo, {**env, **dict(zip(xs, combo))}
+
+
+def _read_names(f: Formula) -> tuple:
+    """The variables that terms in ``f`` read, bound in ``f`` or not: the
+    bindings that the ground form of ``f`` can depend on."""
+    out = set()
+    for g in iter_subformulas(f):
+        t = type(g)
+        terms = g.args if t is Atom else (g.left, g.right) if t is Equality else ()
+        out.update(x.name for x in terms if type(x) is Variable)
+    return tuple(sorted(out))
+
+
+_CONNECTIVES = ("and", "or", "impl")
+_BINDERS = ("forall", "exists")
+_MISSING = object()
+# ``GroundAtom((pred, args))`` for an args tuple, skipping its ``__new__``
+_new_atom = functools.partial(tuple.__new__, GroundAtom)
+
+
+class _Grounder:
+    """Grounds formulas over ``interp``'s universe and constants:
+    ``ground(f, env)`` is ``f`` under the bindings ``env``.  It resolves
+    each quantifier name, connectives included, once per grounder, and
+    checks each application's shape.  The occurrences of a
+    generalized quantifier application under bindings that agree on what
+    it reads are one ground application, whose shape is checked once;
+    connectives and binders are built afresh."""
+
+    def __init__(self, interp: Interpretation, registry: Registry):
+        self.interp = interp
+        self.registry = registry
+        self.resolved = {}  # name -> its definition
+        self.reads = {}  # id of an application -> _read_names of it
+        self.shared = {}  # (id, the values of what it reads) -> its ground form
+
+    def ground(self, f: Formula, env: dict) -> GroundFormula:
+        t = type(f)
+        if t is Atom:
+            return _new_atom((f.pred, tuple([_term_value(a, self.interp, env) for a in f.args])))
+        if t is Equality:
+            lv = _term_value(f.left, self.interp, env)
+            rv = _term_value(f.right, self.interp, env)
+            return G_TOP if lv == rv else G_BOT
+        if t is Top:
+            return G_TOP
+        if t is Bot:
+            return G_BOT
+        if t is not Apply:
+            raise GqError(f"not a formula: {f!r}")
+        name = f.quantifier
+        key = None  # set for a generalized quantifier, whose application is shared
+        if name not in _CONNECTIVES and name not in _BINDERS:
+            reads = self.reads.get(id(f))
+            if reads is None:
+                reads = self.reads[id(f)] = _read_names(f)
+            key = (id(f),) + tuple([env.get(x, _MISSING) for x in reads])
+            g = self.shared.get(key)
+            if g is not None:
+                return g
+        qdef = self.resolved.get(name)
+        if qdef is None:
+            qdef = self.resolved[name] = self.registry.resolve(name)
+        _check_shape(f, qdef)
+        if name in _CONNECTIVES:
+            # A connective is binary, and so is each inner node of a
+            # left-deep ``and`` spine, which is ground in a loop.
+            parts = flatten_spine(f, "and") if name == "and" else f.args
+            g = self.ground(parts[0], env)
+            for part in parts[1:]:
+                g = _binary(name, ((), g), ((), self.ground(part, env)))
+            return g
+        # Keys come in the order of the sorted universe, so each pair-set
+        # is sorted and its keys unique as built.  The entries are built in
+        # a plain loop, so a level of nesting costs one frame.
+        sets = []
+        for xs, arg in zip(f.var_lists, f.args):
+            entries = []
+            pairs = _bindings(self.interp.universe_sorted, xs, env) if xs else [((), env)]
+            for combo, inner in pairs:
+                entries.append((combo, self.ground(arg, inner)))
+            sets.append(PairSet._sorted(tuple(entries)))
+        g = GApply._of(name, tuple(sets))
+        if key is not None:
+            self.shared[key] = g
+        return g
+
+
 def ground(
     f: Formula,
     interp: Interpretation,
@@ -964,51 +975,18 @@ def ground(
     per tuple of universe elements.  Only the universe and the constant
     valuation matter here; the interpretation's atom set does not.
     """
-    if env is None:
-        env = {}
-    return _ground(f, interp, registry, env)
-
-
-def _ground(f, interp, registry, env) -> GroundFormula:
-    t = type(f)
-    if t is Atom:
-        return GroundAtom(f.pred, [_term_value(a, interp, env) for a in f.args])
-    if t is Equality:
-        lv = _term_value(f.left, interp, env)
-        rv = _term_value(f.right, interp, env)
-        return G_TOP if lv == rv else G_BOT
-    if t is Top:
-        return G_TOP
-    if t is Bot:
-        return G_BOT
-    if t is not Apply:
-        raise GqError(f"not a formula: {f!r}")
-    name = f.quantifier
-    _check_shape(f, registry.resolve(name))
-    if name == "and" and f.var_lists == ((), ()):
-        # The inner nodes of a left-deep spine are plain ``and``s too, so
-        # their shape holds; the spine is grounded in a loop.
-        parts = flatten_spine(f, "and")
-        out = _ground(parts[0], interp, registry, env)
-        for part in parts[1:]:
-            out = _binary("and", ((), out), ((), _ground(part, interp, registry, env)))
-        return out
-    # Keys come in the order of the sorted universe, so each pair-set is
-    # sorted and its keys unique as built.
-    sets = []
-    for xs, arg in zip(f.var_lists, f.args):
-        pairs = _bindings(interp.universe_sorted, xs, env) if xs else (((), env),)
-        entries = [(combo, _ground(arg, interp, registry, inner)) for combo, inner in pairs]
-        sets.append(PairSet._sorted(tuple(entries)))
-    return GApply._of(name, tuple(sets))
+    return _Grounder(interp, registry).ground(f, {} if env is None else env)
 
 
 def ground_rule(rule: Rule, interp: Interpretation, registry: Registry) -> tuple:
     """Ground instances of one rule, one implication per assignment of
-    the rule's free variables, in sorted assignment order."""
+    the rule's free variables, in sorted assignment order.  The instances
+    share each generalized quantifier application that reads the same
+    values in them."""
     formula = impl(rule.body, rule.head)
+    ground = _Grounder(interp, registry).ground
     pairs = _bindings(interp.universe_sorted, rule.variables, {})
-    return tuple([_ground(formula, interp, registry, env) for _, env in pairs])
+    return tuple([ground(formula, env) for _, env in pairs])
 
 
 def ground_program(
@@ -1019,10 +997,7 @@ def ground_program(
     """Ground every rule; returns a flat tuple of implications."""
     if interp is None:
         interp = Interpretation(program.universe)
-    out = []
-    for rule in program.rules:
-        out.extend(ground_rule(rule, interp, registry))
-    return tuple(out)
+    return tuple([g for rule in program.rules for g in ground_rule(rule, interp, registry)])
 
 
 # ---------------------------------------------------------------------------
@@ -1228,10 +1203,9 @@ def eval_flp_transform(
     else:
         frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
         subst = _checked_atoms(frozen | _checked_smaller(smaller, preds), interp.universe)
-        compiled = _compile_program(program, interp, registry)
         if fired is not None:
-            fired = _compiled_instances(fired, _Compiler(interp, registry, preds))
-        program = compiled
+            fired = itertools.starmap(_Compiler(interp, registry, preds).instance, fired)
+        program = _compile_program(program, interp, registry)
     if fired is None:
         atoms = interp.atoms
         fired = (inst for inst in program.instances if inst[2][0](atoms))

@@ -79,8 +79,8 @@ def reduct(
     One walk returns each node's reduct, its truth in ``atoms`` and the
     replacements inside it, reading the children left to right before
     the node, with no short circuit, so an error is raised wherever one
-    is met.  A subtree shared by two parents, which only the API can
-    build (grounding shares no inner node), is read once per occurrence.
+    is met.  A subtree shared by two parents, as grounding shares a
+    generalized quantifier application, is read once per occurrence.
     Built-ins are read by their shape, as in ``ground._gsat``; only a
     generalized quantifier, or a misshapen built-in, is resolved in the
     registry, before its arguments are read.  A left-deep ``and`` spine

@@ -255,6 +255,16 @@ def _plain_and_spine(g: GApply):
     return bottom, [right for _, right in nodes[i:]]
 
 
+def _ground_negand(g: GroundFormula):
+    """The operand of ``g`` when ``g`` prints as ``not F``; None otherwise."""
+    sides = _plain_sides(g)
+    if sides is not None and g.quantifier == "impl":
+        a, b = sides
+        if isinstance(b, GBot) and not isinstance(a, (GTop, GBot)):
+            return a
+    return None
+
+
 def _render_ground(g: GroundFormula, min_level: int) -> str:
     text, level = _ground_node(g)
     if level < min_level:
@@ -275,8 +285,13 @@ def _ground_node(g: GroundFormula) -> tuple[str, int]:
         if sides is not None:
             a, b = sides
             if name == "impl":
-                if isinstance(b, GBot) and not isinstance(a, (GTop, GBot)):
-                    return f"not {_render_ground(a, 4)}", 4
+                # A chain of negations is read in a loop, as ``_node`` reads
+                # one, so its length costs no stack.
+                nots, inner = 0, _ground_negand(g)
+                while inner is not None:
+                    nots, g, inner = nots + 1, inner, _ground_negand(inner)
+                if nots:
+                    return "not " * nots + _render_ground(g, 4), 4
                 return f"{_render_ground(a, 2)} -> {_render_ground(b, 1)}", 1
             if name == "and":
                 bottom, rights = _plain_and_spine(g)

@@ -643,6 +643,15 @@ KERNEL_SHAPES = {
         "r :- sum{X : p(X) & X != 2} >= 1.\n"
         "s :- not sum{X : X = 1 -> q(X)} > 2, count{X : X = 1 | q(X)} >= 2.\n"
     ),
+    # a bound argument whose entries are not all top or bot goes through
+    # the truth function, not the aggregate kernel
+    "aggregates of live bounds": (
+        "#universe {1, 2}.\n"
+        "p(X) :- not q(X).\n"
+        "q(X) :- not p(X).\n"
+        "r :- sum_lt[Y][W](p(Y); q(W)).\n"
+        "s :- count_ge[Y][W](q(Y); W = 1 & p(W)).\n"
+    ),
 }
 
 

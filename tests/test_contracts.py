@@ -2,11 +2,11 @@
 
 The harness holds every route and reader to what the definitions
 answer.  These tests hold the package to how it gets there: the reduct
-route reads each rule once per projection of the candidate, a solve
-resolves each quantifier a bounded number of times, no compiled form
-outlives its solve, the atom cap counts the head-bounded base, and
-every entry point raises a program's first static failure before it
-reads anything.
+route reads each rule once per projection of the candidate, the
+grounding behind an operator or FLP solve resolves each quantifier name,
+connectives included, once, no compiled form outlives its solve, the
+atom cap counts the head-bounded base, and every entry point raises a
+program's first static failure before it reads anything.
 """
 
 import dataclasses
@@ -102,7 +102,8 @@ def test_a_reduct_is_never_the_ground_rule_it_reduces(path):
 
 
 # ---------------------------------------------------------------------------
-# Quantifiers are resolved when a solve compiles, not per candidate
+# Quantifiers are resolved when a solve grounds its program, once per name
+# and connectives included, not per candidate
 
 
 class CountingRegistry(Registry):
@@ -148,8 +149,9 @@ def test_one_solve_resolves_each_quantifier_a_bounded_number_of_times(route):
         result = route(prog, reg)
         assert result.stats.candidates == 4**n and len(result.models) == 2**n
         seen.append(dict(reg.calls))
-    # the same for 4, 16 and 64 candidates: once per name per compile
-    assert seen == [{"atmost(3)": 1, "atmost(4)": 1}] * 3
+    # the same for 4, 16 and 64 candidates: once per name per compile,
+    # connectives included
+    assert seen == [{"and": 1, "impl": 1, "atmost(3)": 1, "atmost(4)": 1}] * 3
 
 
 def test_compare_resolves_once_per_compare():
@@ -159,7 +161,7 @@ def test_compare_resolves_once_per_compare():
     report = compare_semantics(prog, reg)
     assert len(report.sm.models) == len(report.flp.models) == 8
     # one compile serves both scans
-    assert reg.calls == {"atmost(3)": 1, "atmost(4)": 1}
+    assert reg.calls == {"and": 1, "impl": 1, "atmost(3)": 1, "atmost(4)": 1}
 
 
 @pytest.mark.parametrize("source", [ref.choice_text(3), _guarded_choice(2)])
@@ -199,7 +201,7 @@ def test_sum_and_count_over_an_atom_call_no_truth_function(route):
     reg.calls.clear()
     result = route(prog, reg)
     assert len(result.models) == (2 if route is stable_models_operator else 1)
-    assert reg.calls == {"sum_lt": 1, "sum_gt": 1, "count_ge": 1}
+    assert reg.calls == {"and": 1, "impl": 1, "sum_lt": 1, "sum_gt": 1, "count_ge": 1}
     assert reg.truth_calls == 0
 
 

@@ -37,6 +37,7 @@ from gqsm.ground import (
 from gqsm import Mono, QuantifierDef, Registry, solver
 from gqsm.parser import parse_formula, parse_program
 from gqsm.reduct import _subsets_ascending
+from gqsm.render import render_ground_rule
 from gqsm.syntax import GqError, impl
 
 from conftest import SUM_THRESHOLD
@@ -516,6 +517,36 @@ def test_ground_to_json_shape(registry, i_empty):
     kinds = {child["kind"] for _, child in bound_set}
     assert kinds == {"top", "bot"}
     assert json.dumps(d)  # serializable
+
+
+def test_the_instances_of_a_rule_share_one_quantifier_application(registry):
+    # the sum reads only Y, which it binds, so the three instances of the
+    # rule over X hold one ground application; the connectives around it
+    # are built per instance, and another rule has its own
+    text = "p(X) :- not sum{Y : p(Y)} < 2.\n"
+    prog = parse_program("#universe {-1, 1, 2}.\n" + text + text, registry)
+    rules = ground_program(prog, registry)
+    sums = [g.sets[0].entries[0][1].sets[0].entries[0][1] for g in rules]
+    assert sums[0].quantifier == "sum_lt"
+    assert all(s is sums[0] for s in sums[:3]) and all(s is sums[3] for s in sums[3:])
+    assert sums[3] is not sums[0] and sums[3] == sums[0]
+    assert len({id(g) for g in rules}) == len({id(g.sets[0]) for g in rules}) == 6
+    assert rules[:3] == ground_rule(prog.rules[0], interp({-1, 1, 2}), registry)
+    # each instance prints and exports in full, as if nothing were shared
+    body = "not sum{ -1 : p(-1); 1 : p(1); 2 : p(2) } < 2 -> "
+    assert [render_ground_rule(g) for g in rules] == [body + f"p({x})" for x in (-1, 1, 2)] * 2
+
+    def apply(name, *sets):
+        return {"kind": "apply", "quantifier": name, "sets": [list(s) for s in sets]}
+
+    def atom(x):
+        return {"kind": "atom", "pred": "p", "args": [x]}
+
+    bound = [[[x], {"kind": "top" if x == 2 else "bot"}] for x in (-1, 1, 2)]
+    sum_json = apply("sum_lt", [[[x], atom(x)] for x in (-1, 1, 2)], bound)
+    not_sum = apply("impl", [[[], sum_json]], [[[], {"kind": "bot"}]])
+    want = [apply("impl", [[[], not_sum]], [[[], atom(x)]]) for x in (-1, 1, 2)]
+    assert [ground_to_json(g) for g in rules] == want * 2
 
 
 @pytest.mark.parametrize("read", ["eval", "eval_both", "ground"])
