@@ -59,7 +59,6 @@ import functools
 import gc
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .syntax import (
@@ -71,6 +70,7 @@ from .syntax import (
     Formula,
     GqError,
     Program,
+    Record,
     Rule,
     Top,
     Variable,
@@ -153,40 +153,40 @@ def _checked_atoms(atoms: Iterable[GroundAtom], universe: frozenset) -> AtomSet:
     return atoms
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """A universe, a set of true ground atoms, and a constant valuation.
 
     ``constants`` maps object constants to universe elements; ``None``
     is the usual identity valuation, under which every constant names
     itself and must belong to the universe.  The atom set is also the
     lookup index: ``(pred, args) in interp.atoms`` asks whether an atom
-    is true.
+    is true.  ``universe_sorted`` is derived, whatever is passed for it.
     """
 
-    universe: frozenset
-    atoms: AtomSet = frozenset()
-    constants: Optional[Mapping[Element, Element]] = None
-    universe_sorted: tuple = field(
-        default=None, compare=False, repr=False, hash=False
-    )
+    _fields = ("universe", "atoms", "constants")
 
-    def __post_init__(self):
-        universe = frozenset(check_element(e) for e in self.universe)
+    def __init__(
+        self,
+        universe: frozenset,
+        atoms: AtomSet = frozenset(),
+        constants: Optional[Mapping[Element, Element]] = None,
+        universe_sorted: Optional[tuple] = None,
+    ):
+        universe = frozenset(check_element(e) for e in universe)
         if not universe:
             raise GqError("the universe must not be empty")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(
-            self, "universe_sorted", tuple(sorted(universe, key=element_key))
-        )
-        object.__setattr__(self, "atoms", _checked_atoms(self.atoms, universe))
-        if self.constants is not None:
-            for c, v in self.constants.items():
+        universe_sorted = tuple(sorted(universe, key=element_key))
+        atoms = _checked_atoms(atoms, universe)
+        if constants is not None:
+            for c, v in constants.items():
                 check_element(c)
                 if v not in universe:
                     raise GqError(
                         f"constant {c!r} maps to {v!r}, not a universe element"
                     )
+        self.__dict__.update(
+            universe=universe, atoms=atoms, constants=constants, universe_sorted=universe_sorted
+        )
 
     def value(self, constant: Element) -> Element:
         if self.constants is not None:
@@ -231,14 +231,12 @@ def herbrand_base(program: Program) -> tuple[GroundAtom, ...]:
 # Ground formulas
 
 
-@dataclass(frozen=True)
-class GTop(GroundFormula):
+class GTop(GroundFormula, Record):
     def __str__(self):
         return "top"
 
 
-@dataclass(frozen=True)
-class GBot(GroundFormula):
+class GBot(GroundFormula, Record):
     def __str__(self):
         return "bot"
 
@@ -247,20 +245,19 @@ G_TOP = GTop()
 G_BOT = GBot()
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(Record):
     """A total table from element tuples to ground formulas.
 
     Entries are kept sorted by key and keys are unique, so two pair-sets
     built from the same mapping compare equal.
     """
 
-    entries: tuple
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple):
         rows = []
         seen = set()
-        for key, child in self.entries:
+        for key, child in entries:
             key = tuple(key)
             if key in seen:
                 raise GqError(f"duplicate pair-set key {key!r}")
@@ -269,7 +266,7 @@ class PairSet:
                 raise GqError(f"pair-set value is not a ground formula: {child!r}")
             rows.append((key, child))
         rows.sort(key=lambda kv: _row_key(kv[0]))
-        object.__setattr__(self, "entries", tuple(rows))
+        self.__dict__["entries"] = tuple(rows)
 
     @classmethod
     def _sorted(cls, entries: tuple) -> "PairSet":
@@ -288,19 +285,17 @@ class PairSet:
         return tuple(k for k, _ in self.entries)
 
 
-@dataclass(frozen=True)
-class GApply(GroundFormula):
+class GApply(GroundFormula, Record):
     """Ground quantifier application: one pair-set per argument position."""
 
-    quantifier: str
-    sets: tuple
+    _fields = ("quantifier", "sets")
 
-    def __post_init__(self):
-        sets = tuple(self.sets)
+    def __init__(self, quantifier: str, sets: tuple):
+        sets = tuple(sets)
         for s in sets:
             if not isinstance(s, PairSet):
                 raise GqError(f"not a pair-set: {s!r}")
-        object.__setattr__(self, "sets", sets)
+        self.__dict__.update(quantifier=quantifier, sets=sets)
 
     @classmethod
     def _of(cls, quantifier: str, sets: tuple) -> "GApply":
@@ -310,8 +305,6 @@ class GApply(GroundFormula):
         g = object.__new__(cls)
         g.__dict__.update(quantifier=quantifier, sets=sets)
         return g
-
-    __str__ = GroundFormula.__str__
 
 
 def _binary(name: str, left: tuple, right: tuple) -> GApply:
@@ -1161,6 +1154,19 @@ def eval_star(
 # The FLP transformation
 
 
+def _fired_instances(instances: tuple, fired: Iterable):
+    """The compiled instances of ``fired``, ``(rule, env)`` pairs in the
+    order of ``instances``, as ``flp_reduct`` gives them."""
+    rest = iter(instances)
+    for rule, env in fired:
+        for instance in rest:
+            if instance[0] == rule and instance[1] == env:
+                yield instance
+                break
+        else:
+            raise GqError(f"fired holds {env!r} for {rule!r} out of the program's order")
+
+
 def eval_flp_transform(
     program,
     interp: Interpretation,
@@ -1185,8 +1191,8 @@ def eval_flp_transform(
     ``program`` is a ``Program``, compiled whole per call, so its first
     static failure raises before any reading, and its ``smaller`` is
     checked here (``_checked_smaller``), with ``fired`` from
-    ``flp_reduct``; or a ``_Program``, with ``fired`` filled by
-    ``satisfies_program``.  Only
+    ``flp_reduct``, whose instances are read off that one compile; or a
+    ``_Program``, with ``fired`` filled by ``satisfies_program``.  Only
     the solver builds a ``_Program``, and its u are subsets of a checked
     candidate, so they are not checked again, and the non-intensional
     part of ``interp`` is kept from one u to the next.
@@ -1203,9 +1209,9 @@ def eval_flp_transform(
     else:
         frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
         subst = _checked_atoms(frozen | _checked_smaller(smaller, preds), interp.universe)
-        if fired is not None:
-            fired = itertools.starmap(_Compiler(interp, registry, preds).instance, fired)
         program = _compile_program(program, interp, registry)
+        if fired is not None:
+            fired = _fired_instances(program.instances, fired)
     if fired is None:
         atoms = interp.atoms
         fired = (inst for inst in program.instances if inst[2][0](atoms))

@@ -27,7 +27,6 @@ parentheses are empty or hold a single integer directly followed by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -42,6 +41,7 @@ from .syntax import (
     GqError,
     Program,
     RESERVED_WORDS,
+    Record,
     Rule,
     Variable,
     as_term,
@@ -70,12 +70,11 @@ class ParseError(GqError):
         super().__init__(f"{origin}:{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+class Token(Record):
+    _fields = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.__dict__.update(kind=kind, value=value, line=line, col=col)
 
     def __str__(self):
         """The token as an error message names it."""

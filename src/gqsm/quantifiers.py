@@ -19,12 +19,11 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .syntax import Element, GqError, RESERVED_WORDS, check_element, element_key
+from .syntax import _CONST_RE, Element, GqError, RESERVED_WORDS, check_element, element_key
 
 Relation = frozenset
 TruthFunction = Callable[[frozenset, tuple[Relation, ...]], bool]
 
-_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _FAMILY_RE = re.compile(r"(atmost|atleast)\((\d+)\)\Z")
 
 
@@ -253,7 +252,7 @@ class Registry:
         if not isinstance(qdef, QuantifierDef):
             raise RegistryError(f"not a QuantifierDef: {qdef!r}")
         name = qdef.name
-        if not _NAME_RE.match(name):
+        if not _CONST_RE.match(name):
             raise RegistryError(f"invalid quantifier name {name!r}")
         if name in RESERVED_WORDS or is_builtin_name(name) or name in AGGREGATE_FAMILIES:
             raise RegistryError(f"cannot shadow built-in quantifier {name!r}")

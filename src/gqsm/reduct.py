@@ -14,10 +14,9 @@ theorem independently of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .syntax import Element, GqError
+from .syntax import Element, GqError, Record
 from .quantifiers import Registry
 from .ground import (
     G_BOT,
@@ -57,10 +56,11 @@ def check_cap(cap: int, source: str) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class ReductResult:
-    formula: GroundFormula
-    replaced: int
+class ReductResult(Record):
+    _fields = ("formula", "replaced")
+
+    def __init__(self, formula: GroundFormula, replaced: int):
+        self.__dict__.update(formula=formula, replaced=replaced)
 
     def __str__(self):
         return str(self.formula)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -42,6 +41,7 @@ from .syntax import (
     Formula,
     GqError,
     Program,
+    Record,
     conj,
     flatten_spine,
     forall,
@@ -80,18 +80,20 @@ class ReductRouteError(GqError):
     pass
 
 
-@dataclass(frozen=True)
-class SolveStats:
-    candidates: int
-    elapsed: float
+class SolveStats(Record):
+    _fields = ("candidates", "elapsed")
+
+    def __init__(self, candidates: int, elapsed: float):
+        self.__dict__.update(candidates=candidates, elapsed=elapsed)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    semantics: str  # "sm" or "flp"
-    route: str  # "reduct" or "operator"
-    models: tuple
-    stats: SolveStats
+class SolveResult(Record):
+    """``semantics`` is "sm" or "flp", ``route`` "reduct" or "operator"."""
+
+    _fields = ("semantics", "route", "models", "stats")
+
+    def __init__(self, semantics: str, route: str, models: tuple, stats: SolveStats):
+        self.__dict__.update(semantics=semantics, route=route, models=models, stats=stats)
 
     def to_json(self) -> dict:
         return {
@@ -309,17 +311,20 @@ def flp_stable_models(
 # The agreement class
 
 
-@dataclass(frozen=True)
-class ClassViolation:
-    rule_index: int  # 0-based position of the rule in the program
-    literal: str
-    reason: str
+class ClassViolation(Record):
+    """``rule_index`` is the 0-based position of the rule in the program."""
+
+    _fields = ("rule_index", "literal", "reason")
+
+    def __init__(self, rule_index: int, literal: str, reason: str):
+        self.__dict__.update(rule_index=rule_index, literal=literal, reason=reason)
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    in_class: bool
-    violations: tuple
+class ClassReport(Record):
+    _fields = ("in_class", "violations")
+
+    def __init__(self, in_class: bool, violations: tuple):
+        self.__dict__.update(in_class=in_class, violations=violations)
 
     def to_json(self) -> dict:
         return {
@@ -383,13 +388,26 @@ def monotone_class_report(program: Program, registry: Registry) -> ClassReport:
     return ClassReport(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    sm: SolveResult
-    flp: SolveResult
-    difference: tuple  # models in exactly one of the two
-    class_report: ClassReport
-    agreement_violated: bool
+class ComparisonReport(Record):
+    """``difference`` holds the models in exactly one of the two."""
+
+    _fields = ("sm", "flp", "difference", "class_report", "agreement_violated")
+
+    def __init__(
+        self,
+        sm: SolveResult,
+        flp: SolveResult,
+        difference: tuple,
+        class_report: ClassReport,
+        agreement_violated: bool,
+    ):
+        self.__dict__.update(
+            sm=sm,
+            flp=flp,
+            difference=difference,
+            class_report=class_report,
+            agreement_violated=agreement_violated,
+        )
 
     def to_json(self) -> dict:
         return {

@@ -11,8 +11,9 @@ argument with a single bound variable.  ``not F`` abbreviates
 """
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 Element = Union[int, str]
@@ -49,27 +50,70 @@ def element_key(value: Element):
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+
+
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass names its compared fields in ``_fields`` and writes them,
+    and any derived attribute, into ``__dict__`` in its ``__init__``.  As
+    with a frozen dataclass, two records are equal when their class and
+    fields are, a record hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``, and no attribute can be assigned or
+    deleted.  Derived attributes are left out of all three.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields
+        get = operator.attrgetter(*fields) if fields else None
+        # the tuple of the fields, which attrgetter gives from two on
+        key = get if len(fields) > 1 else lambda self: (get(self),) if get else ()
+        cls._key = staticmethod(key)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Record):
+    _fields = ("name",)
 
-    def __post_init__(self):
-        if not _VAR_RE.match(self.name):
-            raise GqError(f"variable names start with an uppercase letter: {self.name!r}")
+    def __init__(self, name: str):
+        if not _VAR_RE.match(name):
+            raise GqError(f"variable names start with an uppercase letter: {name!r}")
+        self.__dict__["name"] = name
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Constant:
-    value: Element
+class Constant(Record):
+    _fields = ("value",)
 
-    def __post_init__(self):
-        check_element(self.value)
+    def __init__(self, value: Element):
+        self.__dict__["value"] = check_element(value)
 
     def __str__(self):
         return str(self.value)
@@ -103,10 +147,8 @@ def term_variables(t: Term) -> frozenset[str]:
 # Formulas
 
 
-class Formula:
+class Formula(Record):
     """Base class; all nodes are immutable and compare structurally."""
-
-    __hash__ = None  # subclasses regenerate it
 
     def __str__(self):
         from .render import render
@@ -114,46 +156,34 @@ class Formula:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    pred: str
-    args: tuple[Term, ...] = ()
+    _fields = ("pred", "args")
 
-    def __post_init__(self):
-        if not _CONST_RE.match(self.pred) or self.pred in RESERVED_WORDS:
-            raise GqError(f"invalid predicate name {self.pred!r}")
-        object.__setattr__(self, "args", tuple(as_term(a) for a in self.args))
-
-    __str__ = Formula.__str__
+    def __init__(self, pred: str, args: tuple[Term, ...] = ()):
+        if not _CONST_RE.match(pred) or pred in RESERVED_WORDS:
+            raise GqError(f"invalid predicate name {pred!r}")
+        self.__dict__.update(pred=pred, args=tuple(as_term(a) for a in args))
 
 
-@dataclass(frozen=True)
 class Equality(Formula):
-    left: Term
-    right: Term
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", as_term(self.left))
-        object.__setattr__(self, "right", as_term(self.right))
-
-    __str__ = Formula.__str__
+    def __init__(self, left: Term, right: Term):
+        self.__dict__.update(left=as_term(left), right=as_term(right))
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    __str__ = Formula.__str__
+    pass
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    __str__ = Formula.__str__
+    pass
 
 
 TOP = Top()
 BOT = Bot()
 
 
-@dataclass(frozen=True)
 class Apply(Formula):
     """Application of the quantifier named ``quantifier``.
 
@@ -163,32 +193,33 @@ class Apply(Formula):
     evaluated, or grounded).
     """
 
-    quantifier: str
-    var_lists: tuple[tuple[str, ...], ...]
-    args: tuple[Formula, ...]
+    _fields = ("quantifier", "var_lists", "args")
 
-    def __post_init__(self):
-        if not _QNAME_RE.match(self.quantifier) or self.quantifier == "not":
-            raise GqError(f"invalid quantifier name {self.quantifier!r}")
-        lists = tuple(tuple(xs) for xs in self.var_lists)
+    def __init__(
+        self,
+        quantifier: str,
+        var_lists: tuple[tuple[str, ...], ...],
+        args: tuple[Formula, ...],
+    ):
+        if not _QNAME_RE.match(quantifier) or quantifier == "not":
+            raise GqError(f"invalid quantifier name {quantifier!r}")
+        lists = tuple(tuple(xs) for xs in var_lists)
         for xs in lists:
             for x in xs:
                 if not _VAR_RE.match(x):
                     raise GqError(f"invalid bound variable {x!r}")
             if len(set(xs)) != len(xs):
                 raise GqError(f"repeated variable in binder list {xs!r}")
-        object.__setattr__(self, "var_lists", lists)
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != len(lists):
+        args = tuple(args)
+        if len(args) != len(lists):
             raise GqError(
-                f"quantifier {self.quantifier!r} applied to {len(self.args)} "
+                f"quantifier {quantifier!r} applied to {len(args)} "
                 f"arguments but has {len(lists)} binder lists"
             )
-        for a in self.args:
+        for a in args:
             if not isinstance(a, Formula):
                 raise GqError(f"argument is not a formula: {a!r}")
-
-    __str__ = Formula.__str__
+        self.__dict__.update(quantifier=quantifier, var_lists=lists, args=args)
 
 
 # Convenient constructors.  Conjunction and disjunction fold to the left,
@@ -342,55 +373,49 @@ def predicates_in(f: Formula) -> dict[str, int]:
 # Rules and programs
 
 
-@dataclass(frozen=True)
-class Rule:
-    """``head :- body``; facts have body ``top``, constraints head ``bot``."""
+class Rule(Record):
+    """``head :- body``; facts have body ``top``, constraints head ``bot``.
+    ``variables``, the sorted free variables of head and body, is
+    computed once."""
 
-    head: Formula
-    body: Formula
-    # the sorted free variables of head and body, computed once
-    variables: tuple[str, ...] = field(
-        init=False, default=(), compare=False, repr=False
-    )
+    _fields = ("head", "body")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "variables",
-            tuple(sorted(free_variables(self.head) | free_variables(self.body))),
-        )
+    def __init__(self, head: Formula, body: Formula):
+        variables = tuple(sorted(free_variables(head) | free_variables(body)))
+        self.__dict__.update(head=head, body=body, variables=variables)
 
     def free_variables(self) -> frozenset[str]:
         return frozenset(self.variables)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A rule list plus its universe and intensional predicate set.
 
     ``intensional=None`` defaults to every predicate occurring in the
     rules.  ``signature`` maps each predicate to its arity and is
-    derived from the rules; it does not participate in equality.
+    derived from the rules, whatever is passed for it; it does not
+    participate in equality.
     """
 
-    rules: tuple[Rule, ...]
-    universe: frozenset[Element]
-    intensional: Optional[frozenset[str]] = None
-    signature: Mapping[str, int] = field(default=None, compare=False, repr=False)
+    _fields = ("rules", "universe", "intensional")
 
-    def __post_init__(self):
-        rules = tuple(self.rules)
+    def __init__(
+        self,
+        rules: tuple[Rule, ...],
+        universe: frozenset[Element],
+        intensional: Optional[frozenset[str]] = None,
+        signature: Optional[Mapping[str, int]] = None,
+    ):
+        rules = tuple(rules)
         for r in rules:
             if not isinstance(r, Rule):
                 raise GqError(f"not a rule: {r!r}")
-        object.__setattr__(self, "rules", rules)
 
-        universe = frozenset(check_element(e) for e in self.universe)
+        universe = frozenset(check_element(e) for e in universe)
         if not universe:
             raise GqError("the universe must not be empty")
-        object.__setattr__(self, "universe", universe)
 
-        signature: dict[str, int] = {}
+        signature = {}
         constants: set[Element] = set()
         for r in rules:
             for f in (r.head, r.body):
@@ -405,19 +430,20 @@ class Program:
         if stray:
             shown = ", ".join(str(c) for c in sorted(stray, key=element_key))
             raise GqError(f"constants outside the universe: {shown}")
-        object.__setattr__(self, "signature", signature)
 
-        if self.intensional is None:
+        if intensional is None:
             intensional = frozenset(signature)
         else:
-            intensional = frozenset(self.intensional)
+            intensional = frozenset(intensional)
             unknown = intensional - set(signature)
             if unknown:
                 raise GqError(
                     "intensional predicates not used in any rule: "
                     + ", ".join(sorted(unknown))
                 )
-        object.__setattr__(self, "intensional", intensional)
+        self.__dict__.update(
+            rules=rules, universe=universe, intensional=intensional, signature=signature
+        )
 
     @property
     def all_intensional(self) -> bool:

@@ -6,29 +6,40 @@ route reads each rule once per projection of the candidate, the
 grounding behind an operator or FLP solve resolves each quantifier name,
 connectives included, once, no compiled form outlives its solve, the
 atom cap counts the head-bounded base, and every entry point raises a
-program's first static failure before it reads anything.
+program's first static failure before it reads anything.  The values
+the package builds behave as the frozen dataclasses they once were,
+with only ``QuantifierDef`` still one.
 """
 
+import copy
 import dataclasses
+import importlib
+import inspect
+import pickle
+import pkgutil
 from collections import Counter
 
 import pytest
 
 import reference_semantics as ref
+from conftest import SUM_THRESHOLD
 from reference_semantics import outcome
+import gqsm
 from gqsm import (
-    Apply, Atom, Constant, Equality, Mono, Program, QuantifierDef, Registry, Rule, Variable,
-    atom, conj,
+    TOP, Apply, Atom, Bot, Constant, Equality, GqError, Mono, Program, QuantifierDef, Registry,
+    Rule, Top, Variable, atom, conj,
 )
 from gqsm import solver
 from gqsm.ground import (
-    GroundAtom, Interpretation, _read_set, eval_flp_transform, eval_star, flp_reduct,
-    ground_program, herbrand_base, satisfies_direct, satisfies_program,
+    G_BOT, G_TOP, GApply, GBot, GroundAtom, GTop, Interpretation, PairSet, _read_set,
+    eval_flp_transform, eval_star, flp_reduct, ground_program, herbrand_base,
+    satisfies_direct, satisfies_program,
 )
-from gqsm.parser import parse_program
+from gqsm.parser import Token, parse_program
 from gqsm.quantifiers import UnknownQuantifierError
-from gqsm.reduct import EnumerationCapError, reduct
+from gqsm.reduct import EnumerationCapError, ReductResult, reduct
 from gqsm.solver import (
+    ClassReport, ClassViolation, ComparisonReport, SolveResult, SolveStats,
     compare_semantics, flp_stable_models, program_to_sentence, stable_models_operator,
     stable_models_reduct,
 )
@@ -205,6 +216,24 @@ def test_sum_and_count_over_an_atom_call_no_truth_function(route):
     assert reg.truth_calls == 0
 
 
+def test_the_flp_transform_of_a_given_reduct_compiles_once():
+    # the instances given are read off the one compile of the program
+    reg = CountingRegistry()
+    prog = parse_program(SUM_THRESHOLD, reg)
+    interp = Interpretation(prog.universe, {GroundAtom("p", (-1,)), GroundAtom("p", (1,))})
+    fired = flp_reduct(prog, interp, reg)
+    assert len(fired) == 2
+    seen = []
+    for given in (None, fired):
+        reg.calls.clear()
+        answer = eval_flp_transform(prog, interp, (), reg, fired=given)
+        seen.append((answer, dict(reg.calls)))
+    assert seen == [(False, {"impl": 1, "sum_lt": 1, "sum_gt": 1})] * 2
+    # an instance out of the program's order is refused, not skipped
+    with pytest.raises(GqError, match="out of the program's order"):
+        eval_flp_transform(prog, interp, (), reg, fired=fired[::-1])
+
+
 def _frob_program():
     # r :- frob{X : p(X)}. and p(1) :- r.  frob holds of a nonempty set
     body = Apply("frob", (("X",),), (atom("p", "X"),))
@@ -294,6 +323,9 @@ ENTRY_POINTS = {
     ),
     "satisfies_program": lambda prog, reg, frame: satisfies_program(frame, prog, reg),
     "eval_flp_transform": lambda prog, reg, frame: eval_flp_transform(prog, frame, (), reg),
+    "eval_flp_transform-fired": lambda prog, reg, frame: eval_flp_transform(
+        prog, frame, (), reg, fired=()
+    ),
     "flp_reduct": lambda prog, reg, frame: flp_reduct(prog, frame, reg),
 }
 
@@ -331,3 +363,169 @@ def test_a_static_failure_raises_before_any_read(kind, entry):
     assert outcome(lambda: ref.ground_program(prog, reg, frame)) == want
     assert outcome(lambda: ENTRY_POINTS[entry](prog, reg, frame)) == want
     assert reg.truth_calls == 0
+
+
+# ---------------------------------------------------------------------------
+# The values: every former frozen dataclass keeps its equality, hash, repr,
+# construction and immutability
+
+
+def _records():
+    """One value of each record class: (value, its compared fields, its
+    repr)."""
+    p_x = Atom("p", ("X",))
+    rule = Rule(Atom("p"), TOP)
+    rule_repr = "Rule(head=Atom(pred='p', args=()), body=Top())"
+    ps = PairSet((((1,), G_TOP),))
+    ps_repr = "PairSet(entries=(((1,), GTop()),))"
+    stats = SolveStats(candidates=4, elapsed=0.5)
+    stats_repr = "SolveStats(candidates=4, elapsed=0.5)"
+    result = SolveResult("sm", "operator", (frozenset({GroundAtom("p")}),), stats)
+    result_repr = (
+        "SolveResult(semantics='sm', route='operator', "
+        f"models=(frozenset({{GroundAtom(pred='p', args=())}}),), stats={stats_repr})"
+    )
+    violation = ClassViolation(0, "p", "why")
+    violation_repr = "ClassViolation(rule_index=0, literal='p', reason='why')"
+    report = ClassReport(False, (violation,))
+    report_repr = f"ClassReport(in_class=False, violations=({violation_repr},))"
+    return [
+        (Variable("X"), ("name",), "Variable(name='X')"),
+        (Constant(1), ("value",), "Constant(value=1)"),
+        (Atom("p", (1,)), ("pred", "args"), "Atom(pred='p', args=(Constant(value=1),))"),
+        (
+            Equality("X", 1),
+            ("left", "right"),
+            "Equality(left=Variable(name='X'), right=Constant(value=1))",
+        ),
+        (Top(), (), "Top()"),
+        (Bot(), (), "Bot()"),
+        (
+            Apply("exists", (("X",),), (p_x,)),
+            ("quantifier", "var_lists", "args"),
+            "Apply(quantifier='exists', var_lists=(('X',),), "
+            "args=(Atom(pred='p', args=(Variable(name='X'),)),))",
+        ),
+        (rule, ("head", "body"), rule_repr),
+        (
+            Program((rule,), {1}),
+            ("rules", "universe", "intensional"),
+            f"Program(rules=({rule_repr},), universe=frozenset({{1}}), "
+            "intensional=frozenset({'p'}))",
+        ),
+        (
+            Interpretation({1}, {GroundAtom("p", (1,))}),
+            ("universe", "atoms", "constants"),
+            "Interpretation(universe=frozenset({1}), "
+            "atoms=frozenset({GroundAtom(pred='p', args=(1,))}), constants=None)",
+        ),
+        (GTop(), (), "GTop()"),
+        (GBot(), (), "GBot()"),
+        (ps, ("entries",), ps_repr),
+        (
+            GApply("exists", (ps,)),
+            ("quantifier", "sets"),
+            f"GApply(quantifier='exists', sets=({ps_repr},))",
+        ),
+        (
+            Token("NAME", "p", 1, 2),
+            ("kind", "value", "line", "col"),
+            "Token(kind='NAME', value='p', line=1, col=2)",
+        ),
+        (
+            ReductResult(G_BOT, 1),
+            ("formula", "replaced"),
+            "ReductResult(formula=GBot(), replaced=1)",
+        ),
+        (stats, ("candidates", "elapsed"), stats_repr),
+        (result, ("semantics", "route", "models", "stats"), result_repr),
+        (violation, ("rule_index", "literal", "reason"), violation_repr),
+        (report, ("in_class", "violations"), report_repr),
+        (
+            ComparisonReport(result, result, (), report, False),
+            ("sm", "flp", "difference", "class_report", "agreement_violated"),
+            f"ComparisonReport(sm={result_repr}, flp={result_repr}, difference=(), "
+            f"class_report={report_repr}, agreement_violated=False)",
+        ),
+    ]
+
+
+RECORDS = _records()
+RECORD_IDS = [type(value).__name__ for value, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("value, fields, text", RECORDS, ids=RECORD_IDS)
+def test_a_record_prints_equals_and_hashes_by_its_fields(value, fields, text):
+    assert repr(value) == text
+    values = tuple(getattr(value, name) for name in fields)
+    assert hash(value) == hash(values)
+    # by position and by keyword, in the same order and with the same names
+    assert type(value)(*values) == value
+    again = type(value)(**dict(zip(fields, values)))
+    assert again == value and hash(again) == hash(value) and again is not value
+    assert not value != again
+
+
+@pytest.mark.parametrize("value, fields, text", RECORDS, ids=RECORD_IDS)
+def test_a_record_cannot_be_changed(value, fields, text):
+    for name in fields or ("x",):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, fields, text", RECORDS, ids=RECORD_IDS)
+def test_a_record_survives_copy_and_pickle(value, fields, text):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
+        assert vars(twin) == vars(value)
+
+
+def test_records_of_different_classes_are_unequal():
+    pairs = [
+        (Top(), Bot()),
+        (GTop(), GBot()),
+        (Top(), GTop()),
+        (Atom("p"), GroundAtom("p", ())),
+        (Constant(1), Variable("X")),
+    ]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert not a == b and not b == a
+    assert TOP == Top() and G_TOP == GTop() and GroundAtom("p", ()) == ("p", ())
+    assert OddAtom("p", (1,)) != Atom("p", (1,)) != OddAtom("p", (1,))
+
+
+def test_derived_attributes_stay_out_of_equality_hash_and_repr():
+    p, q = Atom("p", ("X",)), Atom("q", ("X",))
+    rule = Rule(head=p, body=q)
+    assert rule.variables == ("X",) and "variables" not in repr(rule)
+    prog = Program(rules=(rule,), universe={1, 2})
+    assert prog.intensional == frozenset({"p", "q"}) and prog.signature == {"p": 1, "q": 1}
+    assert prog == Program((rule,), frozenset({1, 2}), frozenset({"p", "q"}), {"z": 9})
+    assert Program((rule,), {1, 2}, signature={"z": 9}).signature == {"p": 1, "q": 1}
+    assert "signature" not in repr(prog)
+    interp = Interpretation({2, 1})
+    assert interp.atoms == frozenset() and interp.constants is None
+    assert interp.universe_sorted == (1, 2) and "universe_sorted" not in repr(interp)
+    assert interp == Interpretation(frozenset({1, 2}), universe_sorted=(9,))
+    assert Interpretation({1, 2}, universe_sorted=(9,)).universe_sorted == (1, 2)
+    assert hash(interp) == hash((interp.universe, frozenset(), None))
+    assert Atom("p").args == ()
+
+
+def test_only_quantifier_definitions_are_dataclasses():
+    # the values are records, which import without generating code; a
+    # QuantifierDef stays a dataclass so that dataclasses.replace works
+    classes = {
+        cls
+        for info in pkgutil.iter_modules(gqsm.__path__)
+        for _, cls in inspect.getmembers(
+            importlib.import_module(f"gqsm.{info.name}"), inspect.isclass
+        )
+        if cls.__module__.startswith("gqsm.")
+    }
+    assert {value.__class__ for value, _, _ in RECORDS} <= classes
+    assert [cls for cls in classes if hasattr(cls, "__dataclass_fields__")] == [QuantifierDef]
