@@ -12,7 +12,6 @@ deterministic for a given input; timings never appear in it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -111,6 +110,8 @@ def _emit(lines) -> None:
 
 
 def _emit_json(payload: dict) -> None:
+    import json  # here, so that a text-only run never loads it
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 

@@ -86,6 +86,15 @@ class Record:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
 
+    @classmethod
+    def _trusted(cls, **attrs):
+        """A record of ``attrs``, fields and derived attributes alike,
+        built without ``__init__`` and its checks: only for a caller whose
+        values hold what those checks ask, as the parser's do."""
+        new = object.__new__(cls)
+        new.__dict__.update(attrs)
+        return new
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 

@@ -1,6 +1,8 @@
 """Command line behavior: output text, JSON shapes, exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,6 +229,63 @@ def test_parse_errors_exit_1_with_position(run, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"{p}:2:3: constant 2 is not a universe element\n"
+
+
+LONG_INT = "7" * 5000  # more digits than Python's int() reads from text
+
+
+@pytest.mark.parametrize(
+    "text, args, want",
+    [
+        (f"p({LONG_INT}).\n", ("solve",), "1:3"),
+        (f"#universe {{{LONG_INT}}}.\np.\n", ("ground",), "1:12"),
+        (f"#universe {{1}}.\nq :- atleast({LONG_INT}){{X : p(X)}}.\n", ("solve",), "2:14"),
+    ],
+    ids=["term", "universe", "quantifier parameter"],
+)
+def test_an_over_long_integer_literal_is_a_parse_error(run, tmp_path, text, args, want):
+    p = tmp_path / "long.gq"
+    p.write_text(text)
+    assert run(*args, str(p)) == (1, "", f"{p}:{want}: integer literal too long (5000 digits)\n")
+
+
+def test_an_over_long_integer_in_a_model_is_a_parse_error(run, sum_path):
+    assert run("reduct", sum_path, "--model", f"p(1), p({LONG_INT})") == (
+        1,
+        "",
+        "<model>:1:9: integer literal too long (5000 digits)\n",
+    )
+
+
+@pytest.mark.parametrize("digit", ["٣", "１", "²"])
+def test_integers_are_ascii_digits(run, tmp_path, digit):
+    p = tmp_path / "digit.gq"
+    p.write_text(f"#universe {{1, 3}}.\np(1{digit}).\n")
+    assert run("solve", str(p)) == (1, "", f"{p}:2:4: unexpected character {digit!r}\n")
+
+
+def test_an_unexpected_character_after_a_comment_is_placed_after_it(run, tmp_path):
+    p = tmp_path / "bad.gq"
+    p.write_text("#universe {1}. % one\n  % two\n\tp(1) :- ? .\n")
+    assert run("solve", str(p)) == (1, "", f"{p}:3:10: unexpected character '?'\n")
+
+
+def test_a_text_run_does_not_import_json(tmp_path):
+    # json is loaded only for --format json, so a cold start skips it
+    p = tmp_path / "p.gq"
+    p.write_text(SUM_THRESHOLD)
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import gqsm.cli\n"
+        "assert 'json' not in sys.modules, 'import gqsm.cli loaded json'\n"
+        f"assert gqsm.cli.main(['solve', {str(p)!r}]) == 0\n"
+        "assert 'json' not in sys.modules, 'a text solve loaded json'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Answer 1: p(-1) p(1)\nAnswer 2: p(-1) p(1) p(2)\n"
 
 
 def test_missing_file_exits_1(run):

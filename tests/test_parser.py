@@ -4,6 +4,7 @@ import pytest
 
 from gqsm.parser import (
     ParseError,
+    Token,
     aggregate_apply,
     fresh_variable,
     parse_formula,
@@ -20,6 +21,8 @@ from gqsm.syntax import (
     Atom,
     Constant,
     Equality,
+    Program,
+    Rule,
     Variable,
 )
 
@@ -246,3 +249,50 @@ def test_parse_model_rejects_bad_atoms(registry):
     for text in ("p(", "p(1,"):
         e = perr(parse_model, text, prog)
         assert e.message == "expected a universe element, got end of input"
+
+
+def test_tokenizer_skips_whitespace_and_comments_in_line_and_column():
+    toks = tokenize("% head\n  p. % tail\n\n")
+    assert [(t.kind, t.value, t.line, t.col) for t in toks] == [
+        ("IDENT", "p", 2, 3),
+        ("DOT", ".", 2, 4),
+        ("EOF", "", 4, 1),
+    ]
+    assert tokenize("") == [Token("EOF", "", 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "text, where, char",
+    [("p(٣)", (1, 3), "٣"), ("p(1٣)", (1, 4), "٣"), ("% c\n  - 1", (2, 3), "-"), ("X ! Y", (1, 3), "!")],
+)
+def test_tokenizer_rejects_characters_that_start_no_token(text, where, char):
+    e = perr(tokenize, text)
+    assert (e.line, e.col) == where
+    assert e.message == f"unexpected character {char!r}"
+
+
+def test_over_long_integer_literals_are_parse_errors(registry):
+    long = "9" * 5000
+    for fn, text, where in [
+        (parse_formula, f"p(-{long})", (1, 3)),
+        (parse_formula, f"X = {long}", (1, 5)),
+        (parse_rule, f"q :- atmost({long}){{X : p(X)}}.", (1, 13)),
+        (parse_program, f"#universe {{1,\n {long}}}.\np.", (2, 2)),
+    ]:
+        e = perr(fn, text, registry)
+        assert (e.line, e.col) == where
+        assert e.message == "integer literal too long (5000 digits)"
+    prog = parse_program("#universe {1}.\np(1).", registry)
+    e = perr(parse_model, f"p({long})", prog)
+    assert (e.line, e.col, e.message) == (1, 3, "integer literal too long (5000 digits)")
+
+
+def test_parsed_nodes_equal_the_checked_constructors(registry):
+    r = parse_rule("p(X, a) :- count{Y : q(Y, X)} >= 1, forall Z (q(Z, Z)), X != 2.", registry)
+    assert r.variables == ("X",)
+    assert r == Rule(r.head, r.body)
+    assert repr(r) == repr(Rule(r.head, r.body))
+    prog = parse_program("#universe {1, 2, a}.\nq(1, 1).\n" + render(r), registry)
+    rebuilt = Program(prog.rules, prog.universe, prog.intensional)
+    assert prog == rebuilt
+    assert list(prog.signature.items()) == list(rebuilt.signature.items()) == [("q", 2), ("p", 2)]
