@@ -14,6 +14,7 @@ theorem independently of them.
 from __future__ import annotations
 
 import itertools
+import os
 from typing import Iterable, Optional
 
 from .syntax import Element, GqError, Record
@@ -35,6 +36,7 @@ from .ground import (
 )
 
 DEFAULT_ATOM_CAP = 20
+CAP_ENV_VAR = "GQSM_ATOM_CAP"
 
 
 class EnumerationCapError(GqError):
@@ -54,6 +56,21 @@ def check_cap(cap: int, source: str) -> int:
     if cap < 0:
         raise GqError(f"{source} must not be negative, got {cap}")
     return cap
+
+
+def resolve_cap(cap: Optional[int] = None) -> int:
+    """The atom cap: ``cap`` when given, else the environment, else the
+    default.  A negative cap is an error, wherever it comes from."""
+    if cap is not None:
+        return check_cap(cap, "the atom cap (--cap or cap=)")
+    raw = os.environ.get(CAP_ENV_VAR)
+    if raw is None:
+        return DEFAULT_ATOM_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        raise GqError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    return check_cap(value, CAP_ENV_VAR)
 
 
 class ReductResult(Record):
@@ -160,15 +177,16 @@ def minimal_models(
     base: Iterable[GroundAtom],
     universe: Iterable[Element],
     registry: Registry,
-    cap: int = DEFAULT_ATOM_CAP,
+    cap: Optional[int] = None,
 ) -> tuple:
     """All minimal (by inclusion) subsets of ``base`` satisfying every
     formula, enumerated in ascending cardinality so supersets of a hit
-    can be skipped."""
+    can be skipped.  With ``cap=None`` the cap is ``resolve_cap()``."""
     u = frozenset(universe)
     pool = sorted(frozenset(base), key=GroundAtom.sort_key)
-    if len(pool) > check_cap(cap, "cap"):
-        raise EnumerationCapError(len(pool), cap)
+    limit = resolve_cap() if cap is None else check_cap(cap, "cap")
+    if len(pool) > limit:
+        raise EnumerationCapError(len(pool), limit)
     formulas = tuple(formulas)
     found: list = []
     for combo in _subsets_ascending(pool):

@@ -7,7 +7,9 @@ re-detected structurally, so an aggregate application prints as
 
 Ground formulas print with spaced braces and explicit pair-sets, e.g.
 ``sum{ -1 : p(-1); 1 : p(1); 2 : bot } > -1``; they are display only
-and have no parser.
+and have no parser.  One printer serves both algebras: the connectives
+print by the same rules, and only the leaves and the other
+applications depend on the kind of node.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .syntax import (
     Program,
     Rule,
     Top,
-    flatten_spine,
+    Variable,
     free_variables,
     term_variables,
 )
@@ -34,8 +36,7 @@ from .ground import (
     GroundAtom,
     GroundFormula,
     GTop,
-    PairSet,
-    _and_spine,
+    _binary,
 )
 from .reduct import ReductResult
 
@@ -44,34 +45,149 @@ from .reduct import ReductResult
 
 
 def render(x) -> str:
-    if isinstance(x, Formula):
-        return _render(x, 1)
+    if isinstance(x, (Formula, GroundFormula)):
+        return _text(x, 1)
     if isinstance(x, Rule):
         return _render_rule(x)
     if isinstance(x, Program):
         return _render_program(x)
-    if isinstance(x, GroundFormula):
-        return _render_ground(x, 1)
     if isinstance(x, ReductResult):
-        return _render_ground(x.formula, 1)
+        return _text(x.formula, 1)
     if isinstance(x, (list, tuple)):
         return "\n".join(render(e) for e in x)
     raise GqError(f"cannot render {x!r}")
 
 
 # ---------------------------------------------------------------------------
-# Formulas
+# Connectives, of formulas and ground formulas alike
 
 
-def _render(f: Formula, min_level: int) -> str:
-    text, level = _node(f)
-    if level < min_level:
-        return f"({text})"
-    return text
+def _plain_sides(g: GroundFormula):
+    """The two sides of a plain binary ``and``, ``or`` or ``impl``: two
+    pair-sets, each one entry keyed ``()``.  None for anything else."""
+    if isinstance(g, GApply) and g.quantifier in ("and", "or", "impl"):
+        sets = g.sets
+        if len(sets) == 2 and len(sets[0]) == 1 and len(sets[1]) == 1:
+            ((k0, a),), ((k1, b),) = sets[0].entries, sets[1].entries
+            if k0 == () and k1 == ():
+                return a, b
+    return None
 
 
-def _is_plain_pair(f: Apply) -> bool:
-    return f.var_lists == ((), ())
+def _sides(x):
+    """The two operands of ``x`` when it prints as a binary connective:
+    a formula applying ``and``, ``or`` or ``impl`` with two empty binder
+    lists, or a ground formula ``_plain_sides`` reads.  None otherwise."""
+    if isinstance(x, Apply):
+        if x.quantifier in ("and", "or", "impl") and x.var_lists == ((), ()):
+            return x.args
+        return None
+    return _plain_sides(x)
+
+
+def _spine(x, name: str) -> list:
+    """The operands of the left spine of ``name`` connectives from ``x``,
+    left to right; ``[x]`` when ``x`` is not one.  On a formula this is
+    ``syntax.flatten_spine``.  The walk is a loop, so a spine of any
+    length is fine."""
+    rights = []
+    sides = _sides(x)
+    while sides is not None and x.quantifier == name:
+        x, right = sides
+        rights.append(right)
+        sides = _sides(x)
+    rights.append(x)
+    rights.reverse()
+    return rights
+
+
+def _negand(x):
+    """The operand of ``x`` when ``x`` prints as ``not F``; None otherwise."""
+    sides = _sides(x)
+    if sides is not None and x.quantifier == "impl":
+        a, b = sides
+        if isinstance(b, (Bot, GBot)) and not isinstance(
+            a, (Top, Bot, Equality, GTop, GBot)
+        ):
+            return a
+    return None
+
+
+def _text(x, min_level: int) -> str:
+    text, level = _node(x)
+    return f"({text})" if level < min_level else text
+
+
+def _node(x) -> tuple[str, int]:
+    sides = _sides(x)
+    if sides is None:
+        return _primary(x), 5
+    name = x.quantifier
+    if name == "impl":
+        a, b = sides
+        if isinstance(b, Bot) and isinstance(a, Equality):
+            return f"{a.left} != {a.right}", 5
+        # A chain of negations is read in a loop, so its length costs no
+        # stack.
+        nots, inner = 0, _negand(x)
+        while inner is not None:
+            nots, x, inner = nots + 1, inner, _negand(inner)
+        if nots:
+            return "not " * nots + _text(x, 4), 4
+        return f"{_text(a, 2)} -> {_text(b, 1)}", 1
+    # So is a left spine of "&" or of "|".
+    level, op = (3, " & ") if name == "and" else (2, " | ")
+    bottom, *rights = _spine(x, name)
+    parts = [_text(bottom, level)] + [_text(right, level + 1) for right in rights]
+    return op.join(parts), level
+
+
+# ---------------------------------------------------------------------------
+# Leaves and applications
+
+
+def _primary(x) -> str:
+    if isinstance(x, GroundAtom):
+        return str(x)
+    if isinstance(x, Atom):
+        if not x.args:
+            return x.pred
+        return f"{x.pred}({', '.join(str(a) for a in x.args)})"
+    if isinstance(x, (Top, GTop)):
+        return "top"
+    if isinstance(x, (Bot, GBot)):
+        return "bot"
+    if isinstance(x, Equality):
+        return f"{x.left} = {x.right}"
+    if isinstance(x, Apply):
+        return _application(x)
+    if isinstance(x, GApply):
+        agg = _ground_aggregate_parts(x)
+        if agg is not None:
+            family, sym, bound = agg
+            return f"{family}{{ {_set_body(x.sets[0])} }} {sym} {bound}"
+        return x.quantifier + "".join(f"{{ {_set_body(s)} }}" for s in x.sets)
+    raise GqError(f"cannot render {x!r}")
+
+
+def _application(f: Apply) -> str:
+    name = f.quantifier
+    if name in ("top", "bot") and not f.args:
+        return name
+    agg = _aggregate_parts(f)
+    if agg is not None:
+        family, sym, x, body, bound = agg
+        return f"{family}{{{x} : {_text(body, 1)}}} {sym} {bound}"
+    if name in ("forall", "exists") and len(f.args) == 1 and len(f.var_lists[0]) == 1:
+        return f"{name} {f.var_lists[0][0]} ({_text(f.args[0], 1)})"
+    if len(f.args) == 1 and len(f.var_lists[0]) >= 1:
+        xs = ", ".join(f.var_lists[0])
+        return f"{name}{{{xs} : {_text(f.args[0], 1)}}}"
+    if not f.args:
+        return f"{name}()"
+    brackets = "".join(f"[{','.join(xs)}]" for xs in f.var_lists)
+    args = "; ".join(_text(a, 1) for a in f.args)
+    return f"{name}{brackets}({args})"
 
 
 def _aggregate_parts(f: Apply):
@@ -88,8 +204,6 @@ def _aggregate_parts(f: Apply):
     body, eq = f.args
     if not isinstance(eq, Equality):
         return None
-    from .syntax import Variable
-
     if not isinstance(eq.left, Variable) or eq.left.name != y:
         return None
     if y == x or y in free_variables(body) or y in term_variables(eq.right):
@@ -98,113 +212,15 @@ def _aggregate_parts(f: Apply):
     return family, CMP_SYMBOLS[key], x, body, eq.right
 
 
-def _negand(f: Formula):
-    """The operand of ``f`` when ``f`` prints as ``not F``; None otherwise."""
-    if isinstance(f, Apply) and f.quantifier == "impl" and _is_plain_pair(f):
-        a, b = f.args
-        if isinstance(b, Bot) and not isinstance(a, (Top, Bot, Equality)):
-            return a
-    return None
-
-
-def _node(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.pred, 5
-        return f"{f.pred}({', '.join(str(a) for a in f.args)})", 5
-    if isinstance(f, Equality):
-        return f"{f.left} = {f.right}", 5
-    if isinstance(f, Top):
-        return "top", 5
-    if isinstance(f, Bot):
-        return "bot", 5
-    if isinstance(f, Apply):
-        name = f.quantifier
-        if name in ("and", "or", "impl") and _is_plain_pair(f):
-            a, b = f.args
-            if name == "impl":
-                if isinstance(b, Bot) and isinstance(a, Equality):
-                    return f"{a.left} != {a.right}", 5
-                # A chain of negations is read in a loop, so its length
-                # costs no stack.
-                nots, inner = 0, _negand(f)
-                while inner is not None:
-                    nots, f, inner = nots + 1, inner, _negand(inner)
-                if nots:
-                    return "not " * nots + _render(f, 4), 4
-                return f"{_render(a, 2)} -> {_render(b, 1)}", 1
-            if name == "and":
-                return f"{_render(a, 3)} & {_render(b, 4)}", 3
-            return f"{_render(a, 2)} | {_render(b, 3)}", 2
-        if name in ("top", "bot") and not f.args:
-            return name, 5
-        agg = _aggregate_parts(f)
-        if agg is not None:
-            family, sym, x, body, bound = agg
-            return f"{family}{{{x} : {_render(body, 1)}}} {sym} {bound}", 5
-        if (
-            name in ("forall", "exists")
-            and len(f.args) == 1
-            and len(f.var_lists[0]) == 1
-        ):
-            return f"{name} {f.var_lists[0][0]} ({_render(f.args[0], 1)})", 5
-        if len(f.args) == 1 and len(f.var_lists[0]) >= 1:
-            xs = ", ".join(f.var_lists[0])
-            return f"{name}{{{xs} : {_render(f.args[0], 1)}}}", 5
-        if not f.args:
-            return f"{name}()", 5
-        brackets = "".join(f"[{','.join(xs)}]" for xs in f.var_lists)
-        args = "; ".join(_render(a, 1) for a in f.args)
-        return f"{name}{brackets}({args})", 5
-    raise GqError(f"cannot render {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Rules and programs
-
-
-def _render_rule(r: Rule) -> str:
-    if isinstance(r.head, Bot):
-        return f":- {_render_body(r.body)}."
-    head = "; ".join(_render(p, 1) for p in flatten_spine(r.head, "or"))
-    if isinstance(r.body, Top):
-        return f"{head}."
-    return f"{head} :- {_render_body(r.body)}."
-
-
-def _render_body(body: Formula) -> str:
-    return ", ".join(_render(p, 1) for p in flatten_spine(body, "and"))
-
-
-def _render_program(p: Program) -> str:
-    elems = ", ".join(str(e) for e in p.universe_sorted())
-    lines = [f"#universe {{{elems}}}."]
-    if p.intensional:
-        lines.append(f"#intensional {', '.join(sorted(p.intensional))}.")
-    else:
-        lines.append("#intensional.")
-    for r in p.rules:
-        lines.append(_render_rule(r))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Ground formulas
-
-
 def _key_str(key: tuple) -> str:
     return ", ".join(str(v) for v in key)
 
 
-def _set_body(ps: PairSet) -> str:
-    parts = []
-    for key, child in ps.entries:
-        child_str = _render_ground(child, 1)
-        if key:
-            parts.append(f"{_key_str(key)} : {child_str}")
-        else:
-            parts.append(child_str)
-    return "; ".join(parts)
+def _set_body(ps) -> str:
+    return "; ".join(
+        f"{_key_str(key)} : {_text(child, 1)}" if key else _text(child, 1)
+        for key, child in ps.entries
+    )
 
 
 def _ground_aggregate_parts(g: GApply):
@@ -228,84 +244,33 @@ def _ground_aggregate_parts(g: GApply):
     return family, CMP_SYMBOLS[key], bound
 
 
-def _plain_sides(g: GroundFormula):
-    """The two sides of a plain binary ``and``, ``or`` or ``impl``: two
-    pair-sets, each one entry keyed ``()``.  None for anything else."""
-    if isinstance(g, GApply) and g.quantifier in ("and", "or", "impl"):
-        sets = g.sets
-        if len(sets) == 2 and len(sets[0]) == 1 and len(sets[1]) == 1:
-            ((k0, a),), ((k1, b),) = sets[0].entries, sets[1].entries
-            if k0 == () and k1 == ():
-                return a, b
-    return None
+# ---------------------------------------------------------------------------
+# Rules and programs
 
 
-def _plain_and_spine(g: GApply):
-    """The plain ``and`` spine from ``g``, itself one of its nodes: the
-    operand at its bottom and the right operands, left to right.
-    ``ground._and_spine`` walks it in a loop; only its outer run of
-    nodes keyed ``()`` is a spine of ``&``, and the first node out of
-    that run is the bottom."""
-    bottom, nodes = _and_spine(g)
-    i = len(nodes)
-    while i and _plain_sides(nodes[i - 1][0]) is not None:
-        i -= 1
-    if i:
-        bottom = nodes[i - 1][0]
-    return bottom, [right for _, right in nodes[i:]]
+def _render_rule(r: Rule) -> str:
+    if isinstance(r.head, Bot):
+        return f":- {_render_body(r.body)}."
+    head = "; ".join(_text(p, 1) for p in _spine(r.head, "or"))
+    if isinstance(r.body, Top):
+        return f"{head}."
+    return f"{head} :- {_render_body(r.body)}."
 
 
-def _ground_negand(g: GroundFormula):
-    """The operand of ``g`` when ``g`` prints as ``not F``; None otherwise."""
-    sides = _plain_sides(g)
-    if sides is not None and g.quantifier == "impl":
-        a, b = sides
-        if isinstance(b, GBot) and not isinstance(a, (GTop, GBot)):
-            return a
-    return None
+def _render_body(body: Formula) -> str:
+    return ", ".join(_text(p, 1) for p in _spine(body, "and"))
 
 
-def _render_ground(g: GroundFormula, min_level: int) -> str:
-    text, level = _ground_node(g)
-    if level < min_level:
-        return f"({text})"
-    return text
-
-
-def _ground_node(g: GroundFormula) -> tuple[str, int]:
-    if isinstance(g, GroundAtom):
-        return str(g), 5
-    if isinstance(g, GTop):
-        return "top", 5
-    if isinstance(g, GBot):
-        return "bot", 5
-    if isinstance(g, GApply):
-        name = g.quantifier
-        sides = _plain_sides(g)
-        if sides is not None:
-            a, b = sides
-            if name == "impl":
-                # A chain of negations is read in a loop, as ``_node`` reads
-                # one, so its length costs no stack.
-                nots, inner = 0, _ground_negand(g)
-                while inner is not None:
-                    nots, g, inner = nots + 1, inner, _ground_negand(inner)
-                if nots:
-                    return "not " * nots + _render_ground(g, 4), 4
-                return f"{_render_ground(a, 2)} -> {_render_ground(b, 1)}", 1
-            if name == "and":
-                bottom, rights = _plain_and_spine(g)
-                parts = [_render_ground(bottom, 3)]
-                parts += [_render_ground(right, 4) for right in rights]
-                return " & ".join(parts), 3
-            return f"{_render_ground(a, 2)} | {_render_ground(b, 3)}", 2
-        agg = _ground_aggregate_parts(g)
-        if agg is not None:
-            family, sym, bound = agg
-            return f"{family}{{ {_set_body(g.sets[0])} }} {sym} {bound}", 5
-        sets = "".join(f"{{ {_set_body(s)} }}" for s in g.sets)
-        return f"{name}{sets}", 5
-    raise GqError(f"cannot render {g!r}")
+def _render_program(p: Program) -> str:
+    elems = ", ".join(str(e) for e in p.universe_sorted())
+    lines = [f"#universe {{{elems}}}."]
+    if p.intensional:
+        lines.append(f"#intensional {', '.join(sorted(p.intensional))}.")
+    else:
+        lines.append("#intensional.")
+    for r in p.rules:
+        lines.append(_render_rule(r))
+    return "\n".join(lines)
 
 
 def render_ground_rule(g: GroundFormula) -> str:
@@ -314,8 +279,8 @@ def render_ground_rule(g: GroundFormula) -> str:
     sides = _plain_sides(g)
     if sides is not None and g.quantifier == "impl":
         a, b = sides
-        return f"{_render_ground(a, 2)} -> {_render_ground(b, 1)}"
-    return _render_ground(g, 1)
+        return f"{_text(a, 2)} -> {_text(b, 1)}"
+    return _text(g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,29 +293,24 @@ def simplify_ground(g: GroundFormula) -> GroundFormula:
     Only ``and``, ``or``, and ``impl`` nodes are touched; quantifier
     applications proper (aggregates included) are kept exactly as they
     are, so the pair-sets a reduct produced stay visible.  A negated
-    formula ``F -> bot`` is kept when F does not fold away.  A left-deep
-    ``and`` spine is folded in a loop, from its bottom up.
+    formula ``F -> bot`` is kept when F does not fold away.  A left
+    spine of one connective is folded in a loop, from its bottom up.
     """
-    sides = _plain_sides(g)
-    if sides is None:
+    if _plain_sides(g) is None:
         return g
     name = g.quantifier
-    if name == "and":
-        bottom, rights = _plain_and_spine(g)
-        a = simplify_ground(bottom)
-        for right in rights:
-            a = _fold("and", a, simplify_ground(right))
-        return a
-    return _fold(name, *map(simplify_ground, sides))
+    bottom, *rights = _spine(g, name)
+    a = simplify_ground(bottom)
+    for right in rights:
+        a = _fold(name, a, simplify_ground(right))
+    return a
 
 
 def _fold(name: str, a: GroundFormula, b: GroundFormula) -> GroundFormula:
     """The connective ``name`` of the simplified sides ``a`` and ``b``,
     with truth constants folded away."""
     if name == "impl":
-        if isinstance(a, GBot):
-            return G_TOP
-        if isinstance(b, GTop):
+        if isinstance(a, GBot) or isinstance(b, GTop):
             return G_TOP
         if isinstance(a, GTop):
             return b
@@ -368,7 +328,7 @@ def _fold(name: str, a: GroundFormula, b: GroundFormula) -> GroundFormula:
             return b
         if isinstance(b, GBot):
             return a
-    return GApply(name, (PairSet((((), a),)), PairSet((((), b),))))
+    return _binary(name, ((), a), ((), b))
 
 
 def simplify_rule_sides(g: GroundFormula) -> GroundFormula:
@@ -381,5 +341,5 @@ def simplify_rule_sides(g: GroundFormula) -> GroundFormula:
     sides = _plain_sides(g)
     if sides is not None and g.quantifier == "impl":
         a, b = map(simplify_ground, sides)
-        return GApply("impl", (PairSet((((), a),)), PairSet((((), b),))))
+        return _binary("impl", ((), a), ((), b))
     return simplify_ground(g)

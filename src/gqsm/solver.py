@@ -32,7 +32,6 @@ read as the conjunction of their implications.
 """
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional
 
@@ -65,15 +64,15 @@ from .ground import (
     herbrand_base,
     satisfies_program,
 )
+# CAP_ENV_VAR is imported to be read from here too: the cap's policy
+# lives with ``reduct.minimal_models``, the other enumeration it bounds
 from .reduct import (
-    DEFAULT_ATOM_CAP,
+    CAP_ENV_VAR,
     EnumerationCapError,
     _subsets_ascending,
-    check_cap,
     reduct,
+    resolve_cap,
 )
-
-CAP_ENV_VAR = "GQSM_ATOM_CAP"
 
 
 class ReductRouteError(GqError):
@@ -102,21 +101,6 @@ class SolveResult(Record):
             "models": [atom_strings(m) for m in self.models],
             "stats": {"candidates": self.stats.candidates},
         }
-
-
-def resolve_cap(cap: Optional[int] = None) -> int:
-    """The atom cap: ``cap`` when given, else the environment, else the
-    default.  A negative cap is an error, wherever it comes from."""
-    if cap is not None:
-        return check_cap(cap, "the atom cap (--cap or cap=)")
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ATOM_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GqError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    return check_cap(value, CAP_ENV_VAR)
 
 
 def program_to_sentence(program: Program) -> Formula:

@@ -528,6 +528,41 @@ def test_600_nots_inside_a_quantifier_argument_answer_on_every_route(
         assert lines[-2:] == ["difference: none", "agreement violated: no"]
 
 
+CONJUNCTION = " & ".join(["q"] * 1_000)
+UNDER_ATLEAST_AND = " & ".join(["q(X)"] * 600)
+
+
+@pytest.mark.parametrize(
+    "text, literal",
+    [
+        (
+            f"#universe {{1}}.\np :- not ({CONJUNCTION}).\n",
+            f"not ({CONJUNCTION}): negated quantifier has a non-atomic argument",
+        ),
+        (
+            f"#universe {{1}}.\nr :- atleast(1){{X : {UNDER_ATLEAST_AND}}}.\n",
+            f"atleast(1){{X : {UNDER_ATLEAST_AND}}}: quantifier argument is not atomic",
+        ),
+    ],
+    ids=["1,000 conjuncts under not", "600 conjuncts under atleast"],
+)
+def test_compare_prints_long_conjunctions_in_its_class_report(run, tmp_path, text, literal):
+    # the class report prints each literal, and a spine of & prints in a loop
+    p = tmp_path / "long.gq"
+    p.write_text(text)
+    code, out, err = run("compare", str(p))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[5:] == ["in class: no", "  rule 1: " + literal,
+                         "difference: none", "agreement violated: no"]
+
+
+def test_ground_prints_a_600_way_disjunction(run, tmp_path):
+    p = tmp_path / "long.gq"
+    p.write_text("#universe {1}.\np :- " + " | ".join(["q"] * 600) + ".\n")
+    assert run("ground", str(p)) == (0, " | ".join(["q"] * 600) + " -> p\n", "")
+
+
 def test_ground_prints_no_rule_when_a_later_one_cannot_be_rendered(
     run, sum_path, monkeypatch
 ):

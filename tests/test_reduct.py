@@ -162,6 +162,16 @@ def test_enumeration_cap(registry):
     assert DEFAULT_ATOM_CAP == 20
 
 
+def test_minimal_models_reads_the_cap_from_the_environment(registry, monkeypatch):
+    monkeypatch.setenv("GQSM_ATOM_CAP", "3")
+    base = [ga("p", e) for e in range(4)]
+    with pytest.raises(EnumerationCapError) as exc:
+        minimal_models((), base, frozenset(range(4)), registry)
+    assert (exc.value.size, exc.value.cap) == (4, 3)
+    # an explicit cap still wins over the environment
+    assert minimal_models((), base, frozenset(range(4)), registry, cap=4) == (frozenset(),)
+
+
 def test_negative_enumeration_cap_is_refused(registry):
     with pytest.raises(GqError, match="cap must not be negative, got -1") as exc:
         minimal_models((), (), frozenset({1}), registry, cap=-1)

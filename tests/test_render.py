@@ -230,12 +230,24 @@ def test_connectives_without_two_plain_sets_use_the_generic_form(g):
     assert simplify_rule_sides(g) is g
 
 
+@pytest.mark.parametrize("name, op", [("and", " & "), ("or", " | ")])
+def test_a_10000_literal_spine_prints_in_a_loop(name, op, registry):
+    text = op.join(["q"] * 10_000)
+    assert str(parse_formula(text, registry)) == text
+    g = GroundAtom("q")
+    for _ in range(9_999):
+        g = GApply(name, (PairSet((((), g),)), PairSet((((), GroundAtom("q")),))))
+    assert str(g) == text
+    assert str(simplify_ground(g)) == text
+
+
 # ---------------------------------------------------------------------------
-# Long ``and`` spines: the ground printers against their recursive form
+# Long ``and`` and ``or`` spines: the ground printers against their
+# recursive form
 #
-# ``_render_ground`` and ``simplify_ground`` walk a left-deep spine of
-# plain ``and`` nodes in a loop.  The oracles below are the two as they
-# were, one recursive call per node; text and trees must be the same.
+# ``render`` and ``simplify_ground`` walk a left-deep spine of plain
+# ``and`` or ``or`` nodes in a loop.  The oracles below are the two as
+# they were, one recursive call per node; text and trees must be the same.
 
 
 def oracle_render_ground(g, min_level):
@@ -311,8 +323,20 @@ def check_printers(g):
     assert got == want and render(got) == oracle_render_ground(want, 1)
 
 
+def _app(name, a, b, keys):
+    return GApply(name, (PairSet(((keys[0], a),)), PairSet(((keys[1], b),))))
+
+
 def _and(a, b, keys=((), ())):
-    return GApply("and", (PairSet(((keys[0], a),)), PairSet(((keys[1], b),))))
+    return _app("and", a, b, keys)
+
+
+def _or(a, b, keys=((), ())):
+    return _app("or", a, b, keys)
+
+
+def _not(a):
+    return _app("impl", a, G_BOT, ((), ()))
 
 
 P1, P2, Q1 = (GroundAtom(p, (v,)) for p, v in (("p", 1), ("p", 2), ("q", 1)))
@@ -331,7 +355,16 @@ P1, P2, Q1 = (GroundAtom(p, (v,)) for p, v in (("p", 1), ("p", 2), ("q", 1)))
         _and(_and(P1, G_TOP, keys=((), (2,))), P2, keys=((1,), ())),
         # a spine as the right operand, and under a negation
         _and(P1, _and(_and(Q1, P2), G_TOP)),
-        GApply("impl", (PairSet((((), _and(_and(P1, Q1), P2)),)), PairSet((((), G_BOT),)))),
+        _not(_and(_and(P1, Q1), P2)),
+        # the same for spines of |, and the two spines inside each other
+        _or(_or(_or(P1, G_BOT), Q1), P2),
+        _or(_or(_or(P1, G_TOP), Q1), P2),
+        _or(_or(_or(P1, Q1), P2, keys=((1,), (2,))), Q1),
+        _or(_or(P1, G_BOT, keys=((), (2,))), P2, keys=((1,), ())),
+        _or(P1, _or(_or(Q1, P2), G_BOT)),
+        _not(_or(_or(P1, Q1), P2)),
+        _or(_and(_and(P1, Q1), G_TOP), _not(_or(P2, Q1))),
+        _and(_or(_or(P1, Q1), P2), _or(G_BOT, _and(Q1, P2))),
     ],
 )
 def test_and_spines_print_as_they_did(g):
