@@ -25,6 +25,7 @@ from .solver import (
     ReductRouteError,
     compare_semantics,
     flp_stable_models,
+    stable_and_flp_models,
     stable_models_operator,
     stable_models_reduct,
 )
@@ -120,15 +121,19 @@ def _run_solve(args, program: Program, registry: Registry) -> int:
     routes = ("reduct", "operator") if args.route == "both" else (args.route,)
     cells = [(s, r) for s in semantics for r in routes]
     results = []  # (semantics, route, SolveResult or None, note)
+    both = None
     for sem, route in cells:
         if sem == "flp" and route == "reduct":
             results.append((sem, route, None, "the flp semantics has no reduct route"))
             continue
         try:
-            if sem == "flp":
-                res = flp_stable_models(program, registry, args.cap)
-            elif route == "reduct":
+            if route == "reduct":
                 res = stable_models_reduct(program, registry, args.cap)
+            elif len(semantics) == 2:  # both operator cells: one scan, at the first
+                both = both or stable_and_flp_models(program, registry, args.cap)
+                res = both[semantics.index(sem)]
+            elif sem == "flp":
+                res = flp_stable_models(program, registry, args.cap)
             else:
                 res = stable_models_operator(program, registry, args.cap)
         except ReductRouteError as e:
@@ -141,6 +146,8 @@ def _run_solve(args, program: Program, registry: Registry) -> int:
         first_note = results[0][3]
         print(f"error: {first_note}", file=sys.stderr)
         return 1
+    sets = [frozenset(res.models) for _, _, res in computed]
+    agree = all(s == sets[0] for s in sets)
 
     if args.format == "json":
         payload = {"results": [res.to_json() for _, _, res in computed]}
@@ -152,8 +159,7 @@ def _run_solve(args, program: Program, registry: Registry) -> int:
         if skipped:
             payload["skipped"] = skipped
         if len(computed) > 1:
-            sets = [frozenset(res.models) for _, _, res in computed]
-            payload["agreement"] = {"agree": all(s == sets[0] for s in sets)}
+            payload["agreement"] = {"agree": agree}
         _emit_json(payload)
         return 0
 
@@ -167,8 +173,6 @@ def _run_solve(args, program: Program, registry: Registry) -> int:
         else:
             lines.extend(_answer_lines(res.models))
     if len(computed) > 1:
-        sets = [frozenset(res.models) for _, _, res in computed]
-        agree = all(s == sets[0] for s in sets)
         lines.append("== agreement")
         lines.append(f"all computed model sets agree: {'yes' if agree else 'no'}")
     _emit(lines)

@@ -325,14 +325,14 @@ def _sides(g: GApply):
     return None
 
 
-def _and_spine(g: GroundFormula):
-    """The left spine of ``and`` connectives from ``g``, by the rule of
+def _spine(g: GroundFormula, name: str):
+    """The left spine of ``name`` connectives from ``g``, by the rule of
     ``syntax.flatten_spine``: the operand at its bottom, and the spine's
     nodes from the innermost out, each with its right operand.  A ``g``
     that is not such a node is its own bottom.  The walk is a loop, so a
     spine of any length is fine."""
     nodes = []
-    while type(g) is GApply and g.quantifier == "and":
+    while type(g) is GApply and g.quantifier == name:
         sides = _sides(g)
         if sides is None:
             break
@@ -387,7 +387,7 @@ def _read_set(g: GroundFormula) -> frozenset:
 # computed once, and each j after that reads only star readings.  A
 # conjunction and ``forall``, and a disjunction and ``exists``, are one
 # junction node (``_junction_node``), which differ only in the answer that
-# stops their left-to-right scan.
+# stops their left-to-right scan; a longer disjunction is one ``_or_node``.
 #
 # A quantifier application reads each argument position as a relation,
 # the tuples of universe elements at which the argument holds, and the
@@ -464,15 +464,13 @@ def _atom_node(key: tuple, intensional: bool, negated: bool) -> tuple:
 
 def _junction_node(kids: list, stop: bool) -> tuple:
     """A conjunction spine or ``forall`` over its instances (``stop``
-    False), or a disjunction or ``exists`` over its instances (``stop``
+    False), or two disjuncts or ``exists`` over its instances (``stop``
     True), read left to right; each reading stops at the first child
     whose answer is ``stop``.  A child that never answers ``stop``,
     ``top`` in a conjunction and ``bot`` in a disjunction, is dropped.
-    The plain reading of a conjunction implies each child's, so a spine
-    can be flattened; a nested disjunction is not, since a child's star
-    reading may hold where its plain reading does not, and the inner
-    node masks it.  Every reading gives a bool, so answers are compared
-    with ``is``."""
+    A conjunction spine can be flattened, its plain reading implying
+    each child's; a longer disjunction cannot (``_or_node``).  Every
+    reading gives a bool, so answers are compared with ``is``."""
     idle = _BOT_NODE if stop else _TOP_NODE
     kids = [k for k in kids if k is not idle]
     if not kids:
@@ -496,6 +494,27 @@ def _junction_node(kids: list, stop: bool) -> tuple:
         return not stop
 
     return plain, star
+
+
+def _or_node(kids: list) -> tuple:
+    """A left spine d0 | ... | dn, read as the nested binary disjunctions,
+    whose star reading is the plain one, then the two operands' stars up
+    to a true one.  With k0 the first disjunct that holds plain, kept,
+    the star reading reads d_s to d_n, s being 0 when k0 is at most 1 and
+    k0 after that: the inner nodes below d_k0 fail plain, reading none."""
+    if len(kids) == 2:  # k0 is at most 1, and a junction reads it faster
+        return _junction_node(kids, True)
+    plains, stars = zip(*kids)
+
+    @_kept
+    def start(atoms):
+        return next((k if k > 1 else 0 for k, p in enumerate(plains) if p(atoms)), None)
+
+    def star(atoms, j):
+        k = start(atoms)
+        return k is not None and any(s(atoms, j) for s in stars[k:])
+
+    return (lambda atoms: start(atoms) is not None), star
 
 
 def _not_node(a: tuple) -> tuple:
@@ -639,7 +658,7 @@ class _Compiler:
         ``and`` spine, with each ``forall`` unrolled into its instances.
         The plain reading of the whole implies each inner conjunction's,
         so their plain conjuncts, and the nesting, may go."""
-        bottom, nodes = _and_spine(g)
+        bottom, nodes = _spine(g, "and")
         for c in [bottom] + [right for _, right in nodes]:
             if type(c) is GApply and c.quantifier == "forall":
                 for _, inner in c.sets[0].entries:
@@ -662,10 +681,11 @@ class _Compiler:
             return _junction_node(self.conjuncts(g, []), False)
         if name == "exists":
             return _junction_node([self.node(c) for _, c in g.sets[0].entries], True)
-        if name == "or" or name == "impl":
+        if name == "or":
+            bottom, nodes = _spine(g, "or")
+            return _or_node([self.node(c) for c in [bottom] + [right for _, right in nodes]])
+        if name == "impl":
             a, b = _sides(g)
-            if name == "or":
-                return _junction_node([self.node(a), self.node(b)], True)
             if type(a) is GroundAtom and type(b) is GBot:
                 return _atom_node(a, a.pred in self.intensional, True)
             return _impl_node(self.node(a), self.node(b))
@@ -933,8 +953,8 @@ class _Grounder:
         _check_shape(f, qdef)
         if name in _CONNECTIVES:
             # A connective is binary, and so is each inner node of a
-            # left-deep ``and`` spine, which is ground in a loop.
-            parts = flatten_spine(f, "and") if name == "and" else f.args
+            # left-deep ``and`` or ``or`` spine, which is ground in a loop.
+            parts = f.args if name == "impl" else flatten_spine(f, name)
             g = self.ground(parts[0], env)
             for part in parts[1:]:
                 g = _binary(name, ((), g), ((), self.ground(part, env)))
@@ -1036,7 +1056,7 @@ def _gsat(g, atoms, universe, registry) -> bool:
     name = g.quantifier
     sets = g.sets
     if name == "and":
-        bottom, nodes = _and_spine(g)
+        bottom, nodes = _spine(g, "and")
         if nodes:
             if not _gsat(bottom, atoms, universe, registry):
                 return False

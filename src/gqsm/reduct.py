@@ -28,10 +28,10 @@ from .ground import (
     GTop,
     PairSet,
     _BINDERS,
-    _and_spine,
     _binary,
     _gsat,
     _sides,
+    _spine,
     atom_set_key,
 )
 
@@ -115,7 +115,7 @@ def reduct(
         if t is not GApply:
             raise GqError(f"not a ground formula: {n!r}")
         name, sets = n.quantifier, n.sets
-        bottom, nodes = _and_spine(n) if name == "and" else (n, ())
+        bottom, nodes = _spine(n, "and") if name == "and" else (n, ())
         if nodes:
             out, v, count = walk(bottom)
             for node, right in nodes:

@@ -2,12 +2,12 @@
 class on which they are guaranteed to agree.
 
 All three definitions have one shape, so one scan, ``_search``, serves
-them.  It tries every subset I of the program's head-bounded base (its
-ground atoms, less those of the intensional predicates that head no
-rule, which no stable or FLP model holds; ``_checked_base`` says why),
-and keeps a model I when no proper subset J of its intensional atoms is
-a witness against it.  The routes differ only in their model and
-witness tests:
+them, one or several at once.  It tries every subset I of the program's
+head-bounded base (its ground atoms, less those of the intensional
+predicates that head no rule, which no stable or FLP model holds;
+``_checked_base`` says why), and keeps a model I when no proper subset J
+of its intensional atoms is a witness against it.  The routes differ
+only in their model and witness tests:
 
 * ``stable_models_reduct``    grounds once; I is a model of the ground
   rules, and J is a model of their reduct relative to I, so a kept I is
@@ -23,11 +23,11 @@ witness tests:
   over the FLP reduct of I, which the model check collects.
 
 Both read one compiled program (``ground._compile_program``), built with
-the checked base once per solve, or once for both in a compare
-(``_setup``): the nodes of every rule instance's body and head, with F
-read as the conjunction of their implications.
+the checked base once per solve (``_setup``): the nodes of every rule
+instance's body and head, with F read as the conjunction of their
+implications.  ``stable_and_flp_models`` runs both in one scan.
 
-``compare_semantics`` runs the last two and checks the outcome against
+``compare_semantics`` runs them so and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
 """
 from __future__ import annotations
@@ -155,33 +155,30 @@ def _setup(program: Program, registry: Registry, cap: Optional[int]) -> tuple:
     return t0, base, empty, _compile_program(program, empty, registry)
 
 
-def _search(
-    semantics: str, route: str, t0: float, base: tuple, intensional, model_test
-) -> SolveResult:
-    """The one stability search behind all three routes.
-
-    Candidates I are the subsets of ``base``, smallest first.
-    ``model_test(I)`` is None when I is not a model, and otherwise a
-    test ``witness(J)`` that is true when J rules I out.  The J tried are
-    the proper subsets of I's intensional atoms, as tuples, smallest
-    first; a model that none rules out is kept.  ``t0`` is when the
-    route started, so the elapsed time covers its setup; in a compare,
-    the FLP scan's starts after the shared setup.
-    """
-    models = []
+def _search(scans: tuple, t0: float, base: tuple, intensional, model_test) -> tuple:
+    """The one stability search behind all three routes: a ``SolveResult``
+    per ``(semantics, route)`` of ``scans``.  Candidates I are the subsets
+    of ``base``, smallest first.  ``model_test(I)`` is None when I is not
+    a model, and otherwise a test ``witness(J)`` per scan, true when J
+    rules I out.  Each scan in turn tries the proper subsets of I's
+    intensional atoms, as tuples, smallest first; a model that none rules
+    out is kept.  ``t0`` is when the solve started, so the elapsed time,
+    never printed, covers its setup; all results share it."""
+    kept = [[] for _ in scans]
     for combo in _subsets_ascending(base):
         s = frozenset(combo)
-        witness = model_test(s)
-        if witness is None:
+        witnesses = model_test(s)
+        if witnesses is None:
             continue
         # the base is in atom order, as herbrand_base gives it, and
         # combinations keeps that order, so the pool needs no sort
         pool = [a for a in combo if a.pred in intensional]
-        if not any(witness(j) for j in _subsets_ascending(pool, len(pool) - 1)):
-            models.append(s)
-    models.sort(key=atom_set_key)
+        for witness, models in zip(witnesses, kept):
+            if not any(witness(j) for j in _subsets_ascending(pool, len(pool) - 1)):
+                models.append(s)
     stats = SolveStats(2 ** len(base), time.perf_counter() - t0)
-    return SolveResult(semantics, route, tuple(models), stats)
+    return tuple(SolveResult(sem, route, tuple(sorted(models, key=atom_set_key)), stats)
+                 for (sem, route), models in zip(scans, kept))
 
 
 def stable_models_reduct(
@@ -247,19 +244,19 @@ def stable_models_reduct(
                     return False
             return True
 
-        return witness
+        return (witness,)
 
-    return _search("sm", "reduct", t0, base, program.intensional, model_test)
+    return _search((("sm", "reduct"),), t0, base, program.intensional, model_test)[0]
 
 
 def stable_models_operator(
-    program: Program, registry: Registry, cap: Optional[int] = None, *, setup=None
+    program: Program, registry: Registry, cap: Optional[int] = None
 ) -> SolveResult:
     """Stable models via the stability transformation: a model is stable
     when no proper subvaluation of its intensional slice satisfies the
     starred sentence, read over the instances whose body the model
-    satisfies.  ``setup`` is ``_setup``'s, when a compare shares it."""
-    t0, base, empty, compiled = setup or _setup(program, registry, cap)
+    satisfies."""
+    t0, base, empty, compiled = _setup(program, registry, cap)
     intensional = program.intensional
 
     def model_test(s):
@@ -268,27 +265,49 @@ def stable_models_operator(
             return None
         # the model test kept each body's plain answer
         fired = [inst for inst in compiled.instances if inst[2][0](interp.atoms)]
-        return lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired)
+        return (lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired),)
 
-    return _search("sm", "operator", t0, base, intensional, model_test)
+    return _search((("sm", "operator"),), t0, base, intensional, model_test)[0]
 
 
 def flp_stable_models(
-    program: Program, registry: Registry, cap: Optional[int] = None, *, setup=None
+    program: Program, registry: Registry, cap: Optional[int] = None
 ) -> SolveResult:
     """Stable models in the FLP sense: a model is stable when no proper
     subvaluation of its intensional slice satisfies every rule instance
-    read as ``B and B(u) -> H(u)``.  ``setup`` is as above."""
-    t0, base, empty, compiled = setup or _setup(program, registry, cap)
+    read as ``B and B(u) -> H(u)``."""
+    t0, base, empty, compiled = _setup(program, registry, cap)
 
     def model_test(s):
         interp = empty.with_atoms(s, checked=True)
         fired = []
         if not satisfies_program(interp, compiled, registry, fired=fired):
             return None
-        return lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired)
+        return (lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),)
 
-    return _search("flp", "operator", t0, base, program.intensional, model_test)
+    return _search((("flp", "operator"),), t0, base, program.intensional, model_test)[0]
+
+
+def stable_and_flp_models(
+    program: Program, registry: Registry, cap: Optional[int] = None
+) -> tuple:
+    """SM's and FLP's results from one setup and one FLP model check per
+    candidate, whose fired instances both read.  SM's J's go first: FLP's
+    read plain nodes off I, which evicts the plain answers F*(J) reads."""
+    t0, base, empty, compiled = _setup(program, registry, cap)
+    intensional = program.intensional
+
+    def model_test(s):
+        interp = empty.with_atoms(s, checked=True)
+        fired = []
+        if not satisfies_program(interp, compiled, registry, fired=fired):
+            return None
+        return (
+            lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired),
+            lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),
+        )
+
+    return _search((("sm", "operator"), ("flp", "operator")), t0, base, intensional, model_test)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +425,9 @@ class ComparisonReport(Record):
 def compare_semantics(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> ComparisonReport:
-    """Both scans, SM first, over one check of the base and one compile;
-    the FLP result's elapsed time starts after them."""
-    setup = _setup(program, registry, cap)
-    sm = stable_models_operator(program, registry, cap, setup=setup)
-    flp_setup = (time.perf_counter(),) + setup[1:]
-    flp = flp_stable_models(program, registry, cap, setup=flp_setup)
+    """``stable_and_flp_models``, checked against the agreement class.
+    Both results carry their one scan's elapsed time, never printed."""
+    sm, flp = stable_and_flp_models(program, registry, cap)
     diff = set(sm.models) ^ set(flp.models)
     difference = tuple(sorted(diff, key=atom_set_key))
     report = monotone_class_report(program, registry)

@@ -21,13 +21,14 @@ at every visit, and every candidate I and every smaller J in full.
   read as ``B and B(J) -> H(J)``, with ``B`` read in I and ``B(J)``,
   ``H(J)`` in I with its intensional part replaced by J.
 
-``scan`` tries the candidates and witnesses of a definition over a base
-given as a parameter, smallest first, and logs each I and J with its
-answer.  The program is grounded before a scan, so its first static
-failure (an unbound variable, an unknown or misshapen quantifier, a
-non-formula) is raised before any candidate is read, as the package's
-error contract says.  Static failures are grounding's, so the readings
-look up only the generalized quantifiers, for their truth functions.
+``scan`` tries the candidates of one or more definitions over a base
+given as a parameter, smallest first, and for each model each
+definition's witnesses in turn, and logs each I and J with its answer.
+The program is grounded before a scan, so its first static failure (an
+unbound variable, an unknown or misshapen quantifier, a non-formula) is
+raised before any candidate is read, as the package's error contract
+says.  Static failures are grounding's, so the readings look up only
+the generalized quantifiers, for their truth functions.
 
 The second half of the module holds the suites: the example programs,
 the seeded random programs, API-built programs and programs that raise.
@@ -451,38 +452,47 @@ def flp_transform(insts, intensional, interp, j, registry):
 # The three definitions, and the scan
 
 
-def scan(base, intensional, model_test, log=None):
-    """The models of one definition among the subsets of ``base``.
+def scan(base, intensional, model_tests, log=None):
+    """The models of several definitions among the subsets of ``base``,
+    read candidate by candidate.
 
-    Candidates I are tried smallest first, in ``combinations`` order;
-    ``model_test(I)`` is None when I is not a model, and otherwise a test
-    ``witness(J)``.  The J tried are the proper subsets of I's
-    intensional atoms, in atom order, smallest first, and the first that
-    holds rules I out.  ``log`` gets each I and each J, each followed by
-    its answer.  Models are sorted by their sorted atoms."""
+    Candidates I are tried smallest first, in ``combinations`` order.
+    Each definition's ``model_test(I)`` is None when I is not a model,
+    and otherwise a test ``witness(J)``; the definitions agree on which I
+    are models.  For a model, each definition in turn tries the J, the
+    proper subsets of I's intensional atoms, in atom order, smallest
+    first, and the first that holds rules I out.  ``log`` gets each I
+    and its one model answer, then each definition's J's, each followed
+    by its answer.  Each definition's models are sorted by their sorted
+    atoms."""
     log = [] if log is None else log
-    models = []
+    found = [[] for _ in model_tests]
     for I in itertools.chain.from_iterable(
         map(frozenset, itertools.combinations(base, r)) for r in range(len(base) + 1)
     ):
         log.append(("I", I))
-        witness = model_test(I)
-        log.append(witness is not None)
-        if witness is None:
+        witnesses = [model_test(I) for model_test in model_tests]
+        log.append(witnesses[0] is not None)
+        assert all((w is None) is (witnesses[0] is None) for w in witnesses), I
+        if witnesses[0] is None:
             continue
         pool = sorted((a for a in I if a.pred in intensional), key=GroundAtom.sort_key)
-        for k in range(len(pool)):
-            for J in map(frozenset, itertools.combinations(pool, k)):
-                log.append(("J", J))
-                log.append(witness(J))
-                if log[-1]:
-                    break
-            else:
-                continue
-            break
-        else:
-            models.append(I)
-    return tuple(sorted(models, key=model_key))
+        for witness, models in zip(witnesses, found):
+            if not _ruled_out(witness, pool, log):
+                models.append(I)
+    return tuple(tuple(sorted(models, key=model_key)) for models in found)
+
+
+def _ruled_out(witness, pool, log):
+    """Whether some proper subset J of ``pool`` is a witness, trying them
+    smallest first; ``log`` gets each J and its answer."""
+    for k in range(len(pool)):
+        for J in map(frozenset, itertools.combinations(pool, k)):
+            log.append(("J", J))
+            log.append(witness(J))
+            if log[-1]:
+                return True
+    return False
 
 
 def model_key(atoms):
@@ -537,14 +547,12 @@ DEFINITIONS = {"sm_operator": sm_operator, "sm_reduct": sm_reduct, "flp": flp}
 
 def models(definitions, program, registry, base=None, log=None):
     """The models of each of ``definitions`` over ``base``, by default
-    the full Herbrand base, scanned in turn into one ``log``.  The
+    the full Herbrand base, read in one scan into one ``log``.  The
     program is grounded first, once."""
     rules = ground_program(program, registry)
     base = herbrand_base(program) if base is None else base
-    return tuple(
-        scan(base, program.intensional, DEFINITIONS[d](program, registry, rules), log)
-        for d in definitions
-    )
+    tests = [DEFINITIONS[d](program, registry, rules) for d in definitions]
+    return scan(base, program.intensional, tests, log)
 
 
 # ---------------------------------------------------------------------------

@@ -557,10 +557,34 @@ def test_compare_prints_long_conjunctions_in_its_class_report(run, tmp_path, tex
                          "difference: none", "agreement violated: no"]
 
 
-def test_ground_prints_a_600_way_disjunction(run, tmp_path):
+OPERATOR_CELLS = (
+    "== sm route=operator\nAnswer 1:\n== flp route=operator\nAnswer 1:\n"
+    "== agreement\nall computed model sets agree: yes\n"
+)
+LONG_OR_COMMANDS = {
+    "solve --route operator": lambda disj: "Answer 1:\n",
+    "solve --semantics flp": lambda disj: "Answer 1:\n",
+    "solve --semantics both --route operator": lambda disj: OPERATOR_CELLS,
+    "compare": lambda disj: (
+        "== sm route=operator\nAnswer 1:\n== flp route=operator\nAnswer 1:\n"
+        f"== agreement\nin class: no\n  rule 1: {disj}: quantifier argument is not atomic\n"
+        "difference: none\nagreement violated: no\n"
+    ),
+    "ground": lambda disj: disj + " -> p\n",
+}
+
+
+@pytest.mark.parametrize("command", LONG_OR_COMMANDS)
+@pytest.mark.parametrize("n", [600, 1_000])
+def test_long_disjunctions_answer_on_every_command(run, tmp_path, n, command):
+    # grounding and the compiler read a left spine of | in a loop, and one
+    # compiled node reads it as the nested disjunctions do; the printer
+    # prints it in a loop
+    disj = " | ".join(["q"] * n)
     p = tmp_path / "long.gq"
-    p.write_text("#universe {1}.\np :- " + " | ".join(["q"] * 600) + ".\n")
-    assert run("ground", str(p)) == (0, " | ".join(["q"] * 600) + " -> p\n", "")
+    p.write_text(f"#universe {{1}}.\np :- {disj}.\n")
+    name, *options = command.split()
+    assert run(name, str(p), *options) == (0, LONG_OR_COMMANDS[command](disj), "")
 
 
 def test_ground_prints_no_rule_when_a_later_one_cannot_be_rendered(

@@ -25,6 +25,7 @@ import reference_semantics as ref
 from conftest import SUM_THRESHOLD
 from reference_semantics import outcome
 import gqsm
+import gqsm.cli
 from gqsm import (
     TOP, Apply, Atom, Bot, Constant, Equality, GqError, Mono, Program, QuantifierDef, Registry,
     Rule, Top, Variable, atom, conj,
@@ -192,6 +193,48 @@ def test_the_operator_route_reads_only_the_instances_that_fired(source, monkeypa
     monkeypatch.setattr(solver, "eval_star", spy)
     assert stable_models_operator(prog, reg).models == flp_stable_models(prog, reg).models
     assert read and all(read)
+
+
+# 6 atoms, every one headed: 64 candidates
+CHOICE3 = ref.choice_text(3)
+ONE_CHECK = {"_compile_program": 1, "satisfies_program": 64}
+MODEL_CHECKS = {
+    # both semantics read each candidate's one FLP model check, and its
+    # fired instances, in one scan
+    "compare": (ONE_CHECK, lambda prog, reg, path: compare_semantics(prog, reg)),
+    "solve --semantics both --route operator": (
+        ONE_CHECK,
+        lambda prog, reg, path: gqsm.cli.main(
+            ["solve", path, "--semantics", "both", "--route", "operator"]
+        ),
+    ),
+    # a single route keeps its own: the sentence's reading on the operator
+    # route, the FLP model check on FLP's
+    "operator": (
+        {"_compile_program": 1, "_eval": 64},
+        lambda prog, reg, path: stable_models_operator(prog, reg),
+    ),
+    "flp": (ONE_CHECK, lambda prog, reg, path: flp_stable_models(prog, reg)),
+}
+
+
+@pytest.mark.parametrize("entry", MODEL_CHECKS)
+def test_one_compile_and_one_model_check_per_candidate(entry, monkeypatch, tmp_path, capsys):
+    want, call = MODEL_CHECKS[entry]
+    path = tmp_path / "choice.gq"
+    path.write_text(CHOICE3)
+    reg = Registry()
+    prog = parse_program(CHOICE3, reg)
+    calls = Counter()
+    for name in ("_compile_program", "satisfies_program", "_eval"):
+
+        def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    call(prog, reg, str(path))
+    assert dict(calls) == want
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,10 @@
 used by the solver (starred evaluation and the body-substitution test)."""
 
 import copy
+import itertools
 import json
 import pickle
+import random
 
 import pytest
 
@@ -15,9 +17,14 @@ from gqsm.ground import (
     GroundingError,
     Interpretation,
     PairSet,
+    _BOT_NODE,
+    _TOP_NODE,
+    _atom_node,
     _compile_program,
     _compile_sentence,
     _eval,
+    _junction_node,
+    _or_node,
     _read_set,
     atom_set_key,
     eval_flp_transform,
@@ -566,3 +573,54 @@ def test_a_read_that_raises_mid_binder_leaves_the_env_unchanged(registry, read):
     with pytest.raises(GroundingError, match="unbound free variable V"):
         calls[read]()
     assert env == {"X": 2, "W": 2, "Z": 1}
+
+
+def _logged(node, name, log):
+    """``node`` with each reading appended to ``log`` as it is read."""
+    plain, star = node
+
+    def logged_plain(atoms):
+        log.append(("plain", name))
+        return plain(atoms)
+
+    def logged_star(atoms, j):
+        log.append(("star", name))
+        return star(atoms, j)
+
+    return logged_plain, logged_star
+
+
+def test_an_or_spine_reads_as_the_nested_disjunctions_do():
+    # d0 | ... | dn is one node; the nested binary reading is the two-child
+    # disjunction folded from the left.  Every value, and every reading of
+    # a disjunct in order, agrees on every (I, J), J not below I included.
+    p, q, r = ga("p"), ga("q"), ga("r")
+    leaves = {
+        "p": _atom_node(p, True, False),
+        "q": _atom_node(q, True, False),
+        "not p": _atom_node(p, True, True),
+        "r": _atom_node(r, False, False),
+        "not r": _atom_node(r, False, True),
+        "p & not q": _junction_node([_atom_node(p, True, False), _atom_node(q, True, True)], False),
+        "top": _TOP_NODE,
+        "bot": _BOT_NODE,
+    }
+    sets = [frozenset(c) for k in range(4) for c in itertools.combinations((p, q, r), k)]
+    rng = random.Random(11)
+    for _ in range(300):
+        names = [rng.choice(list(leaves)) for _ in range(rng.randint(2, 7))]
+        logs = [], []
+
+        def kids(log):
+            # bot reads nothing, and the compiler knows it by identity
+            return [leaves[n] if n == "bot" else _logged(leaves[n], i, log)
+                    for i, n in enumerate(names)]
+
+        flat = _or_node(kids(logs[0]))
+        nested, *rest = kids(logs[1])
+        for kid in rest:
+            nested = _junction_node([nested, kid], True)
+        for atoms in sets:
+            got = [flat[0](atoms)] + [flat[1](atoms, j) for j in sets]
+            want = [nested[0](atoms)] + [nested[1](atoms, j) for j in sets]
+            assert (got, logs[0]) == (want, logs[1]), (names, atoms)

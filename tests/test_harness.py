@@ -206,27 +206,31 @@ def _refuse_extensional(program):
 
 def run_logged(call):
     """The outcome of ``call()``, as ``(models, candidates)`` per scan, and
-    the log of every ``_search`` it ran: each candidate and each J in the
-    order tested, each followed by its answer."""
+    the log of every ``_search`` it ran: each candidate, its one model
+    answer, and each J of each scan in the order tested, each followed by
+    its answer."""
     log = []
     search = solver._search
 
-    def logged_search(semantics, name, t0, base, intensional, model_test):
+    def logged(witness):
+        def logged_witness(j):
+            log.append(("J", frozenset(j)))
+            log.append(witness(j))
+            return log[-1]
+
+        return logged_witness
+
+    def logged_search(scans, t0, base, intensional, model_test):
         def test(s):
             log.append(("I", s))
-            witness = model_test(s)
-            log.append(witness is not None)
-            if witness is None:
+            witnesses = model_test(s)
+            log.append(witnesses is not None)
+            if witnesses is None:
                 return None
+            assert len(witnesses) == len(scans)
+            return tuple(map(logged, witnesses))
 
-            def logged_witness(j):
-                log.append(("J", frozenset(j)))
-                log.append(witness(j))
-                return log[-1]
-
-            return logged_witness
-
-        return search(semantics, name, t0, base, intensional, test)
+        return search(scans, t0, base, intensional, test)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_search", logged_search)
