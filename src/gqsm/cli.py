@@ -230,17 +230,7 @@ def _run_reduct(args, program: Program, registry: Registry) -> int:
 def _run_compare(args, program: Program, registry: Registry) -> int:
     rep = compare_semantics(program, registry, args.cap)
     if args.format == "json":
-        _emit_json(
-            {
-                "results": [rep.sm.to_json(), rep.flp.to_json()],
-                "agreement": {
-                    "in_class": rep.class_report.in_class,
-                    "violations": rep.class_report.to_json()["violations"],
-                    "difference": [atom_strings(m) for m in rep.difference],
-                    "agreement_violated": rep.agreement_violated,
-                },
-            }
-        )
+        _emit_json(rep.to_json())
         return 0
     lines = ["== sm route=operator"]
     lines.extend(_answer_lines(rep.sm.models))

@@ -160,7 +160,7 @@ class Interpretation(Record):
     is the usual identity valuation, under which every constant names
     itself and must belong to the universe.  The atom set is also the
     lookup index: ``(pred, args) in interp.atoms`` asks whether an atom
-    is true.  ``universe_sorted`` is derived, whatever is passed for it.
+    is true.  ``universe_sorted`` is derived from the universe.
     """
 
     _fields = ("universe", "atoms", "constants")
@@ -170,7 +170,6 @@ class Interpretation(Record):
         universe: frozenset,
         atoms: AtomSet = frozenset(),
         constants: Optional[Mapping[Element, Element]] = None,
-        universe_sorted: Optional[tuple] = None,
     ):
         universe = frozenset(check_element(e) for e in universe)
         if not universe:
@@ -1039,10 +1038,10 @@ def _gsat(g, atoms, universe, registry) -> bool:
     quantifier, or a misshapen built-in, goes through the registry.
     ``and``, ``or`` and ``impl`` with two one-entry pair-sets, whatever
     their keys, are connectives that stop at the first side that decides
-    them, and a left-deep ``and`` spine is read in a loop.  ``exists``
-    with one pair-set stops at its first true instance; ``forall`` with
-    one reads every instance and counts the true ones, as its truth
-    function does.
+    them, and a left-deep ``and`` or ``or`` spine is read in a loop.
+    ``exists`` with one pair-set stops at its first true instance;
+    ``forall`` with one reads every instance and counts the true ones, as
+    its truth function does.
     """
     t = type(g)
     if t is GroundAtom:
@@ -1055,21 +1054,20 @@ def _gsat(g, atoms, universe, registry) -> bool:
         raise GqError(f"not a ground formula: {g!r}")
     name = g.quantifier
     sets = g.sets
-    if name == "and":
-        bottom, nodes = _spine(g, "and")
+    if name == "and" or name == "or":
+        bottom, nodes = _spine(g, name)
         if nodes:
-            if not _gsat(bottom, atoms, universe, registry):
-                return False
+            stop = name == "or"
+            if _gsat(bottom, atoms, universe, registry) is stop:
+                return stop
             for _, right in nodes:
-                if not _gsat(right, atoms, universe, registry):
-                    return False
-            return True
-    elif name == "or" or name == "impl":
+                if _gsat(right, atoms, universe, registry) is stop:
+                    return stop
+            return not stop
+    elif name == "impl":
         sides = _sides(g)
         if sides is not None:
             a = _gsat(sides[0], atoms, universe, registry)
-            if name == "or":
-                return a or _gsat(sides[1], atoms, universe, registry)
             return not a or _gsat(sides[1], atoms, universe, registry)
     elif name in _BINDERS and len(sets) == 1:
         if name == "exists":

@@ -69,9 +69,6 @@ class ParseError(GqError):
 class Token(Record):
     _fields = ("kind", "value", "line", "col")
 
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.__dict__.update(kind=kind, value=value, line=line, col=col)
-
     def __str__(self):
         """The token as an error message names it."""
         return "end of input" if self.kind == "EOF" else f"'{self.value}'"

@@ -51,33 +51,25 @@ class EnumerationCapError(GqError):
         self.cap = cap
 
 
-def check_cap(cap: int, source: str) -> int:
-    """``cap``, unless it is negative; ``source`` names where it came from."""
+def resolve_cap(cap: Optional[int] = None) -> int:
+    """The atom cap: ``cap`` when given, else the environment, else the
+    default.  A negative cap is an error, wherever it comes from."""
+    source = "the atom cap (--cap or cap=)"
+    if cap is None:
+        raw = os.environ.get(CAP_ENV_VAR)
+        if raw is None:
+            return DEFAULT_ATOM_CAP
+        try:
+            cap, source = int(raw), CAP_ENV_VAR
+        except ValueError:
+            raise GqError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if cap < 0:
         raise GqError(f"{source} must not be negative, got {cap}")
     return cap
 
 
-def resolve_cap(cap: Optional[int] = None) -> int:
-    """The atom cap: ``cap`` when given, else the environment, else the
-    default.  A negative cap is an error, wherever it comes from."""
-    if cap is not None:
-        return check_cap(cap, "the atom cap (--cap or cap=)")
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ATOM_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GqError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    return check_cap(value, CAP_ENV_VAR)
-
-
 class ReductResult(Record):
     _fields = ("formula", "replaced")
-
-    def __init__(self, formula: GroundFormula, replaced: int):
-        self.__dict__.update(formula=formula, replaced=replaced)
 
     def __str__(self):
         return str(self.formula)
@@ -100,8 +92,9 @@ def reduct(
     generalized quantifier application, is read once per occurrence.
     Built-ins are read by their shape, as in ``ground._gsat``; only a
     generalized quantifier, or a misshapen built-in, is resolved in the
-    registry, before its arguments are read.  A left-deep ``and`` spine
-    is read in a loop.  Kept nodes reuse checked pair-sets unchecked.
+    registry, before its arguments are read.  A left-deep ``and`` or
+    ``or`` spine is read in a loop.  Kept nodes reuse checked pair-sets
+    unchecked.
     """
     u = frozenset(universe)
     atoms = frozenset(atoms)
@@ -115,17 +108,21 @@ def reduct(
         if t is not GApply:
             raise GqError(f"not a ground formula: {n!r}")
         name, sets = n.quantifier, n.sets
-        bottom, nodes = _spine(n, "and") if name == "and" else (n, ())
+        bottom, nodes = _spine(n, name) if name == "and" or name == "or" else (n, ())
         if nodes:
+            # each step leaves the answer a walk of the prefix would give
+            stop = name == "or"
             out, v, count = walk(bottom)
             for node, right in nodes:
                 kept, held, inside = walk(right)
-                v, count = held and v, count + inside
+                v = (v or held) if stop else (v and held)
                 if v:
                     ((k0, _),), ((k1, _),) = node.sets[0].entries, node.sets[1].entries
-                    out = _binary("and", (k0, out), (k1, kept))
-            return (out, True, count) if v else (G_BOT, False, 1)
-        connective = (name == "or" or name == "impl") and _sides(n) is not None
+                    out, count = _binary(name, (k0, out), (k1, kept)), count + inside
+                else:
+                    out, count = G_BOT, 1
+            return out, v, count
+        connective = name == "impl" and _sides(n) is not None
         binder = name in _BINDERS and len(sets) == 1
         qdef = None if connective or binder else registry.resolve(name)
         kept_sets, rels, count = [], [], 0
@@ -140,7 +137,7 @@ def reduct(
             kept_sets.append(PairSet._sorted(tuple(rows)))
             rels.append(frozenset(held))
         if connective:
-            v = bool(rels[0] or rels[1]) if name == "or" else not rels[0] or bool(rels[1])
+            v = not rels[0] or bool(rels[1])
         elif binder:
             v = bool(rels[0]) if name == "exists" else len(rels[0]) == len(u)
         else:
@@ -181,10 +178,10 @@ def minimal_models(
 ) -> tuple:
     """All minimal (by inclusion) subsets of ``base`` satisfying every
     formula, enumerated in ascending cardinality so supersets of a hit
-    can be skipped.  With ``cap=None`` the cap is ``resolve_cap()``."""
+    can be skipped.  The cap is ``resolve_cap(cap)``, as in the solver."""
     u = frozenset(universe)
     pool = sorted(frozenset(base), key=GroundAtom.sort_key)
-    limit = resolve_cap() if cap is None else check_cap(cap, "cap")
+    limit = resolve_cap(cap)
     if len(pool) > limit:
         raise EnumerationCapError(len(pool), limit)
     formulas = tuple(formulas)

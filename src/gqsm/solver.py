@@ -32,7 +32,6 @@ implications.  ``stable_and_flp_models`` runs both in one scan.
 """
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from .syntax import (
@@ -80,19 +79,13 @@ class ReductRouteError(GqError):
 
 
 class SolveStats(Record):
-    _fields = ("candidates", "elapsed")
-
-    def __init__(self, candidates: int, elapsed: float):
-        self.__dict__.update(candidates=candidates, elapsed=elapsed)
+    _fields = ("candidates",)
 
 
 class SolveResult(Record):
     """``semantics`` is "sm" or "flp", ``route`` "reduct" or "operator"."""
 
     _fields = ("semantics", "route", "models", "stats")
-
-    def __init__(self, semantics: str, route: str, models: tuple, stats: SolveStats):
-        self.__dict__.update(semantics=semantics, route=route, models=models, stats=stats)
 
     def to_json(self) -> dict:
         return {
@@ -146,24 +139,22 @@ def _checked_base(program: Program, cap: Optional[int]) -> tuple:
 
 
 def _setup(program: Program, registry: Registry, cap: Optional[int]) -> tuple:
-    """When an operator or FLP solve started, its head-bounded base, the
-    interpretation with no atoms, and the compiled program.  The base's
-    atoms need no check: ``herbrand_base`` built them over this universe."""
-    t0 = time.perf_counter()
+    """An operator or FLP solve's head-bounded base, the interpretation
+    with no atoms, and the compiled program.  The base's atoms need no
+    check: ``herbrand_base`` built them over this universe."""
     base = _checked_base(program, cap)
     empty = Interpretation(program.universe)
-    return t0, base, empty, _compile_program(program, empty, registry)
+    return base, empty, _compile_program(program, empty, registry)
 
 
-def _search(scans: tuple, t0: float, base: tuple, intensional, model_test) -> tuple:
+def _search(scans: tuple, base: tuple, intensional, model_test) -> tuple:
     """The one stability search behind all three routes: a ``SolveResult``
     per ``(semantics, route)`` of ``scans``.  Candidates I are the subsets
     of ``base``, smallest first.  ``model_test(I)`` is None when I is not
     a model, and otherwise a test ``witness(J)`` per scan, true when J
     rules I out.  Each scan in turn tries the proper subsets of I's
     intensional atoms, as tuples, smallest first; a model that none rules
-    out is kept.  ``t0`` is when the solve started, so the elapsed time,
-    never printed, covers its setup; all results share it."""
+    out is kept.  All results share one ``SolveStats``."""
     kept = [[] for _ in scans]
     for combo in _subsets_ascending(base):
         s = frozenset(combo)
@@ -176,7 +167,7 @@ def _search(scans: tuple, t0: float, base: tuple, intensional, model_test) -> tu
         for witness, models in zip(witnesses, kept):
             if not any(witness(j) for j in _subsets_ascending(pool, len(pool) - 1)):
                 models.append(s)
-    stats = SolveStats(2 ** len(base), time.perf_counter() - t0)
+    stats = SolveStats(2 ** len(base))
     return tuple(SolveResult(sem, route, tuple(sorted(models, key=atom_set_key)), stats)
                  for (sem, route), models in zip(scans, kept))
 
@@ -197,7 +188,6 @@ def stable_models_reduct(
             "the reduct route requires every predicate to be intensional; "
             f"extensional here: {', '.join(extensional)}"
         )
-    t0 = time.perf_counter()
     base = _checked_base(program, cap)
     universe = program.universe
     rules = ground_program(program, registry)
@@ -246,7 +236,7 @@ def stable_models_reduct(
 
         return (witness,)
 
-    return _search((("sm", "reduct"),), t0, base, program.intensional, model_test)[0]
+    return _search((("sm", "reduct"),), base, program.intensional, model_test)[0]
 
 
 def stable_models_operator(
@@ -256,7 +246,7 @@ def stable_models_operator(
     when no proper subvaluation of its intensional slice satisfies the
     starred sentence, read over the instances whose body the model
     satisfies."""
-    t0, base, empty, compiled = _setup(program, registry, cap)
+    base, empty, compiled = _setup(program, registry, cap)
     intensional = program.intensional
 
     def model_test(s):
@@ -267,7 +257,7 @@ def stable_models_operator(
         fired = [inst for inst in compiled.instances if inst[2][0](interp.atoms)]
         return (lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired),)
 
-    return _search((("sm", "operator"),), t0, base, intensional, model_test)[0]
+    return _search((("sm", "operator"),), base, intensional, model_test)[0]
 
 
 def flp_stable_models(
@@ -276,7 +266,7 @@ def flp_stable_models(
     """Stable models in the FLP sense: a model is stable when no proper
     subvaluation of its intensional slice satisfies every rule instance
     read as ``B and B(u) -> H(u)``."""
-    t0, base, empty, compiled = _setup(program, registry, cap)
+    base, empty, compiled = _setup(program, registry, cap)
 
     def model_test(s):
         interp = empty.with_atoms(s, checked=True)
@@ -285,7 +275,7 @@ def flp_stable_models(
             return None
         return (lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),)
 
-    return _search((("flp", "operator"),), t0, base, program.intensional, model_test)[0]
+    return _search((("flp", "operator"),), base, program.intensional, model_test)[0]
 
 
 def stable_and_flp_models(
@@ -294,7 +284,7 @@ def stable_and_flp_models(
     """SM's and FLP's results from one setup and one FLP model check per
     candidate, whose fired instances both read.  SM's J's go first: FLP's
     read plain nodes off I, which evicts the plain answers F*(J) reads."""
-    t0, base, empty, compiled = _setup(program, registry, cap)
+    base, empty, compiled = _setup(program, registry, cap)
     intensional = program.intensional
 
     def model_test(s):
@@ -307,7 +297,7 @@ def stable_and_flp_models(
             lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),
         )
 
-    return _search((("sm", "operator"), ("flp", "operator")), t0, base, intensional, model_test)
+    return _search((("sm", "operator"), ("flp", "operator")), base, intensional, model_test)
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +309,9 @@ class ClassViolation(Record):
 
     _fields = ("rule_index", "literal", "reason")
 
-    def __init__(self, rule_index: int, literal: str, reason: str):
-        self.__dict__.update(rule_index=rule_index, literal=literal, reason=reason)
-
 
 class ClassReport(Record):
     _fields = ("in_class", "violations")
-
-    def __init__(self, in_class: bool, violations: tuple):
-        self.__dict__.update(in_class=in_class, violations=violations)
 
     def to_json(self) -> dict:
         return {
@@ -396,37 +380,22 @@ class ComparisonReport(Record):
 
     _fields = ("sm", "flp", "difference", "class_report", "agreement_violated")
 
-    def __init__(
-        self,
-        sm: SolveResult,
-        flp: SolveResult,
-        difference: tuple,
-        class_report: ClassReport,
-        agreement_violated: bool,
-    ):
-        self.__dict__.update(
-            sm=sm,
-            flp=flp,
-            difference=difference,
-            class_report=class_report,
-            agreement_violated=agreement_violated,
-        )
-
     def to_json(self) -> dict:
+        """The document ``gqsm compare --format json`` prints."""
         return {
-            "sm": self.sm.to_json(),
-            "flp": self.flp.to_json(),
-            "difference": [atom_strings(m) for m in self.difference],
-            "class": self.class_report.to_json(),
-            "agreement_violated": self.agreement_violated,
+            "results": [self.sm.to_json(), self.flp.to_json()],
+            "agreement": {
+                **self.class_report.to_json(),
+                "difference": [atom_strings(m) for m in self.difference],
+                "agreement_violated": self.agreement_violated,
+            },
         }
 
 
 def compare_semantics(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> ComparisonReport:
-    """``stable_and_flp_models``, checked against the agreement class.
-    Both results carry their one scan's elapsed time, never printed."""
+    """``stable_and_flp_models``, checked against the agreement class."""
     sm, flp = stable_and_flp_models(program, registry, cap)
     diff = set(sm.models) ^ set(flp.models)
     difference = tuple(sorted(diff, key=atom_set_key))

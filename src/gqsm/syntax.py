@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import FrozenInstanceError
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 Element = Union[int, str]
 
@@ -56,15 +56,33 @@ def element_key(value: Element):
 class Record:
     """Base of the package's immutable values.
 
-    A subclass names its compared fields in ``_fields`` and writes them,
-    and any derived attribute, into ``__dict__`` in its ``__init__``.  As
-    with a frozen dataclass, two records are equal when their class and
-    fields are, a record hashes as the tuple of its fields and prints as
+    A subclass names its compared fields in ``_fields``.  The base
+    ``__init__`` takes them by position, in that order, or by name; a
+    subclass that checks or derives values writes its own, which puts
+    the fields, and any derived attribute, into ``__dict__``.  As with a
+    frozen dataclass, two records are equal when their class and fields
+    are, a record hashes as the tuple of its fields and prints as
     ``Name(field=value, ...)``, and no attribute can be assigned or
     deleted.  Derived attributes are left out of all three.
     """
 
     _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() has no field {field!r}")
+            if field in values:
+                raise TypeError(f"{name}() got field {field!r} twice")
+        values.update(kwargs)
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing field(s) {', '.join(missing)}")
+        self.__dict__.update(values)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -401,9 +419,8 @@ class Program(Record):
     """A rule list plus its universe and intensional predicate set.
 
     ``intensional=None`` defaults to every predicate occurring in the
-    rules.  ``signature`` maps each predicate to its arity and is
-    derived from the rules, whatever is passed for it; it does not
-    participate in equality.
+    rules.  ``signature``, derived from the rules, maps each predicate to
+    its arity; it does not participate in equality.
     """
 
     _fields = ("rules", "universe", "intensional")
@@ -413,7 +430,6 @@ class Program(Record):
         rules: tuple[Rule, ...],
         universe: frozenset[Element],
         intensional: Optional[frozenset[str]] = None,
-        signature: Optional[Mapping[str, int]] = None,
     ):
         rules = tuple(rules)
         for r in rules:

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from gqsm.cli import main
+from gqsm.parser import parse_program
+from gqsm.quantifiers import Registry
+from gqsm.solver import compare_semantics
 
 from conftest import COUNT_GUARD, NEGATIVE_LOOP, SUM_THRESHOLD
 
@@ -220,6 +223,9 @@ def test_compare_json(run, tmp_path):
     assert doc["agreement"]["difference"] == [["p(a)"]]
     assert doc["agreement"]["agreement_violated"] is False
     assert doc["results"][0]["semantics"] == "sm"
+    # the document is the report's own
+    registry = Registry()
+    assert doc == compare_semantics(parse_program(COUNT_GUARD, registry), registry).to_json()
 
 
 def test_parse_errors_exit_1_with_position(run, tmp_path):
@@ -564,7 +570,10 @@ OPERATOR_CELLS = (
 LONG_OR_COMMANDS = {
     "solve --route operator": lambda disj: "Answer 1:\n",
     "solve --semantics flp": lambda disj: "Answer 1:\n",
+    "solve --route reduct": lambda disj: "Answer 1:\n",
     "solve --semantics both --route operator": lambda disj: OPERATOR_CELLS,
+    "solve --semantics both --route both": lambda disj: BOTH_ROUTES,
+    "reduct --model=": lambda disj: "bot -> bot\n",
     "compare": lambda disj: (
         "== sm route=operator\nAnswer 1:\n== flp route=operator\nAnswer 1:\n"
         f"== agreement\nin class: no\n  rule 1: {disj}: quantifier argument is not atomic\n"
@@ -577,9 +586,9 @@ LONG_OR_COMMANDS = {
 @pytest.mark.parametrize("command", LONG_OR_COMMANDS)
 @pytest.mark.parametrize("n", [600, 1_000])
 def test_long_disjunctions_answer_on_every_command(run, tmp_path, n, command):
-    # grounding and the compiler read a left spine of | in a loop, and one
-    # compiled node reads it as the nested disjunctions do; the printer
-    # prints it in a loop
+    # grounding, the compiler and the reduct route's walkers read a left
+    # spine of | in a loop, and one compiled node reads it as the nested
+    # disjunctions do; the printer prints it in a loop
     disj = " | ".join(["q"] * n)
     p = tmp_path / "long.gq"
     p.write_text(f"#universe {{1}}.\np :- {disj}.\n")

@@ -46,8 +46,8 @@ from gqsm.ground import (
 from gqsm.parser import parse_program
 from gqsm.reduct import EnumerationCapError, reduct
 from gqsm.solver import (
-    ReductRouteError, compare_semantics, flp_stable_models, monotone_class_report,
-    program_to_sentence, stable_models_operator, stable_models_reduct,
+    ReductRouteError, SolveResult, SolveStats, compare_semantics, flp_stable_models,
+    monotone_class_report, program_to_sentence, stable_models_operator, stable_models_reduct,
 )
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,10 @@ ROUTES = {
     "flp": (flp_stable_models, ("flp",)),
     "compare": (compare_semantics, ("sm_operator", "flp")),
 }
+# the (semantics, route) of each reference definition's results
+SCANS = {
+    "sm_reduct": ("sm", "reduct"), "sm_operator": ("sm", "operator"), "flp": ("flp", "operator"),
+}
 
 
 def full_base(program, cap):
@@ -205,10 +209,10 @@ def _refuse_extensional(program):
 
 
 def run_logged(call):
-    """The outcome of ``call()``, as ``(models, candidates)`` per scan, and
-    the log of every ``_search`` it ran: each candidate, its one model
-    answer, and each J of each scan in the order tested, each followed by
-    its answer."""
+    """The outcome of ``call()``, as its list of results, and the log of
+    every ``_search`` it ran: each candidate, its one model answer, and
+    each J of each scan in the order tested, each followed by its
+    answer."""
     log = []
     search = solver._search
 
@@ -220,7 +224,7 @@ def run_logged(call):
 
         return logged_witness
 
-    def logged_search(scans, t0, base, intensional, model_test):
+    def logged_search(scans, base, intensional, model_test):
         def test(s):
             log.append(("I", s))
             witnesses = model_test(s)
@@ -230,14 +234,13 @@ def run_logged(call):
             assert len(witnesses) == len(scans)
             return tuple(map(logged, witnesses))
 
-        return search(scans, t0, base, intensional, test)
+        return search(scans, base, intensional, test)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_search", logged_search)
         got = outcome(call)
     if got[0] == "value":
-        scans = (got[1].sm, got[1].flp) if hasattr(got[1], "sm") else (got[1],)
-        got = ("value", [(r.models, r.stats.candidates) for r in scans])
+        got = ("value", [got[1].sm, got[1].flp] if hasattr(got[1], "sm") else [got[1]])
     return got, log
 
 
@@ -250,7 +253,9 @@ def reference_run(definitions, program, registry, cap, base_fn):
         if "sm_reduct" in definitions:
             _refuse_extensional(program)
         base = base_fn(program, cap)
-        return [(m, 2 ** len(base)) for m in ref.models(definitions, program, registry, base, log)]
+        found = ref.models(definitions, program, registry, base, log)
+        stats = SolveStats(2 ** len(base))
+        return [SolveResult(*SCANS[d], m, stats) for d, m in zip(definitions, found)]
 
     return outcome(run), log
 
@@ -272,19 +277,21 @@ def check_scans(target, program, registry, cap, bases=(solver._checked_base, ful
 
 
 def check_models(target, label, program, registry):
-    call, _ = ROUTES[target]
+    call, definitions = ROUTES[target]
     if target == "reduct" and not program.all_intensional:
         want = outcome(lambda: _refuse_extensional(program))
         assert outcome(lambda: call(program, registry)) == want
         return
     got = call(program, registry)
     want = reference_models(label, program, registry)
-    n = 2 ** len(solver._checked_base(program, None))
+    stats = SolveStats(2 ** len(solver._checked_base(program, None)))
+    results = [
+        SolveResult(*SCANS[d], want["flp" if d == "flp" else "sm"], stats) for d in definitions
+    ]
     if target != "compare":
-        assert (got.models, got.stats.candidates) == (want["flp" if target == "flp" else "sm"], n)
+        assert [got] == results
         return
-    assert (got.sm.models, got.flp.models) == (want["sm"], want["flp"])
-    assert got.sm.stats.candidates == got.flp.stats.candidates == n
+    assert [got.sm, got.flp] == results
     assert got.difference == tuple(sorted(set(want["sm"]) ^ set(want["flp"]), key=ref.model_key))
     assert got.class_report == monotone_class_report(program, registry)
     assert got.agreement_violated == (got.class_report.in_class and bool(got.difference))
@@ -374,9 +381,10 @@ def check_tree(g, want, deep=False):
         assert g == want and hash(g) == hash(want) and ground_to_json(g) == ground_to_json(want)
 
 
-def check_ground_rule(g, I, universe, registry):
+def check_ground_rule(g, I, universe, registry, deep=False):
     """``_gsat`` and ``reduct`` of a ground formula under I, and ``_gsat``
-    of its reduct under every J below I; the outcome kinds seen."""
+    of its reduct under every J below I; the outcome kinds seen.  A deep
+    reduct is compared by its text."""
     want = outcome(lambda: ref.gsat(g, I, universe, registry))
     assert outcome(lambda: _gsat(g, I, universe, registry)) == want, (str(g), sorted(map(str, I)))
     kinds = {want[0]}
@@ -386,7 +394,7 @@ def check_ground_rule(g, I, universe, registry):
         assert got == want
         return kinds | {got[0]}
     assert want[0] == "value" and got[1].replaced == want[1][1]
-    check_tree(got[1].formula, want[1][0])
+    check_tree(got[1].formula, want[1][0], deep)
     for j in subsets(I):
         want = outcome(lambda: ref.gsat(got[1].formula, j, universe, registry))
         assert outcome(lambda: _gsat(got[1].formula, j, universe, registry)) == want
@@ -510,6 +518,23 @@ def test_a_long_body_matches_the_reference():
     prog = parse_program(ref.long_body(10_000), reg)
     assert check_scans("reduct", prog, reg, None, bases=(solver._checked_base,)) == {"value"}
     assert check_pairs(prog, reg, deep=True) == {"value"}
+
+
+def test_a_long_disjunction_matches_the_reference():
+    # 300 mixed disjuncts, as deep as the recursive reference reads: the
+    # reduct route's scan, and its walkers on the ground rule under every I
+    reg = Registry()
+    mixed = ["q", "r & s", "not (r | s)", "bot", "q & not s"]
+    disj = " | ".join(mixed[i % len(mixed)] for i in range(300))
+    prog = parse_program(f"#universe {{1}}.\np :- {disj}.\n", reg)
+    assert check_scans("reduct", prog, reg, None) == {"value"}
+    (g,) = ground_program(prog, reg)
+    kinds, truths = set(), set()
+    for I in subsets(ref.herbrand_base(prog)):
+        kinds |= check_ground_rule(g, I, prog.universe, reg, deep=True)
+        truths.add(ref.gsat(g, I, prog.universe, reg))
+    # a body that holds from a later disjunct on, and one that fails
+    assert kinds == {"value"} and truths == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,8 @@ def test_minimal_models_reads_the_cap_from_the_environment(registry, monkeypatch
 
 
 def test_negative_enumeration_cap_is_refused(registry):
-    with pytest.raises(GqError, match="cap must not be negative, got -1") as exc:
+    # the solver's message: both read the cap through resolve_cap
+    want = r"^the atom cap \(--cap or cap=\) must not be negative, got -1$"
+    with pytest.raises(GqError, match=want) as exc:
         minimal_models((), (), frozenset({1}), registry, cap=-1)
     assert not isinstance(exc.value, EnumerationCapError)
