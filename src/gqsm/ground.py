@@ -33,7 +33,8 @@ of a candidate onto a rule's atoms (``_read_set``).  They read the
 built-in connectives and binders, ``and``, ``or``, ``impl``, ``forall``
 and ``exists``, by their shape, which the registry cannot shadow; only
 a generalized quantifier, or a misshapen built-in, is looked up in the
-registry.  They and grounding walk a left-deep ``and`` spine in a loop.
+registry, checked against its pair-set count (``_resolved``).  They and
+grounding walk a left-deep ``and`` or ``or`` spine in a loop.
 Grounding and the reduct build their pair-sets sorted and with unique
 keys, so they skip the checks of the public constructors.
 
@@ -805,52 +806,44 @@ def _instances(program: Program, interp: Interpretation):
             yield rule, env
 
 
-def satisfies_program(
-    interp: Interpretation,
-    program,
-    registry: Registry,
-    *,
-    fired: Optional[list] = None,
-) -> bool:
+def satisfies_program(interp: Interpretation, program, registry: Registry) -> bool:
     """Does the interpretation satisfy every rule's universal closure?
 
     ``program`` is a ``Program``, compiled per call, or a ``_Program``.
     Each instance's body is read once, and its head only where the body
-    holds; the first violated instance ends the pass.  When ``fired`` is
-    a list, the instances whose body holds are appended to it: compiled
-    ones for a ``_Program``, and ``(rule, env)`` pairs for a ``Program``,
-    as ``flp_reduct`` returns them.  After a true answer it is the FLP
-    reduct that ``eval_flp_transform`` takes with the same program.
+    holds; the first violated instance ends the pass.  After a true
+    answer every body keeps its plain answer, so ``_fired`` then reads
+    the FLP reduct off the compiled instances with no truth function.
     """
     compiled = program
     if type(program) is not _Program:
         compiled = _compile_program(program, interp, registry)
     atoms = interp.atoms
-    for instance in compiled.instances:
-        rule, env, (body, _), (head, _) = instance
-        if body(atoms):
-            if not head(atoms):
-                return False
-            if fired is not None:
-                fired.append(instance if compiled is program else (rule, env))
+    for _, _, (body, _), (head, _) in compiled.instances:
+        if body(atoms) and not head(atoms):
+            return False
     return True
+
+
+def _fired(compiled: _Program, atoms: AtomSet):
+    """The instances of ``compiled`` whose body holds in ``atoms``, the
+    FLP reduct, read lazily and in instance order."""
+    return (inst for inst in compiled.instances if inst[2][0](atoms))
+
+
+def _compiled_only(program, fired) -> None:
+    """``fired``, the compiled instances of a ``_Program``, is read only
+    with that ``_Program``."""
+    if fired is not None and type(program) is not _Program:
+        raise TypeError("fired= is taken only with a compiled program")
 
 
 def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> tuple:
     """The FLP reduct of the program relative to ``interp``: the rule
     instances ``(rule, env)`` whose body ``interp`` satisfies, in rule
-    order and then in sorted assignment order, each with its own env.
-
-    ``eval_flp_transform`` reads only these instances, so a caller that
-    tests many smaller valuations against one interpretation computes
-    the reduct once and passes it as ``fired``.
-    """
-    atoms = interp.atoms
-    return tuple(
-        (rule, env)
-        for rule, env, (body, _), _ in _compile_program(program, interp, registry).instances
-        if body(atoms)
-    )
+    order and then in sorted assignment order, each with its own env."""
+    compiled = _compile_program(program, interp, registry)
+    return tuple((rule, env) for rule, env, _, _ in _fired(compiled, interp.atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -1031,6 +1024,18 @@ def satisfies(
     return _gsat(g, frozenset(atoms), frozenset(universe), registry)
 
 
+def _resolved(name: str, sets: tuple, registry: Registry):
+    """The definition of ``name``, once it is known to take as many
+    arguments as ``sets``, a ground application's pair-sets, holds."""
+    qdef = registry.resolve(name)
+    if len(sets) != len(qdef.arities):
+        raise GroundingError(
+            f"ground quantifier {name!r} has {len(sets)} pair-sets, "
+            f"expected {len(qdef.arities)}"
+        )
+    return qdef
+
+
 def _gsat(g, atoms, universe, registry) -> bool:
     """Truth of the ground formula ``g`` in the atom set ``atoms``.
 
@@ -1077,12 +1082,7 @@ def _gsat(g, atoms, universe, registry) -> bool:
             return False
         held = [_gsat(child, atoms, universe, registry) for _, child in sets[0].entries]
         return held.count(True) == len(universe)
-    qdef = registry.resolve(name)
-    if len(sets) != len(qdef.arities):
-        raise GroundingError(
-            f"ground quantifier {name!r} has {len(sets)} pair-sets, "
-            f"expected {len(qdef.arities)}"
-        )
+    qdef = _resolved(name, sets, registry)
     rels = tuple(
         [
             frozenset([k for k, c in ps.entries if _gsat(c, atoms, universe, registry)])
@@ -1145,13 +1145,14 @@ def eval_star(
     each instance's starred ``body -> head``.  So the plain reading is
     ``satisfies_program``'s model check, whose answers the starred
     readings keep, and, when it holds, every instance is read starred.
-    That is exact for any u.  ``fired`` may instead be the instances
-    whose body holds in ``interp``, as ``satisfies_program`` collects
-    them when it answers true; then only those are read.  That is exact
-    only when u is below ``interp``: there a starred reading implies the
+    That is exact for any u.  ``fired`` may instead be the instances of
+    the ``_Program`` whose body holds in a model ``interp``, as
+    ``_fired`` reads them; then only those are read.  That is exact only
+    when u is below ``interp``: there a starred reading implies the
     plain one, so an instance whose body is false in ``interp`` holds,
     and its star reading calls no truth function.
     """
+    _compiled_only(sentence, fired)
     smaller = frozenset(smaller)
     if type(sentence) is not _Program:
         preds = frozenset(intensional)
@@ -1172,19 +1173,6 @@ def eval_star(
 # The FLP transformation
 
 
-def _fired_instances(instances: tuple, fired: Iterable):
-    """The compiled instances of ``fired``, ``(rule, env)`` pairs in the
-    order of ``instances``, as ``flp_reduct`` gives them."""
-    rest = iter(instances)
-    for rule, env in fired:
-        for instance in rest:
-            if instance[0] == rule and instance[1] == env:
-                yield instance
-                break
-        else:
-            raise GqError(f"fired holds {env!r} for {rule!r} out of the program's order")
-
-
 def eval_flp_transform(
     program,
     interp: Interpretation,
@@ -1199,22 +1187,20 @@ def eval_flp_transform(
     ``B`` is read in ``interp``; ``B(u)`` and ``H(u)`` reinterpret the
     program's intensional predicates by ``smaller`` while everything
     else keeps its value from ``interp``.  Since ``B`` does not depend
-    on u, only the instances of the FLP reduct can fail; ``fired`` is
-    that reduct, computed once per interpretation by the caller, or read
-    here as it goes when absent.  Either way each instance is read in
-    ``interp`` at most once, and an instance whose body's truth function
-    raises in ``interp`` raises only after the instances before it have
-    been tested, as the instance-by-instance definition does.
+    on u, only the instances of the FLP reduct can fail, so only those
+    are read, as ``_fired`` finds them; an instance whose body's truth
+    function raises in ``interp`` raises only after the instances before
+    it have been tested, as the instance-by-instance definition does.
 
     ``program`` is a ``Program``, compiled whole per call, so its first
     static failure raises before any reading, and its ``smaller`` is
-    checked here (``_checked_smaller``), with ``fired`` from
-    ``flp_reduct``, whose instances are read off that one compile; or a
-    ``_Program``, with ``fired`` filled by ``satisfies_program``.  Only
-    the solver builds a ``_Program``, and its u are subsets of a checked
-    candidate, so they are not checked again, and the non-intensional
-    part of ``interp`` is kept from one u to the next.
+    checked here (``_checked_smaller``); or a ``_Program``, which only
+    the solver builds, with the reduct as ``fired`` when the caller read
+    it once for ``interp``.  Its u are subsets of a checked candidate, so
+    they are not checked again, and the non-intensional part of
+    ``interp`` is kept from one u to the next.
     """
+    _compiled_only(program, fired)
     preds = program.intensional
     smaller = frozenset(smaller)
     if type(program) is _Program:
@@ -1228,11 +1214,8 @@ def eval_flp_transform(
         frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
         subst = _checked_atoms(frozen | _checked_smaller(smaller, preds), interp.universe)
         program = _compile_program(program, interp, registry)
-        if fired is not None:
-            fired = _fired_instances(program.instances, fired)
     if fired is None:
-        atoms = interp.atoms
-        fired = (inst for inst in program.instances if inst[2][0](atoms))
+        fired = _fired(program, interp.atoms)
     for _, _, (body, _), (head, _) in fired:
         if body(subst) and not head(subst):
             return False

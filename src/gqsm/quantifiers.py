@@ -245,8 +245,8 @@ class Registry:
         for q in quantifiers:
             self.register(q)
 
-    def register(self, qdef: QuantifierDef, validate: bool = False) -> None:
-        """Add a user quantifier; ``validate=True`` runs verify_profile."""
+    def register(self, qdef: QuantifierDef) -> None:
+        """Add a user quantifier; its profile is trusted (see verify_profile)."""
         if self._frozen:
             raise RegistryError("registry is frozen")
         if not isinstance(qdef, QuantifierDef):
@@ -258,13 +258,6 @@ class Registry:
             raise RegistryError(f"cannot shadow built-in quantifier {name!r}")
         if name in self._defs:
             raise RegistryError(f"duplicate quantifier {name!r}")
-        if validate:
-            problems = verify_profile(qdef)
-            if problems:
-                raise RegistryError(
-                    f"declared monotonicity of {name!r} fails verification: "
-                    + problems[0]
-                )
         self._defs[name] = qdef
 
     def resolve(self, name: str) -> QuantifierDef:

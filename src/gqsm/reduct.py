@@ -30,6 +30,7 @@ from .ground import (
     _BINDERS,
     _binary,
     _gsat,
+    _resolved,
     _sides,
     _spine,
     atom_set_key,
@@ -92,9 +93,9 @@ def reduct(
     generalized quantifier application, is read once per occurrence.
     Built-ins are read by their shape, as in ``ground._gsat``; only a
     generalized quantifier, or a misshapen built-in, is resolved in the
-    registry, before its arguments are read.  A left-deep ``and`` or
-    ``or`` spine is read in a loop.  Kept nodes reuse checked pair-sets
-    unchecked.
+    registry and checked against its pair-set count, as ``_gsat`` does,
+    before its arguments are read.  A left-deep ``and`` or ``or`` spine
+    is read in a loop.  Kept nodes reuse checked pair-sets unchecked.
     """
     u = frozenset(universe)
     atoms = frozenset(atoms)
@@ -124,7 +125,7 @@ def reduct(
             return out, v, count
         connective = name == "impl" and _sides(n) is not None
         binder = name in _BINDERS and len(sets) == 1
-        qdef = None if connective or binder else registry.resolve(name)
+        qdef = None if connective or binder else _resolved(name, sets, registry)
         kept_sets, rels, count = [], [], 0
         for ps in sets:
             rows, held = [], []

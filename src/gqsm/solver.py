@@ -20,12 +20,14 @@ only in their model and witness tests:
   B, so every other instance holds starred.
 * ``flp_stable_models``       I satisfies every rule instance, and J
   satisfies the rule-wise transformation ``B and B(u) -> H(u)``, read
-  over the FLP reduct of I, which the model check collects.
+  over the FLP reduct of I.
 
 Both read one compiled program (``ground._compile_program``), built with
 the checked base once per solve (``_setup``): the nodes of every rule
 instance's body and head, with F read as the conjunction of their
-implications.  ``stable_and_flp_models`` runs both in one scan.
+implications.  A true model check keeps each body's plain answer, so
+the reduct is read off them next (``ground._fired``) with no truth
+function.  ``stable_and_flp_models`` runs both in one scan.
 
 ``compare_semantics`` runs them so and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
@@ -53,6 +55,7 @@ from .ground import (
     Interpretation,
     _compile_program,
     _eval,
+    _fired,
     _gsat,
     _read_set,
     atom_set_key,
@@ -253,8 +256,7 @@ def stable_models_operator(
         interp = empty.with_atoms(s, checked=True)
         if not _eval(compiled, interp, registry, {}):
             return None
-        # the model test kept each body's plain answer
-        fired = [inst for inst in compiled.instances if inst[2][0](interp.atoms)]
+        fired = list(_fired(compiled, interp.atoms))
         return (lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired),)
 
     return _search((("sm", "operator"),), base, intensional, model_test)[0]
@@ -270,9 +272,9 @@ def flp_stable_models(
 
     def model_test(s):
         interp = empty.with_atoms(s, checked=True)
-        fired = []
-        if not satisfies_program(interp, compiled, registry, fired=fired):
+        if not satisfies_program(interp, compiled, registry):
             return None
+        fired = list(_fired(compiled, interp.atoms))
         return (lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),)
 
     return _search((("flp", "operator"),), base, program.intensional, model_test)[0]
@@ -289,9 +291,9 @@ def stable_and_flp_models(
 
     def model_test(s):
         interp = empty.with_atoms(s, checked=True)
-        fired = []
-        if not satisfies_program(interp, compiled, registry, fired=fired):
+        if not satisfies_program(interp, compiled, registry):
             return None
+        fired = list(_fired(compiled, interp.atoms))
         return (
             lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired),
             lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),

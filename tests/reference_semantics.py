@@ -388,6 +388,11 @@ def _reduct(g, atoms, universe, registry):
             held = held and r_held
         return held, out, replaced
     qdef = registry.resolve(g.quantifier)
+    if len(g.sets) != len(qdef.arities):
+        raise GroundingError(
+            f"ground quantifier {g.quantifier!r} has {len(g.sets)} pair-sets, "
+            f"expected {len(qdef.arities)}"
+        )
     read = [
         [(k, _reduct(c, atoms, universe, registry)) for k, c in ps.entries]
         for ps in g.sets

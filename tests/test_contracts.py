@@ -32,8 +32,8 @@ from gqsm import (
 )
 from gqsm import solver
 from gqsm.ground import (
-    G_BOT, G_TOP, GApply, GBot, GroundAtom, GTop, Interpretation, PairSet, _read_set,
-    eval_flp_transform, eval_star, flp_reduct, ground_program, herbrand_base,
+    G_BOT, G_TOP, GApply, GBot, GroundAtom, GTop, Interpretation, PairSet, _compile_program,
+    _fired, _read_set, eval_flp_transform, eval_star, flp_reduct, ground_program, herbrand_base,
     satisfies_direct, satisfies_program,
 )
 from gqsm.parser import Token, parse_program
@@ -261,21 +261,36 @@ def test_sum_and_count_over_an_atom_call_no_truth_function(route):
 
 
 def test_the_flp_transform_of_a_given_reduct_compiles_once():
-    # the instances given are read off the one compile of the program
+    # a program is compiled once per call; the instances given to a
+    # compiled program are read off its one compile
     reg = CountingRegistry()
     prog = parse_program(SUM_THRESHOLD, reg)
     interp = Interpretation(prog.universe, {GroundAtom("p", (-1,)), GroundAtom("p", (1,))})
-    fired = flp_reduct(prog, interp, reg)
-    assert len(fired) == 2
-    seen = []
-    for given in (None, fired):
-        reg.calls.clear()
-        answer = eval_flp_transform(prog, interp, (), reg, fired=given)
-        seen.append((answer, dict(reg.calls)))
-    assert seen == [(False, {"impl": 1, "sum_lt": 1, "sum_gt": 1})] * 2
-    # an instance out of the program's order is refused, not skipped
-    with pytest.raises(GqError, match="out of the program's order"):
-        eval_flp_transform(prog, interp, (), reg, fired=fired[::-1])
+    reg.calls.clear()
+    assert eval_flp_transform(prog, interp, (), reg) is False
+    assert reg.calls == {"impl": 1, "sum_lt": 1, "sum_gt": 1}
+    compiled = _compile_program(prog, interp, reg)
+    fired = list(_fired(compiled, interp.atoms))
+    assert len(fired) == len(flp_reduct(prog, interp, reg)) == 2
+    reg.calls.clear()
+    assert eval_flp_transform(compiled, interp, (), reg, fired=fired) is False
+    assert reg.calls == {}
+
+
+def test_fired_is_taken_only_with_a_compiled_program():
+    # the reduct of a formula or a Program is not an argument: a public
+    # reader computes its own
+    reg = Registry()
+    prog = parse_program(SUM_THRESHOLD, reg)
+    interp = Interpretation(prog.universe, {GroundAtom("p", (-1,)), GroundAtom("p", (1,))})
+    sentence = program_to_sentence(prog)
+    with pytest.raises(TypeError, match="compiled program"):
+        eval_star(sentence, interp, (), prog.intensional, reg, fired=[])
+    for fired in ((), flp_reduct(prog, interp, reg)):
+        with pytest.raises(TypeError, match="compiled program"):
+            eval_flp_transform(prog, interp, (), reg, fired=fired)
+    with pytest.raises(TypeError):
+        satisfies_program(interp, prog, reg, fired=[])
 
 
 def _frob_program():
@@ -367,9 +382,6 @@ ENTRY_POINTS = {
     ),
     "satisfies_program": lambda prog, reg, frame: satisfies_program(frame, prog, reg),
     "eval_flp_transform": lambda prog, reg, frame: eval_flp_transform(prog, frame, (), reg),
-    "eval_flp_transform-fired": lambda prog, reg, frame: eval_flp_transform(
-        prog, frame, (), reg, fired=()
-    ),
     "flp_reduct": lambda prog, reg, frame: flp_reduct(prog, frame, reg),
 }
 

@@ -23,6 +23,7 @@ from gqsm.ground import (
     _compile_program,
     _compile_sentence,
     _eval,
+    _fired,
     _junction_node,
     _or_node,
     _read_set,
@@ -385,10 +386,9 @@ def test_eval_flp_transform_checks_the_smaller_valuation_of_a_program(
 ):
     prog = parse_program("#universe {1, 2}.\n#intensional p.\np(X) :- q(X).\n", registry)
     i = interp({1, 2}, ga("p", 1), ga("q", 1))
-    for fired in (None, flp_reduct(prog, i, registry)):
-        with pytest.raises(GqError) as raised:
-            eval_flp_transform(prog, i, smaller, registry, fired=fired)
-        assert str(raised.value) == message
+    with pytest.raises(GqError) as raised:
+        eval_flp_transform(prog, i, smaller, registry)
+    assert str(raised.value) == message
 
 
 def test_the_star_and_flp_readers_report_a_predicate_fault_before_a_universe_fault(
@@ -448,8 +448,8 @@ def test_a_compiled_program_reads_each_interpretation_s_own_frozen_part(registry
     pairs = []
     for combo in _subsets_ascending(base):
         i = interp({1, 2}, *combo)
-        fired = []
-        if satisfies_program(i, rules, registry, fired=fired):
+        if satisfies_program(i, rules, registry):
+            fired = list(_fired(rules, i.atoms))
             pool = [a for a in combo if a.pred != "e"]
             pairs += [(i, fired, j) for j in _subsets_ascending(pool)]
     # alternate the interpretations from one J to the next
@@ -502,15 +502,20 @@ def test_flp_reduct_keeps_ground_rule_order(registry):
 
 
 def test_eval_flp_transform_reads_a_given_reduct(registry):
+    # a compiled program takes its fired instances, as the solver reads
+    # them off a model
     prog = parse_program(SUM_THRESHOLD, registry)
     i1 = interp({-1, 1, 2}, ga("p", -1), ga("p", 1))
-    fired = flp_reduct(prog, i1, registry)
+    rules = _compile_program(prog, i1, registry)
+    assert satisfies_program(i1, rules, registry)
+    fired = list(_fired(rules, i1.atoms))
+    assert len(fired) == len(flp_reduct(prog, i1, registry)) == 2
     for j in ((), (ga("p", -1),), (ga("p", 1),), (ga("p", -1), ga("p", 1))):
         assert eval_flp_transform(
-            prog, i1, j, registry, fired=fired
+            rules, i1, j, registry, fired=fired
         ) == eval_flp_transform(prog, i1, j, registry)
     # only the instances given are read
-    assert eval_flp_transform(prog, i1, (ga("p", -1),), registry, fired=())
+    assert eval_flp_transform(rules, i1, (ga("p", -1),), registry, fired=())
 
 
 def test_ground_to_json_shape(registry, i_empty):

@@ -40,7 +40,7 @@ from gqsm import (
 from gqsm import solver
 from gqsm.ground import (
     GApply, GroundAtom, Interpretation, PairSet, _compile_program,
-    _compile_sentence, _eval, _gsat, eval_flp_transform, eval_star, flp_reduct, ground,
+    _compile_sentence, _eval, _fired, _gsat, eval_flp_transform, eval_star, flp_reduct, ground,
     ground_program, ground_to_json, satisfies, satisfies_direct, satisfies_program,
 )
 from gqsm.parser import parse_program
@@ -435,13 +435,13 @@ def check_pairs(program, registry, deep=False, public=False):
     for I in subsets(base):
         interp = frame.with_atoms(I)
         model = outcome(lambda: ref.satisfies_program(interp, insts, registry))
-        fired = []
-        assert outcome(lambda: satisfies_program(interp, rules, registry, fired=fired)) == model
+        assert outcome(lambda: satisfies_program(interp, rules, registry)) == model
         kinds.add(model[0])
         want = outcome(lambda: ref.plain(sentence, interp, registry, {}))
         assert outcome(lambda: _eval(rules, interp, registry, {})) == want
         is_model = model == ("value", True)
         if is_model:
+            fired = list(_fired(rules, interp.atoms))
             assert len(fired) == len(ref.flp_reduct(insts, interp, registry))
         if public:
             assert outcome(lambda: satisfies_program(interp, program, registry)) == model
@@ -488,26 +488,27 @@ def test_readers_match_the_reference_on_every_pair(name):
 
 @pytest.mark.parametrize("label", [label for label, _ in ref.example_sources()])
 def test_fired_on_a_program_is_its_flp_reduct(label):
-    # on every model I, satisfies_program collects the instances as
-    # (rule, env), as flp_reduct gives them, and eval_flp_transform reads
-    # either list as the reduct it would take itself
+    # on every model I, the fired instances of the compiled program are
+    # the FLP reduct by rule and env, as flp_reduct gives it, and
+    # eval_flp_transform reads them as the reduct it would take itself
     _, program, registry, _ = case("examples", label)
     frame = Interpretation(program.universe)
+    rules = _compile_program(program, frame, registry)
     base = ref.herbrand_base(program)
     js = list(subsets(a for a in base if a.pred in program.intensional))
     models = 0
     for I in subsets(base):
         interp = frame.with_atoms(I)
-        fired = []
-        if not satisfies_program(interp, program, registry, fired=fired):
+        if not satisfies_program(interp, rules, registry):
             continue
         models += 1
-        reduct_ = flp_reduct(program, interp, registry)
-        assert fired == list(reduct_)
+        fired = list(_fired(rules, interp.atoms))
+        assert [(rule, env) for rule, env, _, _ in fired] == list(
+            flp_reduct(program, interp, registry)
+        )
         for j in js:
             want = eval_flp_transform(program, interp, j, registry)
-            for given in (fired, reduct_):
-                assert eval_flp_transform(program, interp, j, registry, fired=given) == want
+            assert eval_flp_transform(rules, interp, j, registry, fired=fired) == want
     assert models
 
 
@@ -856,5 +857,3 @@ def test_the_smaller_valuation_fails_with_the_references_error(smaller):
     insts = ref.instances(prog, interp)
     want = outcome(lambda: ref.flp_transform(insts, prog.intensional, interp, smaller, reg))
     assert outcome(lambda: eval_flp_transform(prog, interp, smaller, reg)) == want
-    fired = flp_reduct(prog, interp, reg)
-    assert outcome(lambda: eval_flp_transform(prog, interp, smaller, reg, fired=fired)) == want

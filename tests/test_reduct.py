@@ -5,9 +5,12 @@ import itertools
 import pytest
 
 from gqsm.ground import (
+    GApply,
     GBot,
     GroundAtom,
+    GroundingError,
     Interpretation,
+    PairSet,
     ground_program,
     herbrand_base,
     satisfies,
@@ -24,6 +27,7 @@ from gqsm.reduct import (
 from gqsm.render import render_ground_rule, simplify_rule_sides
 from gqsm.syntax import GqError
 
+import reference_semantics as ref
 from conftest import SUM_THRESHOLD, COUNT_GUARD
 
 
@@ -178,3 +182,35 @@ def test_negative_enumeration_cap_is_refused(registry):
     with pytest.raises(GqError, match=want) as exc:
         minimal_models((), (), frozenset({1}), registry, cap=-1)
     assert not isinstance(exc.value, EnumerationCapError)
+
+
+P1_ONLY = PairSet((((), ga("p", 1)),))
+AT_1 = PairSet((((1,), ga("p", 1)),))
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (GApply("and", (P1_ONLY,)), "ground quantifier 'and' has 1 pair-sets, expected 2"),
+        (
+            GApply("or", (P1_ONLY, P1_ONLY, P1_ONLY)),
+            "ground quantifier 'or' has 3 pair-sets, expected 2",
+        ),
+        (GApply("exists", (AT_1, AT_1)), "ground quantifier 'exists' has 2 pair-sets, expected 1"),
+    ],
+    ids=["one-set-and", "three-set-or", "two-set-exists"],
+)
+def test_a_miscounted_application_fails_alike_in_satisfies_and_reduct(registry, g, message):
+    # an API-built application whose pair-sets do not match its
+    # quantifier's arguments fails before any of them is read
+    atoms, universe = {ga("p", 1)}, {1}
+    readers = [
+        lambda: satisfies(atoms, g, universe, registry),
+        lambda: reduct(g, atoms, universe, registry),
+        lambda: ref.gsat(g, frozenset(atoms), frozenset(universe), registry),
+        lambda: ref.reduct(g, atoms, universe, registry),
+    ]
+    for read in readers:
+        with pytest.raises(GroundingError) as raised:
+            read()
+        assert str(raised.value) == message
