@@ -382,6 +382,10 @@ ENTRY_POINTS = {
     ),
     "satisfies_program": lambda prog, reg, frame: satisfies_program(frame, prog, reg),
     "eval_flp_transform": lambda prog, reg, frame: eval_flp_transform(prog, frame, (), reg),
+    # fired= is taken only with a compiled program, so this route compiles first
+    "eval_flp_transform-fired": lambda prog, reg, frame: eval_flp_transform(
+        _compile_program(prog, frame, reg), frame, (), reg, fired=()
+    ),
     "flp_reduct": lambda prog, reg, frame: flp_reduct(prog, frame, reg),
 }
 
