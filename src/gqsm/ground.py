@@ -44,7 +44,9 @@ compiles its program once per solve, or once per compare
 (``_compile_program``): the nodes of each rule instance's body and
 head, whose implications, read one by one, are its sentence.  A
 compiled node keeps its last plain answer, so the plain readings of a
-candidate are computed once however many u are tested against it.
+candidate are computed once however many u are tested against it, and
+a compiled program found a model keeps its FLP reduct, the instances a
+u below it can falsify (``_Program.model``).
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
@@ -743,16 +745,16 @@ class _Program:
     predicates, and its rule instances in the order of ``_instances``,
     each ``(rule, env, body, head)`` with the nodes of its body and head.
     Its sentence, the conjunction of their ``body -> head``, is read off
-    the instances (``satisfies_program``, ``eval_star``).  ``frozen``
-    keeps the last atom set ``eval_flp_transform`` read and its
-    non-intensional part."""
+    the instances (``satisfies_program``, ``eval_star``).  ``model`` is
+    ``(atoms, reduct, extensional)`` for the last model found by
+    ``satisfies_program``: its FLP reduct and non-intensional part."""
 
-    __slots__ = ("intensional", "instances", "frozen")
+    __slots__ = ("intensional", "instances", "model")
 
     def __init__(self, intensional, instances: tuple):
         self.intensional = intensional
         self.instances = instances
-        self.frozen = (None, frozenset())
+        self.model = (None, (), frozenset())
 
 
 def _compile_sentence(
@@ -811,9 +813,10 @@ def satisfies_program(interp: Interpretation, program, registry: Registry) -> bo
 
     ``program`` is a ``Program``, compiled per call, or a ``_Program``.
     Each instance's body is read once, and its head only where the body
-    holds; the first violated instance ends the pass.  After a true
-    answer every body keeps its plain answer, so ``_fired`` then reads
-    the FLP reduct off the compiled instances with no truth function.
+    holds; the first violated instance ends the pass.  A ``_Program``
+    found a model keeps it, its FLP reduct and its non-intensional part
+    (``model``); every body keeps its plain answer after a true answer,
+    so ``_fired`` reads that reduct with no truth function.
     """
     compiled = program
     if type(program) is not _Program:
@@ -822,6 +825,9 @@ def satisfies_program(interp: Interpretation, program, registry: Registry) -> bo
     for _, _, (body, _), (head, _) in compiled.instances:
         if body(atoms) and not head(atoms):
             return False
+    if compiled is program:
+        extensional = frozenset([a for a in atoms if a.pred not in program.intensional])
+        program.model = (atoms, tuple(_fired(program, atoms)), extensional)
     return True
 
 
@@ -829,13 +835,6 @@ def _fired(compiled: _Program, atoms: AtomSet):
     """The instances of ``compiled`` whose body holds in ``atoms``, the
     FLP reduct, read lazily and in instance order."""
     return (inst for inst in compiled.instances if inst[2][0](atoms))
-
-
-def _compiled_only(program, fired) -> None:
-    """``fired``, the compiled instances of a ``_Program``, is read only
-    with that ``_Program``."""
-    if fired is not None and type(program) is not _Program:
-        raise TypeError("fired= is taken only with a compiled program")
 
 
 def flp_reduct(program: Program, interp: Interpretation, registry: Registry) -> tuple:
@@ -1117,8 +1116,6 @@ def eval_star(
     smaller: Iterable[GroundAtom],
     intensional: Iterable[str],
     registry: Registry,
-    *,
-    fired: Optional[Iterable] = None,
 ) -> bool:
     """Truth of F*(u) where u is the valuation given by ``smaller``.
 
@@ -1144,26 +1141,23 @@ def eval_star(
     A ``_Program``'s F*(u) is its plain reading in ``interp`` and then
     each instance's starred ``body -> head``.  So the plain reading is
     ``satisfies_program``'s model check, whose answers the starred
-    readings keep, and, when it holds, every instance is read starred.
-    That is exact for any u.  ``fired`` may instead be the instances of
-    the ``_Program`` whose body holds in a model ``interp``, as
-    ``_fired`` reads them; then only those are read.  That is exact only
-    when u is below ``interp``: there a starred reading implies the
-    plain one, so an instance whose body is false in ``interp`` holds,
-    and its star reading calls no truth function.
+    readings keep; it is not run again when the program keeps
+    ``interp``'s atoms as a model (``_Program.model``).  A u below
+    ``interp`` reads only the kept FLP reduct, exactly: there a starred
+    reading implies the plain one, so an instance whose body is false in
+    ``interp`` holds, and its star reading calls no truth function.  Any
+    other u reads every instance.
     """
-    _compiled_only(sentence, fired)
     smaller = frozenset(smaller)
     if type(sentence) is not _Program:
         preds = frozenset(intensional)
         _checked_atoms(_checked_smaller(smaller, preds), interp.universe)
         return _compile_sentence(sentence, interp, registry, preds)[1](interp.atoms, smaller)
     atoms = interp.atoms
-    if fired is None:
-        if not satisfies_program(interp, sentence, registry):
-            return False
-        fired = sentence.instances
-    for _, _, (_, body), (_, head) in fired:
+    if sentence.model[0] is not atoms and not satisfies_program(interp, sentence, registry):
+        return False
+    instances = sentence.model[1] if smaller <= atoms else sentence.instances
+    for _, _, (_, body), (_, head) in instances:
         if body(atoms, smaller) and not head(atoms, smaller):
             return False
     return True
@@ -1178,8 +1172,6 @@ def eval_flp_transform(
     interp: Interpretation,
     smaller: Iterable[GroundAtom],
     registry: Registry,
-    *,
-    fired: Optional[Iterable] = None,
 ) -> bool:
     """Truth of the conjunction, over all rule instances, of
     ``B and B(u) implies H(u)``.
@@ -1195,28 +1187,22 @@ def eval_flp_transform(
     ``program`` is a ``Program``, compiled whole per call, so its first
     static failure raises before any reading, and its ``smaller`` is
     checked here (``_checked_smaller``); or a ``_Program``, which only
-    the solver builds, with the reduct as ``fired`` when the caller read
-    it once for ``interp``.  Its u are subsets of a checked candidate, so
-    they are not checked again, and the non-intensional part of
-    ``interp`` is kept from one u to the next.
+    the solver builds: its u are subsets of a checked candidate, so they
+    are not checked again, and a model it keeps (``_Program.model``) is
+    read through its kept reduct and non-intensional part.
     """
-    _compiled_only(program, fired)
     preds = program.intensional
     smaller = frozenset(smaller)
-    if type(program) is _Program:
-        atoms, frozen = program.frozen
-        if atoms is not interp.atoms:
-            atoms = interp.atoms
-            frozen = frozenset([a for a in atoms if a.pred not in preds])
-            program.frozen = (atoms, frozen)
-        subst = frozen | smaller if frozen else smaller
-    else:
-        frozen = frozenset(a for a in interp.atoms if a.pred not in preds)
-        subst = _checked_atoms(frozen | _checked_smaller(smaller, preds), interp.universe)
+    if type(program) is not _Program:
+        extensional = frozenset(a for a in interp.atoms if a.pred not in preds)
+        _checked_atoms(extensional | _checked_smaller(smaller, preds), interp.universe)
         program = _compile_program(program, interp, registry)
-    if fired is None:
-        fired = _fired(program, interp.atoms)
-    for _, _, (body, _), (head, _) in fired:
+    atoms, reduct, extensional = program.model
+    if atoms is not interp.atoms:
+        reduct = _fired(program, interp.atoms)
+        extensional = frozenset([a for a in interp.atoms if a.pred not in preds])
+    subst = extensional | smaller if extensional else smaller
+    for _, _, (body, _), (head, _) in reduct:
         if body(subst) and not head(subst):
             return False
     return True

@@ -29,6 +29,7 @@ from .ground import (
     PairSet,
     _BINDERS,
     _binary,
+    _checked_atoms,
     _gsat,
     _resolved,
     _sides,
@@ -179,9 +180,10 @@ def minimal_models(
 ) -> tuple:
     """All minimal (by inclusion) subsets of ``base`` satisfying every
     formula, enumerated in ascending cardinality so supersets of a hit
-    can be skipped.  The cap is ``resolve_cap(cap)``, as in the solver."""
+    can be skipped.  ``base`` is checked as an ``Interpretation``'s atoms
+    are.  The cap is ``resolve_cap(cap)``, as in the solver."""
     u = frozenset(universe)
-    pool = sorted(frozenset(base), key=GroundAtom.sort_key)
+    pool = sorted(_checked_atoms(base, u), key=GroundAtom.sort_key)
     limit = resolve_cap(cap)
     if len(pool) > limit:
         raise EnumerationCapError(len(pool), limit)

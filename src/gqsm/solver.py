@@ -15,19 +15,18 @@ only in their model and witness tests:
   of I onto its atoms, and each reduced rule once per projection of J.
   Sound only when every predicate is intensional.
 * ``stable_models_operator``  I satisfies the program's sentence F, and
-  J satisfies F*(J), the stability transformation, read over the
-  instances whose body holds in I: J is below I, where B*(J) implies
-  B, so every other instance holds starred.
+  J satisfies F*(J), the stability transformation.
 * ``flp_stable_models``       I satisfies every rule instance, and J
-  satisfies the rule-wise transformation ``B and B(u) -> H(u)``, read
-  over the FLP reduct of I.
+  satisfies the rule-wise transformation ``B and B(u) -> H(u)``.
 
 Both read one compiled program (``ground._compile_program``), built with
 the checked base once per solve (``_setup``): the nodes of every rule
 instance's body and head, with F read as the conjunction of their
-implications.  A true model check keeps each body's plain answer, so
-the reduct is read off them next (``ground._fired``) with no truth
-function.  ``stable_and_flp_models`` runs both in one scan.
+implications.  A true model check keeps I's FLP reduct, the instances
+whose body holds in I, in the compiled program, and both witness tests
+read only those: FLP's always, and F*(J)'s since J is below I, where
+B*(J) implies B, so every other instance holds starred.
+``stable_and_flp_models`` runs both in one scan.
 
 ``compare_semantics`` runs them so and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
@@ -55,7 +54,6 @@ from .ground import (
     Interpretation,
     _compile_program,
     _eval,
-    _fired,
     _gsat,
     _read_set,
     atom_set_key,
@@ -66,10 +64,7 @@ from .ground import (
     herbrand_base,
     satisfies_program,
 )
-# CAP_ENV_VAR is imported to be read from here too: the cap's policy
-# lives with ``reduct.minimal_models``, the other enumeration it bounds
 from .reduct import (
-    CAP_ENV_VAR,
     EnumerationCapError,
     _subsets_ascending,
     reduct,
@@ -256,8 +251,7 @@ def stable_models_operator(
         interp = empty.with_atoms(s, checked=True)
         if not _eval(compiled, interp, registry, {}):
             return None
-        fired = list(_fired(compiled, interp.atoms))
-        return (lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired),)
+        return (lambda j: eval_star(compiled, interp, j, intensional, registry),)
 
     return _search((("sm", "operator"),), base, intensional, model_test)[0]
 
@@ -274,8 +268,7 @@ def flp_stable_models(
         interp = empty.with_atoms(s, checked=True)
         if not satisfies_program(interp, compiled, registry):
             return None
-        fired = list(_fired(compiled, interp.atoms))
-        return (lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),)
+        return (lambda j: eval_flp_transform(compiled, interp, j, registry),)
 
     return _search((("flp", "operator"),), base, program.intensional, model_test)[0]
 
@@ -284,8 +277,8 @@ def stable_and_flp_models(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> tuple:
     """SM's and FLP's results from one setup and one FLP model check per
-    candidate, whose fired instances both read.  SM's J's go first: FLP's
-    read plain nodes off I, which evicts the plain answers F*(J) reads."""
+    candidate, whose kept reduct both read.  SM's J's go first: FLP's read
+    plain nodes off I, which evicts the plain answers F*(J) reads."""
     base, empty, compiled = _setup(program, registry, cap)
     intensional = program.intensional
 
@@ -293,10 +286,9 @@ def stable_and_flp_models(
         interp = empty.with_atoms(s, checked=True)
         if not satisfies_program(interp, compiled, registry):
             return None
-        fired = list(_fired(compiled, interp.atoms))
         return (
-            lambda j: eval_star(compiled, interp, j, intensional, registry, fired=fired),
-            lambda j: eval_flp_transform(compiled, interp, j, registry, fired=fired),
+            lambda j: eval_star(compiled, interp, j, intensional, registry),
+            lambda j: eval_flp_transform(compiled, interp, j, registry),
         )
 
     return _search((("sm", "operator"), ("flp", "operator")), base, intensional, model_test)

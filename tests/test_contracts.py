@@ -33,7 +33,7 @@ from gqsm import (
 from gqsm import solver
 from gqsm.ground import (
     G_BOT, G_TOP, GApply, GBot, GroundAtom, GTop, Interpretation, PairSet, _compile_program,
-    _fired, _read_set, eval_flp_transform, eval_star, flp_reduct, ground_program, herbrand_base,
+    _read_set, eval_flp_transform, eval_star, flp_reduct, ground_program, herbrand_base,
     satisfies_direct, satisfies_program,
 )
 from gqsm.parser import Token, parse_program
@@ -179,17 +179,20 @@ def test_compare_resolves_once_per_compare():
 
 @pytest.mark.parametrize("source", [ref.choice_text(3), _guarded_choice(2)])
 def test_the_operator_route_reads_only_the_instances_that_fired(source, monkeypatch):
-    # each witness reads the instances whose body holds in the model: the
-    # FLP reduct, by rule and env
+    # each witness is a J below the model, whose instances the compiled
+    # program keeps: the FLP reduct, by rule and env
     reg = Registry()
     prog = parse_program(source, reg)
     read = []
 
-    def spy(compiled, interp, smaller, intensional, registry, *, fired):
-        got = [(rule, env) for rule, env, _, _ in fired]
+    def spy(compiled, interp, smaller, intensional, registry):
+        atoms, reduct_, _ = compiled.model
+        assert atoms is interp.atoms
+        assert frozenset(smaller) <= interp.atoms
+        got = [(rule, env) for rule, env, _, _ in reduct_]
         assert got == list(flp_reduct(prog, interp, registry))
         read.append(len(got) < len(compiled.instances))
-        return eval_star(compiled, interp, smaller, intensional, registry, fired=fired)
+        return eval_star(compiled, interp, smaller, intensional, registry)
 
     monkeypatch.setattr(solver, "eval_star", spy)
     assert stable_models_operator(prog, reg).models == flp_stable_models(prog, reg).models
@@ -261,8 +264,8 @@ def test_sum_and_count_over_an_atom_call_no_truth_function(route):
 
 
 def test_the_flp_transform_of_a_given_reduct_compiles_once():
-    # a program is compiled once per call; the instances given to a
-    # compiled program are read off its one compile
+    # a program is compiled once per call; a compiled program found a
+    # model is read off its one compile, with no resolve or truth call
     reg = CountingRegistry()
     prog = parse_program(SUM_THRESHOLD, reg)
     interp = Interpretation(prog.universe, {GroundAtom("p", (-1,)), GroundAtom("p", (1,))})
@@ -270,27 +273,27 @@ def test_the_flp_transform_of_a_given_reduct_compiles_once():
     assert eval_flp_transform(prog, interp, (), reg) is False
     assert reg.calls == {"impl": 1, "sum_lt": 1, "sum_gt": 1}
     compiled = _compile_program(prog, interp, reg)
-    fired = list(_fired(compiled, interp.atoms))
-    assert len(fired) == len(flp_reduct(prog, interp, reg)) == 2
+    assert satisfies_program(interp, compiled, reg)
+    assert len(compiled.model[1]) == len(flp_reduct(prog, interp, reg)) == 2
     reg.calls.clear()
-    assert eval_flp_transform(compiled, interp, (), reg, fired=fired) is False
+    truth_calls = reg.truth_calls
+    assert eval_flp_transform(compiled, interp, (), reg) is False
     assert reg.calls == {}
+    assert reg.truth_calls == truth_calls
 
 
-def test_fired_is_taken_only_with_a_compiled_program():
-    # the reduct of a formula or a Program is not an argument: a public
-    # reader computes its own
+def test_no_reader_takes_the_reduct_as_an_argument():
+    # a compiled program keeps its model's reduct, so no reader takes one
     reg = Registry()
     prog = parse_program(SUM_THRESHOLD, reg)
     interp = Interpretation(prog.universe, {GroundAtom("p", (-1,)), GroundAtom("p", (1,))})
-    sentence = program_to_sentence(prog)
-    with pytest.raises(TypeError, match="compiled program"):
-        eval_star(sentence, interp, (), prog.intensional, reg, fired=[])
-    for fired in ((), flp_reduct(prog, interp, reg)):
-        with pytest.raises(TypeError, match="compiled program"):
-            eval_flp_transform(prog, interp, (), reg, fired=fired)
-    with pytest.raises(TypeError):
-        satisfies_program(interp, prog, reg, fired=[])
+    compiled = _compile_program(prog, interp, reg)
+    for reader in (eval_star, eval_flp_transform, satisfies_program):
+        assert "fired" not in inspect.signature(reader).parameters
+    with pytest.raises(TypeError, match="fired"):
+        eval_star(compiled, interp, (), prog.intensional, reg, fired=[])
+    with pytest.raises(TypeError, match="fired"):
+        eval_flp_transform(compiled, interp, (), reg, fired=())
 
 
 def _frob_program():
@@ -382,9 +385,9 @@ ENTRY_POINTS = {
     ),
     "satisfies_program": lambda prog, reg, frame: satisfies_program(frame, prog, reg),
     "eval_flp_transform": lambda prog, reg, frame: eval_flp_transform(prog, frame, (), reg),
-    # fired= is taken only with a compiled program, so this route compiles first
+    # the solver's way in: compile, then read the compiled program
     "eval_flp_transform-fired": lambda prog, reg, frame: eval_flp_transform(
-        _compile_program(prog, frame, reg), frame, (), reg, fired=()
+        _compile_program(prog, frame, reg), frame, (), reg
     ),
     "flp_reduct": lambda prog, reg, frame: flp_reduct(prog, frame, reg),
 }

@@ -436,29 +436,32 @@ def test_every_node_reading_is_a_bool(text):
 
 def test_a_compiled_program_reads_each_interpretation_s_own_frozen_part(registry):
     # e is extensional, so the frozen part of I is its e atoms; the
-    # compiled program keeps it from one J to the next, and must not
-    # keep it from one I to the next
+    # compiled program keeps it, and the reduct, for the model it last
+    # found, and must not read them for another I
     prog = parse_program(
         "#universe {1, 2}.\n#intensional p, q.\n"
         "p(X) :- e(X), not q(X).\nq(X) :- e(X), not p(X).\n",
         registry,
     )
     rules = _compile_program(prog, interp({1, 2}), registry)
+    sentence = solver.program_to_sentence(prog)
     base = sorted(herbrand_base(prog), key=GroundAtom.sort_key)
     pairs = []
     for combo in _subsets_ascending(base):
         i = interp({1, 2}, *combo)
         if satisfies_program(i, rules, registry):
-            fired = list(_fired(rules, i.atoms))
             pool = [a for a in combo if a.pred != "e"]
-            pairs += [(i, fired, j) for j in _subsets_ascending(pool)]
+            pairs += [(i, j) for j in _subsets_ascending(pool)]
     # alternate the interpretations from one J to the next
     pairs = pairs[::2] + pairs[1::2]
     seen = set()
-    for i, fired, j in pairs:
-        got = eval_flp_transform(rules, i, j, registry, fired=fired)
+    for i, j in pairs:
+        got = eval_flp_transform(rules, i, j, registry)
         want = eval_flp_transform(prog, i, j, registry)
         assert got == want, (i.atoms, j)
+        seen.add(got)
+        got = eval_star(rules, i, j, prog.intensional, registry)
+        assert got == eval_star(sentence, i, j, prog.intensional, registry), (i.atoms, j)
         seen.add(got)
     assert seen == {True, False}
 
@@ -501,21 +504,39 @@ def test_flp_reduct_keeps_ground_rule_order(registry):
     assert len({id(env) for _, env in fired}) == len(fired)
 
 
-def test_eval_flp_transform_reads_a_given_reduct(registry):
-    # a compiled program takes its fired instances, as the solver reads
-    # them off a model
+def test_eval_flp_transform_reads_the_kept_reduct(registry):
+    # a compiled program keeps the instances that fired in the model it
+    # last found, as the solver reads them
     prog = parse_program(SUM_THRESHOLD, registry)
     i1 = interp({-1, 1, 2}, ga("p", -1), ga("p", 1))
     rules = _compile_program(prog, i1, registry)
     assert satisfies_program(i1, rules, registry)
-    fired = list(_fired(rules, i1.atoms))
-    assert len(fired) == len(flp_reduct(prog, i1, registry)) == 2
+    atoms, kept, _ = rules.model
+    assert atoms is i1.atoms
+    assert list(kept) == list(_fired(rules, i1.atoms))
+    assert len(kept) == len(flp_reduct(prog, i1, registry)) == 2
     for j in ((), (ga("p", -1),), (ga("p", 1),), (ga("p", -1), ga("p", 1))):
-        assert eval_flp_transform(
-            rules, i1, j, registry, fired=fired
-        ) == eval_flp_transform(prog, i1, j, registry)
-    # only the instances given are read
-    assert eval_flp_transform(rules, i1, (ga("p", -1),), registry, fired=())
+        assert eval_flp_transform(rules, i1, j, registry) == eval_flp_transform(
+            prog, i1, j, registry
+        )
+    assert not eval_flp_transform(rules, i1, (ga("p", -1),), registry)
+    # only the kept instances are read
+    rules.model = (atoms, (), rules.model[2])
+    assert eval_flp_transform(rules, i1, (ga("p", -1),), registry)
+
+
+def test_eval_star_below_a_model_is_exact_for_any_j(registry):
+    # I = {} is a model and J = {q} is not below it: F*(J) reads every
+    # instance, not only the kept reduct, which is empty
+    prog = parse_program("#universe {1}.\np :- q.\n", registry)
+    i = interp({1})
+    rules = _compile_program(prog, i, registry)
+    assert satisfies_program(i, rules, registry)
+    assert rules.model[1] == ()
+    sentence = solver.program_to_sentence(prog)
+    j = {ga("q")}
+    assert eval_star(sentence, i, j, prog.intensional, registry) is False
+    assert eval_star(rules, i, j, prog.intensional, registry) is False
 
 
 def test_ground_to_json_shape(registry, i_empty):

@@ -12,8 +12,8 @@ programs whose bodies raise; the targets are the three routes,
   reference's run over the route's own base, head-bounded or full.
 * **Readers.**  A program is compiled once, as a solve compiles it, and
   every I over the full base and every intensional J, below I or not, is
-  read: the sentence's plain and star readings, the star reading over
-  the instances that fired where I is a model and J is below it, the
+  read: the sentence's plain and star readings (below a model, the
+  compiled star reading reads only the reduct the program keeps), the
   FLP model check, its reduct and transformation, and the reduct route's
   walkers on every ground rule.  Ground and reduced trees equal the
   reference's.  On the example programs and the kernel shapes the public
@@ -441,8 +441,10 @@ def check_pairs(program, registry, deep=False, public=False):
         assert outcome(lambda: _eval(rules, interp, registry, {})) == want
         is_model = model == ("value", True)
         if is_model:
+            # the compiled program keeps the model's reduct, as _fired reads it
             fired = list(_fired(rules, interp.atoms))
             assert len(fired) == len(ref.flp_reduct(insts, interp, registry))
+            assert rules.model[0] is interp.atoms and list(rules.model[1]) == fired
         if public:
             assert outcome(lambda: satisfies_program(interp, program, registry)) == model
             reduct_ = outcome(lambda: flp_reduct(program, interp, registry))
@@ -455,18 +457,10 @@ def check_pairs(program, registry, deep=False, public=False):
             kinds |= check_ground_rule(g, I, universe, registry)
         for j in js:
             want = outcome(lambda: ref.star(sentence, interp, j, intensional, registry, {}))
+            # below a model, only the reduct the compiled program keeps is read
             assert outcome(lambda: eval_star(rules, interp, j, intensional, registry)) == want
-            if is_model and j <= I:
-                # below a model, the instances that fired are read alone
-                got = outcome(
-                    lambda: eval_star(rules, interp, j, intensional, registry, fired=fired)
-                )
-                assert got == want
             flp = outcome(lambda: ref.flp_transform(insts, intensional, interp, j, registry))
             assert outcome(lambda: eval_flp_transform(rules, interp, j, registry)) == flp
-            if is_model:
-                got = outcome(lambda: eval_flp_transform(rules, interp, j, registry, fired=fired))
-                assert got == flp
             kinds.add(flp[0])
             if public:
                 assert outcome(lambda: eval_flp_transform(program, interp, j, registry)) == flp
@@ -490,7 +484,8 @@ def test_readers_match_the_reference_on_every_pair(name):
 def test_fired_on_a_program_is_its_flp_reduct(label):
     # on every model I, the fired instances of the compiled program are
     # the FLP reduct by rule and env, as flp_reduct gives it, and
-    # eval_flp_transform reads them as the reduct it would take itself
+    # eval_flp_transform reads the kept ones as the reduct it would take
+    # itself
     _, program, registry, _ = case("examples", label)
     frame = Interpretation(program.universe)
     rules = _compile_program(program, frame, registry)
@@ -508,7 +503,7 @@ def test_fired_on_a_program_is_its_flp_reduct(label):
         )
         for j in js:
             want = eval_flp_transform(program, interp, j, registry)
-            assert eval_flp_transform(rules, interp, j, registry, fired=fired) == want
+            assert eval_flp_transform(rules, interp, j, registry) == want
     assert models
 
 

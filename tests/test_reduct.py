@@ -166,6 +166,21 @@ def test_enumeration_cap(registry):
     assert DEFAULT_ATOM_CAP == 20
 
 
+@pytest.mark.parametrize(
+    "bad, want",
+    [
+        (("p", (1,)), r"^not a ground atom: \('p', \(1,\)\)$"),
+        ("p(1)", r"^not a ground atom: 'p\(1\)'$"),
+        (ga("p", 2), r"^atom p\(2\) mentions 2, not a universe element$"),
+    ],
+    ids=["tuple", "string", "outside-universe"],
+)
+def test_minimal_models_checks_its_base(registry, bad, want):
+    # the base is read as an Interpretation reads its atoms
+    with pytest.raises(GqError, match=want):
+        minimal_models([], [bad], {1}, registry)
+
+
 def test_minimal_models_reads_the_cap_from_the_environment(registry, monkeypatch):
     monkeypatch.setenv("GQSM_ATOM_CAP", "3")
     base = [ga("p", e) for e in range(4)]

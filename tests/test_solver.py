@@ -7,10 +7,9 @@ import pytest
 from gqsm.ground import GroundAtom, format_atoms
 from gqsm.parser import parse_program
 from gqsm.quantifiers import Registry
-from gqsm.reduct import EnumerationCapError
+from gqsm.reduct import CAP_ENV_VAR, EnumerationCapError
 from gqsm.render import render
 from gqsm.solver import (
-    CAP_ENV_VAR,
     ReductRouteError,
     SolveStats,
     compare_semantics,
