@@ -46,7 +46,10 @@ head, whose implications, read one by one, are its sentence.  A
 compiled node keeps its last plain answer, so the plain readings of a
 candidate are computed once however many u are tested against it, and
 a compiled program found a model keeps its FLP reduct, the instances a
-u below it can falsify (``_Program.model``).
+u below it can falsify (``_Program.model``).  The compile also records
+the atoms each instance reads and the intensional atoms of its head,
+off the ground formulas it compiles, which the solver's dependency
+graph reads (``_Program.reads`` and ``heads``).
 
 A ``GroundAtom`` is the pair ``(pred, args)``, so every atom set, an
 interpretation's included, is its own index: a lookup asks whether
@@ -145,15 +148,17 @@ def format_atoms(atoms: Iterable[GroundAtom]) -> str:
 
 def _checked_atoms(atoms: Iterable[GroundAtom], universe: frozenset) -> AtomSet:
     """``atoms`` as a set, once each is known to be a ground atom over
-    ``universe``."""
-    atoms = frozenset(atoms)
+    ``universe``.  Every element is checked before the set is built: a
+    ``GroundAtom`` equals its plain tuple, so the set keeps only one of
+    the two, whichever came first."""
+    atoms = tuple(atoms)
     for a in atoms:
         if not isinstance(a, GroundAtom):
             raise GqError(f"not a ground atom: {a!r}")
         for v in a.args:
             if v not in universe:
                 raise GqError(f"atom {a} mentions {v!r}, not a universe element")
-    return atoms
+    return frozenset(atoms)
 
 
 class Interpretation(Record):
@@ -217,15 +222,17 @@ class Interpretation(Record):
         return frozenset(a for a in self.atoms if a.pred in preds)
 
 
-def herbrand_base(program: Program) -> tuple[GroundAtom, ...]:
-    """All ground atoms over the program's signature, in ``sort_key``
-    order: the predicates sorted, and each one's tuples in product order
-    over the sorted universe."""
+def herbrand_base(program: Program, preds=None) -> tuple[GroundAtom, ...]:
+    """All ground atoms over the program's signature, or over its
+    predicates in ``preds`` when given, in ``sort_key`` order: the
+    predicates sorted, and each one's tuples in product order over the
+    sorted universe."""
     u_sorted = program.universe_sorted()
+    signature = program.signature
     return tuple(
         GroundAtom(pred, combo)
-        for pred in sorted(program.signature)
-        for combo in itertools.product(u_sorted, repeat=program.signature[pred])
+        for pred in sorted(signature if preds is None else signature.keys() & preds)
+        for combo in itertools.product(u_sorted, repeat=signature[pred])
     )
 
 
@@ -638,22 +645,35 @@ def _aggregate_node(named: dict, intensional: bool, measure, cmp, bound) -> tupl
 class _Compiler:
     """Compiles the ground formulas of its one grounder for
     interpretations over ``interp``'s universe: ``node(g)`` is the node
-    of ``g``.  An application that the grounder shares across instances
-    is one object, with one node: ``sum{Y : p(Y)} < 2`` in a rule over X
-    is read in an interpretation once, not once per instance.  The
-    grounder keeps those objects alive, so their ids stay unique.  A
-    compiler is not kept past its compile."""
+    of ``g``, and appends the atoms ``g`` mentions to the list ``read``.
+    An application that the grounder shares across instances is one
+    object, with one node and one list of atoms: ``sum{Y : p(Y)} < 2`` in
+    a rule over X is read in an interpretation once, not once per
+    instance.  The grounder keeps those objects alive, so their ids stay
+    unique.  A compiler is not kept past its compile."""
 
     def __init__(self, interp: Interpretation, registry: Registry, intensional):
         self.grounder = _Grounder(interp, registry)
         self.universe = interp.universe
         self.intensional = frozenset(intensional)
-        self.shared = {}  # id of a ground application -> its node
+        self.shared = {}  # id of a ground application -> its node and atoms
+        self.read = []  # the atoms of the nodes compiled since it was reset
+        self.reads = []  # per instance, the atoms it mentions
+        self.heads = []  # per instance, the intensional atoms of its head
 
     def instance(self, rule: Rule, env: dict) -> tuple:
-        """``(rule, env, body, head)``, the body and head ground apart."""
+        """``(rule, env, body, head)``, the body and head ground apart.
+        The atoms the instance mentions, and those of its head that are
+        intensional, go to ``reads`` and ``heads`` as lists, in the order
+        met, an atom as often as it is met."""
         ground = self.grounder.ground
-        return rule, env, self.node(ground(rule.body, env)), self.node(ground(rule.head, env))
+        read = self.read = []
+        body = self.node(ground(rule.body, env))
+        n = len(read)
+        head = self.node(ground(rule.head, env))
+        self.reads.append(read)
+        self.heads.append([a for a in read[n:] if a.pred in self.intensional])
+        return rule, env, body, head
 
     def conjuncts(self, g: GroundFormula, out: list) -> list:
         """Append the nodes of the conjuncts of ``g`` to ``out``: its
@@ -672,6 +692,7 @@ class _Compiler:
     def node(self, g: GroundFormula) -> tuple:
         t = type(g)
         if t is GroundAtom:
+            self.read.append(g)
             return _atom_node(g, g.pred in self.intensional, False)
         if t is GTop:
             return _TOP_NODE
@@ -689,18 +710,26 @@ class _Compiler:
         if name == "impl":
             a, b = _sides(g)
             if type(a) is GroundAtom and type(b) is GBot:
+                self.read.append(a)
                 return _atom_node(a, a.pred in self.intensional, True)
             return _impl_node(self.node(a), self.node(b))
-        node = self.shared.get(id(g))
-        if node is None:
-            node = self.shared[id(g)] = self.application(g)
-        return node
+        entry = self.shared.get(id(g))
+        if entry is None:
+            outer, self.read = self.read, []
+            node = self.application(g)
+            entry = self.shared[id(g)] = (node, self.read)
+            self.read = outer
+        self.read += entry[1]
+        return entry[0]
 
     def application(self, g: GApply) -> tuple:
         """A generalized quantifier application, with a reader per
         pair-set picked by its entries (see above)."""
         name, sets = g.quantifier, g.sets
         named = [_named(ps) for ps in sets]
+        for atoms in named:
+            if atoms is not None:
+                self.read += atoms
         if name in AGGREGATES and named[0] is not None and all(
             [type(c) is GTop or type(c) is GBot for _, c in sets[1].entries]
         ):
@@ -747,14 +776,24 @@ class _Program:
     Its sentence, the conjunction of their ``body -> head``, is read off
     the instances (``satisfies_program``, ``eval_star``).  ``model`` is
     ``(atoms, reduct, extensional)`` for the last model found by
-    ``satisfies_program``: its FLP reduct and non-intensional part."""
+    ``satisfies_program``: its FLP reduct and non-intensional part.
 
-    __slots__ = ("intensional", "instances", "model")
+    The compile also records, per instance, a list of the atoms it
+    reads, those inside quantifier arguments included (``reads``, its
+    ``_read_set`` as a list), and of the intensional atoms of its head
+    (``heads``), and the names of the quantifiers the instances apply,
+    connectives included (``quantifiers``).  A program of some of
+    another's instances, sharing their nodes, records none of them."""
 
-    def __init__(self, intensional, instances: tuple):
+    __slots__ = ("intensional", "instances", "model", "reads", "heads", "quantifiers")
+
+    def __init__(self, intensional, instances: tuple, reads=(), heads=(), quantifiers=()):
         self.intensional = intensional
         self.instances = instances
         self.model = (None, (), frozenset())
+        self.reads = reads
+        self.heads = heads
+        self.quantifiers = quantifiers
 
 
 def _compile_sentence(
@@ -778,7 +817,15 @@ def _compile_program(
     over ``interp``'s universe and constants."""
     compiler = _Compiler(interp, registry, program.intensional)
     instances = itertools.starmap(compiler.instance, _instances(program, interp))
-    return _without_gc(lambda: _Program(program.intensional, tuple(instances)))
+
+    def build():
+        compiled = tuple(instances)
+        return _Program(
+            program.intensional, compiled, compiler.reads, compiler.heads,
+            tuple(compiler.grounder.resolved),
+        )
+
+    return _without_gc(build)
 
 
 def _eval(f, interp: Interpretation, registry: Registry, env: dict) -> bool:

@@ -1,13 +1,12 @@
 """Model enumeration under the two stable semantics, and the syntactic
 class on which they are guaranteed to agree.
 
-All three definitions have one shape, so one scan, ``_search``, serves
-them, one or several at once.  It tries every subset I of the program's
-head-bounded base (its ground atoms, less those of the intensional
-predicates that head no rule, which no stable or FLP model holds;
-``_checked_base`` says why), and keeps a model I when no proper subset J
-of its intensional atoms is a witness against it.  The routes differ
-only in their model and witness tests:
+All three definitions have one shape: a model I of the program is kept
+when no proper subset J of its intensional atoms is a witness against
+it.  The candidates are the subsets of the program's head-bounded base
+(its ground atoms, less those of the intensional predicates that head no
+rule, which no stable or FLP model holds; ``_checked_base`` says why).
+The routes differ in their model and witness tests:
 
 * ``stable_models_reduct``    grounds once; I is a model of the ground
   rules, and J is a model of their reduct relative to I, so a kept I is
@@ -19,20 +18,28 @@ only in their model and witness tests:
 * ``flp_stable_models``       I satisfies every rule instance, and J
   satisfies the rule-wise transformation ``B and B(u) -> H(u)``.
 
-Both read one compiled program (``ground._compile_program``), built with
-the checked base once per solve (``_setup``): the nodes of every rule
+The reduct route tries every candidate and every J below each model
+(``_search``), as the independent check of the other two.  Those read
+one compiled program (``ground._compile_program``), built with the
+checked base once per solve (``_setup``): the nodes of every rule
 instance's body and head, with F read as the conjunction of their
-implications.  A true model check keeps I's FLP reduct, the instances
-whose body holds in I, in the compiled program, and both witness tests
-read only those: FLP's always, and F*(J)'s since J is below I, where
-B*(J) implies B, so every other instance holds starred.
-``stable_and_flp_models`` runs both in one scan.
+implications, and what each instance reads.  They search the strongly
+connected blocks of the ground dependency graph one by one,
+dependencies first (``_compiled_search``, which says why that is
+exact), so a block's local models and witnesses are read over its own
+atoms, with the lower blocks as chosen.  A true model check keeps I's
+FLP reduct, the instances whose body holds in I, in the compiled
+program, and both witness tests read only those: FLP's always, and
+F*(J)'s since J is below I, where B*(J) implies B, so every other
+instance holds starred.  ``stable_and_flp_models`` runs both in one
+search.
 
 ``compare_semantics`` runs them so and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from .syntax import (
@@ -49,9 +56,10 @@ from .syntax import (
     is_bot,
     predicates_in,
 )
-from .quantifiers import Registry
+from .quantifiers import Registry, is_builtin_name
 from .ground import (
     Interpretation,
+    _Program,
     _compile_program,
     _eval,
     _gsat,
@@ -129,7 +137,7 @@ def _checked_base(program: Program, cap: Optional[int]) -> tuple:
     for rule in program.rules:
         headed.update(predicates_in(rule.head))
     free = headed | (set(program.signature) - program.intensional)
-    base = tuple(a for a in herbrand_base(program) if a.pred in free)
+    base = herbrand_base(program, free)
     limit = resolve_cap(cap)
     if len(base) > limit:
         raise EnumerationCapError(len(base), limit)
@@ -146,13 +154,15 @@ def _setup(program: Program, registry: Registry, cap: Optional[int]) -> tuple:
 
 
 def _search(scans: tuple, base: tuple, intensional, model_test) -> tuple:
-    """The one stability search behind all three routes: a ``SolveResult``
-    per ``(semantics, route)`` of ``scans``.  Candidates I are the subsets
-    of ``base``, smallest first.  ``model_test(I)`` is None when I is not
+    """The stability search over a whole base: a ``SolveResult`` per
+    ``(semantics, route)`` of ``scans``.  Candidates I are the subsets of
+    ``base``, smallest first.  ``model_test(I)`` is None when I is not
     a model, and otherwise a test ``witness(J)`` per scan, true when J
     rules I out.  Each scan in turn tries the proper subsets of I's
     intensional atoms, as tuples, smallest first; a model that none rules
-    out is kept.  All results share one ``SolveStats``."""
+    out is kept.  The reduct route runs it as it is; the operator and
+    FLP routes run it through ``_compiled_search`` when the program is one
+    block."""
     kept = [[] for _ in scans]
     for combo in _subsets_ascending(base):
         s = frozenset(combo)
@@ -165,9 +175,208 @@ def _search(scans: tuple, base: tuple, intensional, model_test) -> tuple:
         for witness, models in zip(witnesses, kept):
             if not any(witness(j) for j in _subsets_ascending(pool, len(pool) - 1)):
                 models.append(s)
+    return _results(scans, kept, base)
+
+
+def _results(scans: tuple, kept: list, base: tuple) -> tuple:
+    """A ``SolveResult`` per scan, of its kept models, sorted; all share
+    one ``SolveStats``, counting the subsets of the whole base."""
     stats = SolveStats(2 ** len(base))
     return tuple(SolveResult(sem, route, tuple(sorted(models, key=atom_set_key)), stats)
                  for (sem, route), models in zip(scans, kept))
+
+
+def _components(succ: list) -> list:
+    """The strongly connected components, each a sorted list, of the
+    graph in which node ``v`` has the successors ``succ[v]``, in an order
+    in which every component comes after the components it reaches:
+    Tarjan's, with its own stack, so a graph of any depth is fine.  A
+    node whose component is out gets the order ``len(succ)``, above any
+    low link, so an edge to it lowers none; a node with no successors is
+    a component as soon as it is met."""
+    done = len(succ)
+    order = [-1] * done
+    low = [0] * done
+    stack, out = [], []
+    count = 0
+    for root in range(done):
+        if order[root] >= 0:
+            continue
+        if not succ[root]:
+            order[root] = done
+            out.append([root])
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if order[w] < 0 and not succ[w]:
+                    order[w] = done
+                    out.append([w])
+                elif order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if low[v] == order[v]:
+                    i = stack.index(v)
+                    component = sorted(stack[i:])
+                    del stack[i:]
+                    for w in component:
+                        order[w] = done
+                    out.append(component)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return out
+
+
+def _blocks(compiled, base: tuple, intensional) -> Optional[list]:
+    """The blocks of the ground dependency graph, dependencies first,
+    each as its atoms, in base order, and the compiled program of its
+    instances; None when the program is one block.
+
+    The nodes are the intensional atoms of the base.  An edge goes from
+    each intensional head atom of an instance, all of which are in the
+    base, to every node the instance reads: body and head, negated or
+    not, quantifier arguments included.  So the head atoms of one
+    instance share a block, whose program holds the instance, and every
+    node it reads is in that block or below.  An instance with no
+    intensional head atom, a constraint, goes to the block of the last
+    node it reads, or to the first.  A program that applies a quantifier
+    outside the built-ins is one block, so a truth function that raises
+    does so where the scan over the whole base reads it."""
+    atoms = [a for a in base if a.pred in intensional]
+    if len(atoms) < 2 or not all(map(is_builtin_name, compiled.quantifiers)):
+        return None
+    index = {a: i for i, a in enumerate(atoms)}
+    get = index.get
+    succ = [set() for _ in atoms]
+    for read, head in zip(compiled.reads, compiled.heads):
+        if head:
+            read = set(map(get, read))
+            for a in head:
+                succ[index[a]] |= read
+    for i, nodes in enumerate(succ):
+        nodes.discard(None)
+        nodes.discard(i)  # a loop joins no two nodes
+    components = _components(succ)
+    if len(components) == 1:
+        return None
+    block_of = {atoms[i]: k for k, component in enumerate(components) for i in component}
+    members = [[] for _ in components]
+    for instance, read, head in zip(compiled.instances, compiled.reads, compiled.heads):
+        if head:
+            members[block_of[head[0]]].append(instance)
+        else:
+            members[max([block_of.get(a, 0) for a in read], default=0)].append(instance)
+    return [
+        (tuple([atoms[i] for i in component]), _Program(compiled.intensional, tuple(part)))
+        for component, part in zip(components, members)
+    ]
+
+
+def _compiled_search(scans: tuple, program: Program, registry: Registry,
+                     cap: Optional[int], model_test) -> tuple:
+    """The operator and FLP routes' search: a ``SolveResult`` per
+    ``(semantics, route)`` of ``scans``.  ``model_test(compiled, interp)``
+    is None when ``interp`` is not a model of the compiled program
+    ``compiled``, and otherwise a test ``witness(J)`` per scan.
+
+    A program that is one block (``_blocks``) is read by ``_search`` over
+    the whole base.  Otherwise, after each subset E of the extensional
+    atoms, smallest first, the blocks are searched depth first,
+    dependencies first.  With L the intensional atoms chosen below a
+    block, its local models are the subsets S of its atoms, smallest
+    first, for which E, L and S are a model of the block's instances.
+    The local witnesses against S are the J < S for which ``witness(L |
+    J)`` holds, tried smallest first.  A scan keeps a local model that
+    none of its witnesses rules out, and an I that it kept in every
+    block.  One model test serves every scan, and a local model is
+    followed up while any scan keeps it.
+
+    This is exact, for SM and for FLP.  Let I be a model, so a model of
+    every block's instances, and let S_k be its atoms in block k.  The
+    instances of block k read only atoms of blocks up to k, and their
+    head atoms are in block k.  Every J below is a set of intensional
+    atoms of I.
+
+    * A local witness lifts.  Let J_k < S_k be a witness in block k,
+      with the lower atoms as in I, and let J be the intensional atoms
+      of I with J_k in place of S_k, so the upper atoms are as in I
+      too.  An instance below block k reads J where J is I, and
+      ``F*(I)`` is equivalent to F, so it holds starred; FLP reads
+      ``B and B(I) -> H(I)``, true in a model.  In block k the instances
+      hold by the witness.  An instance above k has its head atoms as
+      in I, so ``H*(J)`` is ``H*(I)``, which is H.  If H holds in I, so
+      does the starred instance.  If not, B is false in I, and
+      ``B*(J)`` implies B for J below I, so ``B*(J)`` is false.  In FLP,
+      an instance in I's reduct has ``H(J) = H(I)``, true, and one
+      outside it holds.  A constraint's head reads no intensional atom,
+      so it keeps its value in I for the same reasons.  So J is a
+      witness against I.
+    * A witness gives a local one.  Let J < I be a witness, and k the
+      lowest block in which J differs from I.  Below k, J is I, so the
+      instances of block k read J as ``L | J_k``, with J_k < S_k, and
+      J_k is a local witness in block k.
+
+    So I is stable exactly when it is stable in every block, with the
+    lower blocks as in I: the splitting set theorem (Lifschitz and
+    Turner, ICLP 1994), for first-order SM by Ferraris, Lee, Lifschitz
+    and Palla (IJCAI 2009).  A constraint is read once every node it
+    reads is chosen, so I is a model exactly when it is a local model
+    in every block.  The candidate count is still that of the whole
+    base."""
+    base, empty, compiled = _setup(program, registry, cap)
+    intensional = program.intensional
+    blocks = _blocks(compiled, base, intensional)
+    if blocks is None:
+        return _search(
+            scans, base, intensional,
+            lambda s: model_test(compiled, empty.with_atoms(s, checked=True)),
+        )
+    kept = [[] for _ in scans]
+    last = len(blocks) - 1
+
+    def local_models(k, below, lower, live):
+        # block k's local models over the chosen atoms ``below``, whose
+        # intensional part is ``lower``, each with the scans of ``live``
+        # that keep it; the last block's go to ``kept``
+        atoms, part = blocks[k]
+        for combo in _subsets_ascending(atoms):
+            s = below.union(combo)
+            witnesses = model_test(part, empty.with_atoms(s, checked=True))
+            if witnesses is None:
+                continue
+            keeps = [
+                keep and not any(witness(lower.union(j))
+                                 for j in _subsets_ascending(combo, len(combo) - 1))
+                for keep, witness in zip(live, witnesses)
+            ]
+            if k == last:
+                for keep, models in zip(keeps, kept):
+                    if keep:
+                        models.append(s)
+            elif any(keeps):
+                yield k + 1, s, lower.union(combo), keeps
+
+    extensional = [a for a in base if a.pred not in intensional]
+    for combo in _subsets_ascending(extensional):
+        stack = [local_models(0, frozenset(combo), frozenset(), [True] * len(scans))]
+        while stack:
+            found = next(stack[-1], None)
+            if found is None:
+                stack.pop()
+            else:
+                stack.append(local_models(*found))
+    return _results(scans, kept, base)
 
 
 def stable_models_reduct(
@@ -244,16 +453,14 @@ def stable_models_operator(
     when no proper subvaluation of its intensional slice satisfies the
     starred sentence, read over the instances whose body the model
     satisfies."""
-    base, empty, compiled = _setup(program, registry, cap)
     intensional = program.intensional
 
-    def model_test(s):
-        interp = empty.with_atoms(s, checked=True)
+    def model_test(compiled, interp):
         if not _eval(compiled, interp, registry, {}):
             return None
         return (lambda j: eval_star(compiled, interp, j, intensional, registry),)
 
-    return _search((("sm", "operator"),), base, intensional, model_test)[0]
+    return _compiled_search((("sm", "operator"),), program, registry, cap, model_test)[0]
 
 
 def flp_stable_models(
@@ -262,28 +469,25 @@ def flp_stable_models(
     """Stable models in the FLP sense: a model is stable when no proper
     subvaluation of its intensional slice satisfies every rule instance
     read as ``B and B(u) -> H(u)``."""
-    base, empty, compiled = _setup(program, registry, cap)
 
-    def model_test(s):
-        interp = empty.with_atoms(s, checked=True)
+    def model_test(compiled, interp):
         if not satisfies_program(interp, compiled, registry):
             return None
         return (lambda j: eval_flp_transform(compiled, interp, j, registry),)
 
-    return _search((("flp", "operator"),), base, program.intensional, model_test)[0]
+    return _compiled_search((("flp", "operator"),), program, registry, cap, model_test)[0]
 
 
 def stable_and_flp_models(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> tuple:
     """SM's and FLP's results from one setup and one FLP model check per
-    candidate, whose kept reduct both read.  SM's J's go first: FLP's read
-    plain nodes off I, which evicts the plain answers F*(J) reads."""
-    base, empty, compiled = _setup(program, registry, cap)
+    local model, or per candidate of a program of one block, whose kept
+    reduct both read.  SM's J's go first: FLP's read plain nodes off I,
+    which evicts the plain answers F*(J) reads."""
     intensional = program.intensional
 
-    def model_test(s):
-        interp = empty.with_atoms(s, checked=True)
+    def model_test(compiled, interp):
         if not satisfies_program(interp, compiled, registry):
             return None
         return (
@@ -291,7 +495,8 @@ def stable_and_flp_models(
             lambda j: eval_flp_transform(compiled, interp, j, registry),
         )
 
-    return _search((("sm", "operator"), ("flp", "operator")), base, intensional, model_test)
+    scans = (("sm", "operator"), ("flp", "operator"))
+    return _compiled_search(scans, program, registry, cap, model_test)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,35 @@ def test_compare_text(run, tmp_path):
     )
 
 
+def test_compare_text_of_two_atoms_guarding_each_other(run, tmp_path):
+    # p(a) and q(a) read each other only inside quantifier arguments, so
+    # they are one block of the dependency graph
+    p = tmp_path / "mutual.gq"
+    p.write_text(
+        "#universe {a}.\n"
+        "p(a) :- not atmost(0){X : q(X)}.\n"
+        "q(a) :- not atmost(0){X : p(X)}.\n"
+    )
+    code, out, _ = run("compare", str(p))
+    assert code == 0
+    assert out == (
+        "== sm route=operator\n"
+        "Answer 1:\n"
+        "Answer 2: p(a) q(a)\n"
+        "== flp route=operator\n"
+        "Answer 1:\n"
+        "== agreement\n"
+        "in class: no\n"
+        "  rule 1: not atmost(0){X : q(X)}: quantifier 'atmost(0)' is not"
+        " monotone in every position, so it cannot be negated\n"
+        "  rule 2: not atmost(0){X : p(X)}: quantifier 'atmost(0)' is not"
+        " monotone in every position, so it cannot be negated\n"
+        "difference: 1 model(s)\n"
+        "  p(a) q(a)\n"
+        "agreement violated: no\n"
+    )
+
+
 def test_compare_in_class_text(run, tmp_path):
     p = tmp_path / "plain.gq"
     p.write_text("#universe {1, 2}.\np(1) | p(2).\nq(X) :- p(X).\n")

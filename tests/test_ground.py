@@ -126,6 +126,19 @@ def test_with_atoms_checks_the_new_atoms():
         base.with_atoms({ga("p", 9)})
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["atom first", "tuple first"])
+def test_a_plain_tuple_beside_its_equal_atom_is_refused_in_either_order(reverse):
+    # a GroundAtom equals its plain tuple, so a set keeps only the first
+    # of the two; every element is checked before the set is built
+    atoms = [GroundAtom("p", (1,)), ("p", (1,))]
+    if reverse:
+        atoms.reverse()
+    with pytest.raises(GqError, match=r"^not a ground atom: \('p', \(1,\)\)$"):
+        Interpretation({1}, atoms)
+    with pytest.raises(GqError, match=r"^not a ground atom: \('p', \(1,\)\)$"):
+        interp({1}).with_atoms(atoms)
+
+
 def test_interpretation_constant_values():
     herbrand = interp({1, 2})
     assert herbrand.value(1) == 1

@@ -40,11 +40,13 @@ from gqsm import (
 from gqsm import solver
 from gqsm.ground import (
     GApply, GroundAtom, Interpretation, PairSet, _compile_program,
-    _compile_sentence, _eval, _fired, _gsat, eval_flp_transform, eval_star, flp_reduct, ground,
-    ground_program, ground_to_json, satisfies, satisfies_direct, satisfies_program,
+    _compile_sentence, _eval, _fired, _gsat, _read_set, _sides, eval_flp_transform, eval_star,
+    flp_reduct, ground, ground_program, ground_to_json, satisfies, satisfies_direct,
+    satisfies_program,
 )
 from gqsm.parser import parse_program
 from gqsm.reduct import EnumerationCapError, reduct
+from gqsm.syntax import iter_subformulas
 from gqsm.solver import (
     ReductRouteError, SolveResult, SolveStats, compare_semantics, flp_stable_models,
     monotone_class_report, program_to_sentence, stable_models_operator, stable_models_reduct,
@@ -505,6 +507,36 @@ def test_fired_on_a_program_is_its_flp_reduct(label):
             want = eval_flp_transform(program, interp, j, registry)
             assert eval_flp_transform(rules, interp, j, registry) == want
     assert models
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_the_compile_records_what_each_instance_reads(name):
+    # the solver's dependency graph is read off these: an instance's atoms
+    # are its ground rule's read set, quantifier arguments included, its
+    # head atoms the intensional atoms of the ground head, and the
+    # quantifier names those of its bodies and heads, connectives included
+    compiled = 0
+    for label, program, registry, _ in suite(name):
+        frame = Interpretation(program.universe)
+        got = outcome(lambda: _compile_program(program, frame, registry))
+        if got[0] != "value":
+            continue
+        rules = got[1]
+        grounded = ground_program(program, registry)
+        assert len(rules.reads) == len(rules.heads) == len(grounded) == len(rules.instances)
+        for read, head, g in zip(rules.reads, rules.heads, grounded):
+            assert frozenset(read) == _read_set(g), label
+            heads = {a for a in _read_set(_sides(g)[1]) if a.pred in program.intensional}
+            assert frozenset(head) == heads, label
+        assert set(rules.quantifiers) == {
+            f.quantifier
+            for rule in program.rules
+            for side in (rule.body, rule.head)
+            for f in iter_subformulas(side)
+            if type(f) is Apply
+        }, label
+        compiled += 1
+    assert compiled
 
 
 def test_a_long_body_matches_the_reference():

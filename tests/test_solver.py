@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gqsm import Mono, QuantifierDef, solver
 from gqsm.ground import GroundAtom, format_atoms
 from gqsm.parser import parse_program
 from gqsm.quantifiers import Registry
@@ -332,3 +333,152 @@ def test_flp_matches_sm_on_a_random_in_class_pool():
         rep = compare_semantics(prog, reg)
         assert rep.class_report.in_class
         assert rep.difference == ()
+
+
+# ---------------------------------------------------------------------------
+# The search block by block
+
+
+def blocks_of(text, registry):
+    """``solver._blocks`` of a program, each block as its atoms and its
+    instances, each as the rule's index and the env; None for one block."""
+    prog = parse_program(text, registry)
+    base, _, compiled = solver._setup(prog, registry, None)
+    blocks = solver._blocks(compiled, base, prog.intensional)
+    if blocks is None:
+        return None
+    return [
+        ([str(a) for a in atoms], [(prog.rules.index(r), env) for r, env, _, _ in part.instances])
+        for atoms, part in blocks
+    ]
+
+
+def test_the_blocks_are_searched_dependencies_first(registry):
+    # r(X, Z) reads r(Y, Z) for every Y, so the r atoms of one Z are one
+    # block, after the e atoms they read; an e atom that heads no instance
+    # is a block of no instances
+    text = (
+        "#universe {1, 2}.\n"
+        "e(1, 2).\n"
+        "r(X, Y) :- e(X, Y).\n"
+        "r(X, Z) :- e(X, Y), r(Y, Z).\n"
+    )
+    inner = [(2, {"X": x, "Y": y, "Z": z}) for x in (1, 2) for y in (1, 2) for z in (1, 2)]
+    assert blocks_of(text, registry) == [
+        (["e(1, 1)"], []),
+        (["e(1, 2)"], [(0, {})]),
+        (["e(2, 1)"], []),
+        (["e(2, 2)"], []),
+        (["r(1, 1)", "r(2, 1)"], [(1, {"X": 1, "Y": 1}), (1, {"X": 2, "Y": 1})]
+         + [i for i in inner if i[1]["Z"] == 1]),
+        (["r(1, 2)", "r(2, 2)"], [(1, {"X": 1, "Y": 2}), (1, {"X": 2, "Y": 2})]
+         + [i for i in inner if i[1]["Z"] == 2]),
+    ]
+
+
+def test_a_constraint_joins_the_block_of_the_last_atom_it_reads(registry):
+    text = (
+        "#universe {1, 2}.\n"
+        "#intensional p, q, r.\n"
+        "p(X) :- not q(X).\n"
+        "q(X) :- not p(X).\n"
+        ":- p(1), p(2).\n"
+        ":- not r.\n"
+        "r :- q(1).\n"
+        ":- e.\n"
+    )
+    assert blocks_of(text, registry) == [
+        # a constraint that reads no intensional atom of the base goes first
+        (["p(1)", "q(1)"], [(0, {"X": 1}), (1, {"X": 1}), (5, {})]),
+        (["p(2)", "q(2)"], [(0, {"X": 2}), (1, {"X": 2}), (2, {})]),
+        (["r"], [(3, {}), (4, {})]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the quantifier argument and the negated atom are both edges
+        "#universe {a}.\np(a) :- not atmost(0){X : q(X)}.\nq(a) :- not atmost(0){X : p(X)}.\n",
+        "#universe {1}.\np(1) :- not q(1).\nq(1) :- not p(1).\n",
+        # a disjunctive head puts its atoms in one block
+        "#universe {1}.\np(1) | q(1).\n",
+        # one intensional atom in the base
+        "#universe {1}.\n#intensional p.\np(1) :- e(1), not p(1).\n",
+    ],
+)
+def test_a_program_of_one_block_is_searched_over_its_whole_base(text, registry):
+    assert blocks_of(text, registry) is None
+
+
+def test_a_quantifier_outside_the_built_ins_makes_one_block():
+    # only a user truth function can raise in a search, so such a program
+    # is scanned over the whole base, as the definitions read it
+    reg = Registry()
+    reg.register(QuantifierDef("frob", (1,), lambda u, rels: bool(rels[0]), (Mono.MONOTONE,)))
+    text = "#universe {1, 2}.\np(X) :- not q(X).\nq(X) :- not p(X).\nr :- frob{X : p(X)}.\n"
+    assert blocks_of(text, reg) is None
+    assert blocks_of(text.replace("frob", "atleast(1)"), reg) is not None
+    assert len(stable_models_operator(parse_program(text, reg), reg).models) == 4
+
+
+def test_components_come_after_the_components_they_reach():
+    # Tarjan's components against the mutual reachability of every pair,
+    # on seeded random graphs
+    rng = random.Random(2909)
+    for _ in range(500):
+        n = rng.randint(0, 8)
+        succ = [sorted(rng.sample(range(n), rng.randint(0, n))) for _ in range(n)]
+        reach = [{v} for v in range(n)]
+        for _ in range(n):
+            reach = [reach[v].union(*[reach[w] for w in succ[v]]) for v in range(n)]
+        got = solver._components(succ)
+        assert sorted(map(tuple, got)) == sorted(
+            {tuple(w for w in range(n) if v in reach[w] and w in reach[v]) for v in range(n)}
+        ), succ
+        assert all(c == sorted(c) for c in got)
+        position = {v: k for k, c in enumerate(got) for v in c}
+        assert all(position[w] <= position[v] for v in range(n) for w in succ[v])
+
+
+def test_large_families_answer_block_by_block(registry):
+    # 20 atoms in ten blocks of two, and transitive closure over {1, 2, 3}
+    # in twelve blocks: each scan reads a few hundred local models where
+    # the whole base has 2 ** 20 and 2 ** 18 candidates
+    choice = parse_program(
+        "#universe {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}.\np(X) :- not q(X).\nq(X) :- not p(X).\n",
+        registry,
+    )
+    report = compare_semantics(choice, registry)
+    assert len(report.sm.models) == len(report.flp.models) == 1024
+    assert report.sm.stats.candidates == 2 ** 20 and not report.difference
+    closure = parse_program(
+        "#universe {1, 2, 3}.\ne(1, 2).\ne(2, 3).\n"
+        "r(X, Y) :- e(X, Y).\nr(X, Z) :- e(X, Y), r(Y, Z).\n",
+        registry,
+    )
+    want = ("e(1, 2) e(2, 3) r(1, 2) r(1, 3) r(2, 3)",)
+    for result in (
+        stable_models_operator(closure, registry),
+        flp_stable_models(closure, registry),
+        *stable_and_flp_models(closure, registry),
+    ):
+        assert tuple(models_as_text(result)) == want
+        assert result.stats.candidates == 2 ** 18
+
+
+def test_a_constraint_is_read_once_every_atom_it_reads_is_chosen(registry):
+    # the constraint reads p(1), in the first block, and p(2), in the
+    # second; read with the first, it would see p(2) false and keep
+    # {p(1), p(2)}
+    prog = parse_program(
+        "#universe {1, 2}.\np(X) :- not q(X).\nq(X) :- not p(X).\n:- p(1), p(2).\n", registry
+    )
+    want = ["p(1) q(2)", "p(2) q(1)", "q(1) q(2)"]
+    assert models_as_text(stable_models_reduct(prog, registry)) == want
+    for result in (
+        stable_models_operator(prog, registry),
+        flp_stable_models(prog, registry),
+        *stable_and_flp_models(prog, registry),
+    ):
+        assert models_as_text(result) == want
