@@ -39,7 +39,6 @@ search.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from .syntax import (
