@@ -222,17 +222,15 @@ class Interpretation(Record):
         return frozenset(a for a in self.atoms if a.pred in preds)
 
 
-def herbrand_base(program: Program, preds=None) -> tuple[GroundAtom, ...]:
-    """All ground atoms over the program's signature, or over its
-    predicates in ``preds`` when given, in ``sort_key`` order: the
-    predicates sorted, and each one's tuples in product order over the
-    sorted universe."""
+def herbrand_base(program: Program) -> tuple[GroundAtom, ...]:
+    """All ground atoms over the program's signature, in ``sort_key``
+    order: the predicates sorted, and each one's tuples in product order
+    over the sorted universe."""
     u_sorted = program.universe_sorted()
-    signature = program.signature
     return tuple(
         GroundAtom(pred, combo)
-        for pred in sorted(signature if preds is None else signature.keys() & preds)
-        for combo in itertools.product(u_sorted, repeat=signature[pred])
+        for pred in sorted(program.signature)
+        for combo in itertools.product(u_sorted, repeat=program.signature[pred])
     )
 
 

@@ -306,6 +306,17 @@ def test_routes_and_compare_match_the_reference(name, target):
         check_models(target, label, program, registry)
 
 
+@pytest.mark.parametrize("target", ("operator", "flp", "compare"))
+@pytest.mark.parametrize("name", ("examples", "random", "api"))
+def test_the_block_search_matches_the_reference_on_small_bases(name, target, monkeypatch):
+    # the compiled routes read a base of at most _WHOLE_BASE_ATOMS atoms
+    # over whole; searched block by block instead, every program must
+    # still give the reference's models
+    monkeypatch.setattr(solver, "_WHOLE_BASE_ATOMS", 0)
+    for label, program, registry, _ in suite(name):
+        check_models(target, label, program, registry)
+
+
 def case(name, label):
     """The suite entry named ``label``."""
     (found,) = [entry for entry in suite(name) if entry[0] == label]

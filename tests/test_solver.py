@@ -470,11 +470,15 @@ def test_large_families_answer_block_by_block(registry):
 def test_a_constraint_is_read_once_every_atom_it_reads_is_chosen(registry):
     # the constraint reads p(1), in the first block, and p(2), in the
     # second; read with the first, it would see p(2) false and keep
-    # {p(1), p(2)}
+    # {p(1), p(2), ...}.  Six atoms, so the base is searched block by block
     prog = parse_program(
-        "#universe {1, 2}.\np(X) :- not q(X).\nq(X) :- not p(X).\n:- p(1), p(2).\n", registry
+        "#universe {1, 2, 3}.\np(X) :- not q(X).\nq(X) :- not p(X).\n:- p(1), p(2).\n", registry
     )
-    want = ["p(1) q(2)", "p(2) q(1)", "q(1) q(2)"]
+    assert len(solver._checked_base(prog, None)) > solver._WHOLE_BASE_ATOMS
+    want = [
+        "p(1) p(3) q(2)", "p(1) q(2) q(3)", "p(2) p(3) q(1)",
+        "p(2) q(1) q(3)", "p(3) q(1) q(2)", "q(1) q(2) q(3)",
+    ]
     assert models_as_text(stable_models_reduct(prog, registry)) == want
     for result in (
         stable_models_operator(prog, registry),
