@@ -482,7 +482,7 @@ def stable_and_flp_models(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> tuple:
     """SM's and FLP's results from one setup and one FLP model check per
-    local model, or per candidate of a program of one block, whose kept
+    local model, or per candidate of a base scanned whole, whose kept
     reduct both read.  SM's J's go first: FLP's read plain nodes off I,
     which evicts the plain answers F*(J) reads."""
     intensional = program.intensional
