@@ -18,21 +18,22 @@ The routes differ in their model and witness tests:
 * ``flp_stable_models``       I satisfies every rule instance, and J
   satisfies the rule-wise transformation ``B and B(u) -> H(u)``.
 
-The reduct route tries every candidate and every J below each model
-(``_search``), as the independent check of the other two.  Those read
-one compiled program (``ground._compile_program``), built with the
-checked base once per solve (``_setup``): the nodes of every rule
-instance's body and head, with F read as the conjunction of their
-implications, and what each instance reads.  Past a few atoms they
-search the strongly connected blocks of the ground dependency graph one
-by one, dependencies first (``_compiled_search``, which says why that
-is exact), so a block's local models and witnesses are read over its
-own atoms, with the lower blocks as chosen.  A true model check keeps I's
-FLP reduct, the instances whose body holds in I, in the compiled
-program, and both witness tests read only those: FLP's always, and
-F*(J)'s since J is below I, where B*(J) implies B, so every other
-instance holds starred.  ``stable_and_flp_models`` runs both in one
-search.
+All three run one search (``_block_search``, which says why it is
+exact).  Past a few atoms it takes the strongly connected blocks of the
+ground dependency graph one by one, dependencies first, so a block's
+local models and witnesses are read over its own atoms, with the lower
+blocks as chosen; otherwise it tries every candidate and every J below
+each model (``_search``).  The reduct route reads the graph off its
+ground rules, and their truth only through ``_gsat`` and ``reduct``, as
+the independent check of the other two.  Those read one compiled
+program (``ground._compile_program``), built with the checked base once
+per solve (``_setup``): the nodes of every rule instance's body and
+head, with F read as the conjunction of their implications, and what
+each instance reads.  A true model check keeps I's FLP reduct, the
+instances whose body holds in I, in the compiled program, and both
+witness tests read only those: FLP's always, and F*(J)'s since J is
+below I, where B*(J) implies B, so every other instance holds starred.
+``stable_and_flp_models`` runs both in one search.
 
 ``compare_semantics`` runs them so and checks the outcome against
 ``monotone_class_report``: inside the class, any disagreement is a bug.
@@ -53,6 +54,7 @@ from .syntax import (
     impl,
     is_atomic,
     is_bot,
+    iter_subformulas,
     predicates_in,
 )
 from .quantifiers import Registry, is_builtin_name
@@ -63,6 +65,7 @@ from .ground import (
     _eval,
     _gsat,
     _read_set,
+    _sides,
     atom_set_key,
     atom_strings,
     eval_flp_transform,
@@ -159,9 +162,9 @@ def _search(scans: tuple, base: tuple, intensional, model_test) -> tuple:
     a model, and otherwise a test ``witness(J)`` per scan, true when J
     rules I out.  Each scan in turn tries the proper subsets of I's
     intensional atoms, as tuples, smallest first; a model that none rules
-    out is kept.  The reduct route runs it as it is; the operator and
-    FLP routes run it through ``_compiled_search`` when the base is small
-    or the program is one block."""
+    out is kept.  Every route runs it through ``_block_search`` when the
+    base is small, the program is one block or it applies a quantifier
+    outside the built-ins."""
     kept = [[] for _ in scans]
     for combo in _subsets_ascending(base):
         s = frozenset(combo)
@@ -229,28 +232,28 @@ def _components(succ: list) -> list:
     return out
 
 
-def _blocks(compiled, base: tuple, intensional) -> Optional[list]:
+def _blocks(items, reads, heads, base: tuple, intensional) -> Optional[list]:
     """The blocks of the ground dependency graph, dependencies first,
-    each as its atoms, in base order, and the compiled program of its
-    instances; None when the program is one block.
+    each as its atoms, in base order, and the list of its items; None
+    when the program is one block.  ``items`` are a program's rule
+    instances, compiled or ground, and ``reads`` and ``heads`` name, per
+    item, the atoms it reads and the intensional atoms of its head.
 
     The nodes are the intensional atoms of the base.  An edge goes from
-    each intensional head atom of an instance, all of which are in the
-    base, to every node the instance reads: body and head, negated or
-    not, quantifier arguments included.  So the head atoms of one
-    instance share a block, whose program holds the instance, and every
-    node it reads is in that block or below.  An instance with no
-    intensional head atom, a constraint, goes to the block of the last
-    node it reads, or to the first.  A program that applies a quantifier
-    outside the built-ins is one block, so a truth function that raises
-    does so where the scan over the whole base reads it."""
+    each intensional head atom of an item, all of which are in the base,
+    to every node the item reads: body and head, negated or not,
+    quantifier arguments included.  So the head atoms of one item share
+    a block, which holds the item, and every node it reads is in that
+    block or below.  An item with no intensional head atom, a
+    constraint, goes to the block of the last node it reads, or to the
+    first."""
     atoms = [a for a in base if a.pred in intensional]
-    if len(atoms) < 2 or not all(map(is_builtin_name, compiled.quantifiers)):
+    if len(atoms) < 2:
         return None
     index = {a: i for i, a in enumerate(atoms)}
     get = index.get
     succ = [set() for _ in atoms]
-    for read, head in zip(compiled.reads, compiled.heads):
+    for read, head in zip(reads, heads):
         if head:
             read = set(map(get, read))
             for a in head:
@@ -263,13 +266,13 @@ def _blocks(compiled, base: tuple, intensional) -> Optional[list]:
         return None
     block_of = {atoms[i]: k for k, component in enumerate(components) for i in component}
     members = [[] for _ in components]
-    for instance, read, head in zip(compiled.instances, compiled.reads, compiled.heads):
+    for item, read, head in zip(items, reads, heads):
         if head:
-            members[block_of[head[0]]].append(instance)
+            members[block_of[head[0]]].append(item)
         else:
-            members[max([block_of.get(a, 0) for a in read], default=0)].append(instance)
+            members[max([block_of.get(a, 0) for a in read], default=0)].append(item)
     return [
-        (tuple([atoms[i] for i in component]), _Program(compiled.intensional, tuple(part)))
+        (tuple([atoms[i] for i in component]), part)
         for component, part in zip(components, members)
     ]
 
@@ -282,50 +285,60 @@ def _blocks(compiled, base: tuple, intensional) -> Optional[list]:
 _WHOLE_BASE_ATOMS = 4
 
 
-def _compiled_search(scans: tuple, program: Program, registry: Registry,
-                     cap: Optional[int], model_test) -> tuple:
-    """The operator and FLP routes' search: a ``SolveResult`` per
-    ``(semantics, route)`` of ``scans``.  ``model_test(compiled, interp)``
-    is None when ``interp`` is not a model of the compiled program
-    ``compiled``, and otherwise a test ``witness(J)`` per scan.
+def _splits(base: tuple, names) -> bool:
+    """Whether a search may go block by block: the base has more than
+    ``_WHOLE_BASE_ATOMS`` atoms, and every quantifier the program applies,
+    of the names ``names``, is a built-in.  A program that applies
+    another is scanned over its whole base, so a truth function that
+    raises does so where that scan reads it."""
+    return len(base) > _WHOLE_BASE_ATOMS and all(map(is_builtin_name, names))
 
-    A base of at most ``_WHOLE_BASE_ATOMS`` atoms, or a program that is
-    one block (``_blocks``), is read by ``_search`` over the whole base.
-    Otherwise, after each subset E of the extensional
-    atoms, smallest first, the blocks are searched depth first,
-    dependencies first.  With L the intensional atoms chosen below a
-    block, its local models are the subsets S of its atoms, smallest
-    first, for which E, L and S are a model of the block's instances.
-    The local witnesses against S are the J < S for which ``witness(L |
-    J)`` holds, tried smallest first.  A scan keeps a local model that
-    none of its witnesses rules out, and an I that it kept in every
-    block.  One model test serves every scan, and a local model is
+
+def _block_search(scans: tuple, base: tuple, intensional, whole, blocks, model_test) -> tuple:
+    """The stability search of all three routes: a ``SolveResult`` per
+    ``(semantics, route)`` of ``scans``.  ``model_test(part, s)`` is None
+    when the atom set ``s`` is not a model of ``part``, the items of a
+    block or the ``whole`` program, and otherwise a test ``witness(J)``
+    per scan, true when J rules ``s`` out.
+
+    With ``blocks`` None (``_splits``, ``_blocks``) the whole program is
+    read by ``_search`` over the whole base.  Otherwise, after each
+    subset E of the extensional atoms, smallest first, the blocks are
+    searched depth first, dependencies first.  With L the intensional
+    atoms chosen below a block, its local models are the subsets S of its
+    atoms, smallest first, for which E, L and S are a model of the
+    block's items.  The local witnesses against S are the J < S for which
+    ``witness(L | J)`` holds, tried smallest first.  A scan keeps a local
+    model that none of its witnesses rules out, and an I that it kept in
+    every block.  One model test serves every scan, and a local model is
     followed up while any scan keeps it.
 
-    This is exact, for SM and for FLP.  Let I be a model, so a model of
-    every block's instances, and let S_k be its atoms in block k.  The
-    instances of block k read only atoms of blocks up to k, and their
-    head atoms are in block k.  Every J below is a set of intensional
-    atoms of I.
+    This is exact, for SM by F*(J), for SM by reduct and for FLP.  Let I
+    be a model, so a model of every block's items, and let S_k be its
+    atoms in block k.  The items of block k read only atoms of blocks up
+    to k, and their head atoms are in block k.  Every J below is a set of
+    intensional atoms of I.  The reduct route's test reads P^I, the
+    reduct of the ground rules relative to I: each g^I reads only atoms
+    of g, and I satisfies g^I whenever it satisfies g.
 
     * A local witness lifts.  Let J_k < S_k be a witness in block k,
       with the lower atoms as in I, and let J be the intensional atoms
       of I with J_k in place of S_k, so the upper atoms are as in I
-      too.  An instance below block k reads J where J is I, and
-      ``F*(I)`` is equivalent to F, so it holds starred; FLP reads
-      ``B and B(I) -> H(I)``, true in a model.  In block k the instances
-      hold by the witness.  An instance above k has its head atoms as
-      in I, so ``H*(J)`` is ``H*(I)``, which is H.  If H holds in I, so
-      does the starred instance.  If not, B is false in I, and
-      ``B*(J)`` implies B for J below I, so ``B*(J)`` is false.  In FLP,
-      an instance in I's reduct has ``H(J) = H(I)``, true, and one
-      outside it holds.  A constraint's head reads no intensional atom,
-      so it keeps its value in I for the same reasons.  So J is a
-      witness against I.
+      too.  An item below block k reads J where J is I, and ``F*(I)``
+      is equivalent to F, so it holds starred; g^I holds in I; FLP reads
+      ``B and B(I) -> H(I)``, true in a model.  In block k the items
+      hold by the witness.  An item above k has its head atoms as in I,
+      so ``H*(J)`` is ``H*(I)``, which is H, and H^I holds in J as in I.
+      If H holds in I, so do the starred instance and g^I.  If not, B is
+      false in I, and ``B*(J)`` implies B for J below I, so ``B*(J)`` is
+      false, and B^I is ``bot``.  In FLP, an instance in I's reduct has
+      ``H(J) = H(I)``, true, and one outside it holds.  A constraint's
+      head reads no intensional atom, so it keeps its value in I for the
+      same reasons.  So J is a witness against I.
     * A witness gives a local one.  Let J < I be a witness, and k the
       lowest block in which J differs from I.  Below k, J is I, so the
-      instances of block k read J as ``L | J_k``, with J_k < S_k, and
-      J_k is a local witness in block k.
+      items of block k read J as ``L | J_k``, with J_k < S_k, and J_k is
+      a local witness in block k.
 
     So I is stable exactly when it is stable in every block, with the
     lower blocks as in I: the splitting set theorem (Lifschitz and
@@ -334,14 +347,8 @@ def _compiled_search(scans: tuple, program: Program, registry: Registry,
     reads is chosen, so I is a model exactly when it is a local model
     in every block.  The candidate count is still that of the whole
     base."""
-    base, empty, compiled = _setup(program, registry, cap)
-    intensional = program.intensional
-    blocks = None if len(base) <= _WHOLE_BASE_ATOMS else _blocks(compiled, base, intensional)
     if blocks is None:
-        return _search(
-            scans, base, intensional,
-            lambda s: model_test(compiled, empty.with_atoms(s, checked=True)),
-        )
+        return _search(scans, base, intensional, lambda s: model_test(whole, s))
     kept = [[] for _ in scans]
     last = len(blocks) - 1
 
@@ -352,7 +359,7 @@ def _compiled_search(scans: tuple, program: Program, registry: Registry,
         atoms, part = blocks[k]
         for combo in _subsets_ascending(atoms):
             s = below.union(combo)
-            witnesses = model_test(part, empty.with_atoms(s, checked=True))
+            witnesses = model_test(part, s)
             if witnesses is None:
                 continue
             keeps = [
@@ -379,11 +386,53 @@ def _compiled_search(scans: tuple, program: Program, registry: Registry,
     return _results(scans, kept, base)
 
 
+def _compiled_search(scans: tuple, program: Program, registry: Registry,
+                     cap: Optional[int], model_test) -> tuple:
+    """The operator and FLP routes' search, ``_block_search`` over the
+    compiled program (``_setup``) and its instances: a ``SolveResult``
+    per ``(semantics, route)`` of ``scans``.  ``model_test(compiled,
+    interp)`` is None when ``interp`` is not a model of the compiled
+    program ``compiled``, and otherwise a test ``witness(J)`` per scan."""
+    base, empty, compiled = _setup(program, registry, cap)
+    intensional = program.intensional
+    blocks = None
+    if _splits(base, compiled.quantifiers):
+        blocks = _blocks(compiled.instances, compiled.reads, compiled.heads, base, intensional)
+    if blocks is not None:
+        blocks = [(atoms, _Program(compiled.intensional, tuple(part))) for atoms, part in blocks]
+    return _block_search(
+        scans, base, intensional, compiled, blocks,
+        lambda part, s: model_test(part, empty.with_atoms(s, checked=True)),
+    )
+
+
+def _applied_names(program: Program):
+    """The names of the quantifiers the rules of ``program`` apply,
+    connectives included, one per application, lazily: those a compile
+    of it records (``_Program.quantifiers``)."""
+    return (
+        f.quantifier
+        for rule in program.rules
+        for side in (rule.body, rule.head)
+        for f in iter_subformulas(side)
+        if type(f) is Apply
+    )
+
+
+def _head_atoms(g, intensional) -> list:
+    """The intensional atoms of the head of the ground rule ``g``, its
+    right side: those a compile records as the instance's ``heads``."""
+    return [a for a in _read_set(_sides(g)[1]) if a.pred in intensional]
+
+
 def stable_models_reduct(
     program: Program, registry: Registry, cap: Optional[int] = None
 ) -> SolveResult:
     """Stable models via grounding and reducts: a model is stable when
-    it is a minimal model of its own reduct.
+    it is a minimal model of its own reduct.  The ground rules are
+    searched by ``_block_search``, block by block as the compiled
+    routes' instances are, with truth read only by ``_gsat`` and
+    ``reduct``.
 
     Sound only when every predicate is intensional, since the reduct
     minimizes over whole atom sets; otherwise this raises
@@ -397,20 +446,25 @@ def stable_models_reduct(
         )
     base = _checked_base(program, cap)
     universe = program.universe
+    intensional = program.intensional
     rules = ground_program(program, registry)
     # A rule reads only the atoms it mentions, so its truth and its
     # reduct are kept per projection of the candidate onto them, and a
     # reduced formula's truth per projection of J onto its own atoms.
     # A projection is read the first time it is met, which is where an
     # unmemoised scan first reads it, so a truth function's error
-    # surfaces there too.
+    # surfaces there too.  An entry per rule holds it, its read set and
+    # its two memos.
     reads = [_read_set(g) for g in rules]
-    truths = [{} for _ in rules]
-    reducts = [{} for _ in rules]
+    entries = [(g, read, {}, {}) for g, read in zip(rules, reads)]
+    blocks = None
+    if _splits(base, _applied_names(program)):
+        heads = [_head_atoms(g, intensional) for g in rules]
+        blocks = _blocks(entries, reads, heads, base, intensional)
 
-    def model_test(s):
+    def model_test(part, s):
         keys = []
-        for g, read, memo in zip(rules, reads, truths):
+        for g, read, memo, _ in part:
             k = s & read
             v = memo.get(k)
             if v is None:
@@ -419,7 +473,7 @@ def stable_models_reduct(
                 return None
             keys.append(k)
         reduced = []
-        for g, k, memo in zip(rules, keys, reducts):
+        for (g, _, _, memo), k in zip(part, keys):
             entry = memo.get(k)
             if entry is None:
                 f = reduct(g, k, universe, registry).formula
@@ -443,7 +497,8 @@ def stable_models_reduct(
 
         return (witness,)
 
-    return _search((("sm", "reduct"),), base, program.intensional, model_test)[0]
+    scans = (("sm", "reduct"),)
+    return _block_search(scans, base, intensional, entries, blocks, model_test)[0]
 
 
 def stable_models_operator(

@@ -306,12 +306,12 @@ def test_routes_and_compare_match_the_reference(name, target):
         check_models(target, label, program, registry)
 
 
-@pytest.mark.parametrize("target", ("operator", "flp", "compare"))
+@pytest.mark.parametrize("target", ROUTES)
 @pytest.mark.parametrize("name", ("examples", "random", "api"))
 def test_the_block_search_matches_the_reference_on_small_bases(name, target, monkeypatch):
-    # the compiled routes read a base of at most _WHOLE_BASE_ATOMS atoms
-    # over whole; searched block by block instead, every program must
-    # still give the reference's models
+    # every route reads a base of at most _WHOLE_BASE_ATOMS atoms over
+    # whole; searched block by block instead, every program must still
+    # give the reference's models
     monkeypatch.setattr(solver, "_WHOLE_BASE_ATOMS", 0)
     for label, program, registry, _ in suite(name):
         check_models(target, label, program, registry)
@@ -346,12 +346,21 @@ def test_the_raising_programs_meet_every_way_to_fail(target):
     assert kinds == want, kinds
 
 
-def test_the_reduct_route_scans_the_choice_family_as_the_reference_does():
+def test_the_reduct_route_scans_the_choice_family_as_the_reference_does(monkeypatch):
+    # 12 atoms in six blocks: with the cut above 12 the base is scanned
+    # whole, I by I and J by J as the reference scans it
     reg = Registry()
     prog = parse_program(ref.choice_text(6), reg)
-    assert check_scans("reduct", prog, reg, None, bases=(solver._checked_base,)) == {"value"}
-    result = stable_models_reduct(prog, reg)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_WHOLE_BASE_ATOMS", 13)
+        assert check_scans("reduct", prog, reg, None, bases=(solver._checked_base,)) == {"value"}
+        whole = stable_models_reduct(prog, reg)
+    # at the default cut the base splits, and no whole-base scan runs
+    got, log = run_logged(lambda: stable_models_reduct(prog, reg))
+    assert log == []
+    (result,) = got[1]
     assert (len(result.models), result.stats.candidates) == (64, 4096)
+    assert result == whole
 
 
 def test_the_two_definitions_of_stable_models_agree():
@@ -548,6 +557,28 @@ def test_the_compile_records_what_each_instance_reads(name):
         }, label
         compiled += 1
     assert compiled
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_the_reduct_route_reads_the_graph_the_compile_records(name):
+    # both routes split into the same blocks: the reduct route's read set
+    # and head atoms of each ground rule are those the compile records
+    # for the matching instance
+    checked = 0
+    for label, program, registry, _ in suite(name):
+        frame = Interpretation(program.universe)
+        got = outcome(lambda: _compile_program(program, frame, registry))
+        if got[0] != "value":
+            continue
+        rules = got[1]
+        grounded = ground_program(program, registry)
+        assert len(grounded) == len(rules.instances), label
+        for g, read, head in zip(grounded, rules.reads, rules.heads):
+            assert _read_set(g) == frozenset(read), label
+            assert set(solver._head_atoms(g, program.intensional)) == set(head), label
+        assert set(solver._applied_names(program)) == set(rules.quantifiers), label
+        checked += 1
+    assert checked
 
 
 def test_a_long_body_matches_the_reference():

@@ -340,15 +340,18 @@ def test_flp_matches_sm_on_a_random_in_class_pool():
 
 
 def blocks_of(text, registry):
-    """``solver._blocks`` of a program, each block as its atoms and its
-    instances, each as the rule's index and the env; None for one block."""
+    """``solver._blocks`` of a program's compiled instances, each block as
+    its atoms and its instances, each as the rule's index and the env;
+    None for one block."""
     prog = parse_program(text, registry)
     base, _, compiled = solver._setup(prog, registry, None)
-    blocks = solver._blocks(compiled, base, prog.intensional)
+    blocks = solver._blocks(
+        compiled.instances, compiled.reads, compiled.heads, base, prog.intensional
+    )
     if blocks is None:
         return None
     return [
-        ([str(a) for a in atoms], [(prog.rules.index(r), env) for r, env, _, _ in part.instances])
+        ([str(a) for a in atoms], [(prog.rules.index(r), env) for r, env, _, _ in part])
         for atoms, part in blocks
     ]
 
@@ -417,9 +420,15 @@ def test_a_quantifier_outside_the_built_ins_makes_one_block():
     reg = Registry()
     reg.register(QuantifierDef("frob", (1,), lambda u, rels: bool(rels[0]), (Mono.MONOTONE,)))
     text = "#universe {1, 2}.\np(X) :- not q(X).\nq(X) :- not p(X).\nr :- frob{X : p(X)}.\n"
-    assert blocks_of(text, reg) is None
-    assert blocks_of(text.replace("frob", "atleast(1)"), reg) is not None
-    assert len(stable_models_operator(parse_program(text, reg), reg).models) == 4
+    # both routes check the names before they build the graph
+    for t, splits in ((text, False), (text.replace("frob", "atleast(1)"), True)):
+        prog = parse_program(t, reg)
+        base, _, compiled = solver._setup(prog, reg, None)
+        assert solver._splits(base, compiled.quantifiers) is splits
+        assert solver._splits(base, solver._applied_names(prog)) is splits
+    prog = parse_program(text, reg)
+    assert len(stable_models_operator(prog, reg).models) == 4
+    assert stable_models_reduct(prog, reg).models == stable_models_operator(prog, reg).models
 
 
 def test_components_come_after_the_components_they_reach():
@@ -443,8 +452,9 @@ def test_components_come_after_the_components_they_reach():
 
 def test_large_families_answer_block_by_block(registry):
     # 20 atoms in ten blocks of two, and transitive closure over {1, 2, 3}
-    # in twelve blocks: each scan reads a few hundred local models where
-    # the whole base has 2 ** 20 and 2 ** 18 candidates
+    # in twelve blocks: each scan, the reduct route's too, reads a few
+    # hundred local models where the whole base has 2 ** 20 and 2 ** 18
+    # candidates
     choice = parse_program(
         "#universe {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}.\np(X) :- not q(X).\nq(X) :- not p(X).\n",
         registry,
@@ -452,6 +462,8 @@ def test_large_families_answer_block_by_block(registry):
     report = compare_semantics(choice, registry)
     assert len(report.sm.models) == len(report.flp.models) == 1024
     assert report.sm.stats.candidates == 2 ** 20 and not report.difference
+    reduct = stable_models_reduct(choice, registry)
+    assert (reduct.models, reduct.stats) == (report.sm.models, report.sm.stats)
     closure = parse_program(
         "#universe {1, 2, 3}.\ne(1, 2).\ne(2, 3).\n"
         "r(X, Y) :- e(X, Y).\nr(X, Z) :- e(X, Y), r(Y, Z).\n",
@@ -459,6 +471,7 @@ def test_large_families_answer_block_by_block(registry):
     )
     want = ("e(1, 2) e(2, 3) r(1, 2) r(1, 3) r(2, 3)",)
     for result in (
+        stable_models_reduct(closure, registry),
         stable_models_operator(closure, registry),
         flp_stable_models(closure, registry),
         *stable_and_flp_models(closure, registry),
